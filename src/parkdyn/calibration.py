@@ -236,7 +236,12 @@ class CalibrationReport:
     @staticmethod
     def load(path) -> "CalibrationReport":
         with open(path) as fh:
-            return CalibrationReport.from_dict(json.load(fh))
+            try:
+                return CalibrationReport.from_dict(json.load(fh))
+            except KeyError as e:
+                raise ValueError(f"calibration file {path}: missing field {e.args[0]!r}") from None
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"calibration file {path}: {e}") from None
 
 
 def calibrate(

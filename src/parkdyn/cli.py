@@ -150,28 +150,9 @@ def load_events_csv(path) -> list[microsim.Event]:
     return out
 
 
-_SERIES_COLS = (
-    "t_s",
-    "dist_km",
-    "active",
-    "n_i",
-    "n_ii",
-    "n_iii",
-    "n_iv",
-    "n_on",
-    "n_off",
-    "in_circuit",
-    "occ_on",
-    "occ_off",
-    "parked_on",
-    "parked_off",
-    "overflow",
-)
-
-
 def write_series_csv(path, res: microsim.RunResult):
-    rows = zip(*(res.series[c] for c in _SERIES_COLS))
-    write_csv(path, list(_SERIES_COLS), rows)
+    rows = zip(*(res.series[c] for c in microsim.SERIES_COLUMNS))
+    write_csv(path, list(microsim.SERIES_COLUMNS), rows)
 
 
 def load_run_dir(seed_dir) -> microsim.RunResult:
@@ -179,7 +160,7 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
     seed_dir = Path(seed_dir)
     events = load_events_csv(seed_dir / "events.csv")
     data = np.genfromtxt(seed_dir / "series.csv", delimiter=",", names=True)
-    series = {c: np.atleast_1d(data[c]) for c in _SERIES_COLS}
+    series = {c: np.atleast_1d(data[c]) for c in microsim.SERIES_COLUMNS}
     with open(seed_dir / "metrics.json") as fh:
         metrics = json.load(fh)
     summary = metrics["summary"]
@@ -415,9 +396,8 @@ def cmd_mpc_run(args):
             log_rows.append(
                 (seed, it.t_hr, it.applied[0], it.applied[1], it.predicted_objective, it.evaluations)
             )
-            if it.realized_n_c is not None:
-                for j, (p, r) in enumerate(zip(it.predicted_n_c, it.realized_n_c)):
-                    pred_rows.append((seed, it.t_hr, j, p, r))
+            for j, (p, r) in enumerate(zip(it.predicted_n_c, it.realized_n_c)):
+                pred_rows.append((seed, it.t_hr, j, p, r))
         log_rows.append(
             (seed, sc.horizon, "", "", log.plant_ineffective_cruising, "")
         )
@@ -444,11 +424,7 @@ def run_mode(mode, net, sc, params, cfg, seed):
     time-related metrics of the comparison."""
     sim = microsim.Simulation(net, sc, seed)
     if mode == "no-price":
-        sim.set_prices(sc.tau_on, sc.tau_off)
-        res = sim.run()
-        deadweight = float(res.series["overflow"].sum()) * res.l_off / res.v_off_f
-        cruise = float(res.series["n_iv"].sum()) * res.dt_sim / 3600.0
-        total_tt = float(res.series["active"].sum()) * res.dt_sim / 3600.0
+        sim.run()
     else:
         park, pas = scenarios.macro_demand(sc, cfg.dt_macro)
         plant = mpc.MicroPlant(sim, params)
@@ -464,16 +440,7 @@ def run_mode(mode, net, sc, params, cfg, seed):
             for tau_on, tau_off in sol.schedule.prices:
                 plant.set_prices(tau_on, tau_off)
                 plant.advance(sol.schedule.interval_hr)
-        res = sim.result()
-        deadweight = float(res.series["overflow"][: sim.step_i].sum()) * res.l_off / res.v_off_f
-        cruise = float(res.series["n_iv"][: sim.step_i].sum()) * res.dt_sim / 3600.0
-        total_tt = float(res.series["active"][: sim.step_i].sum()) * res.dt_sim / 3600.0
-    return {
-        "deadweight_veh_hr": deadweight,
-        "on_street_cruising_veh_hr": cruise,
-        "ineffective_cruising_veh_hr": deadweight + cruise,
-        "total_travel_time_veh_hr": total_tt,
-    }
+    return microsim.time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f)
 
 
 def cmd_compare(args):

@@ -192,12 +192,12 @@ def overflow(
     n_off_prev: float,
     q_out_off: float,
     params: MacroParams,
-) -> tuple[float, int]:
-    """Vehicles pushed back to on-street search by a full lot, and the
-    circuit delay in steps after which they reappear."""
+) -> float:
+    """Vehicles pushed back to on-street search by a full lot; they reappear
+    after the circuit delay ``params.k_off``."""
     entering = min(o_m_off, n_m_off_prev + q_in_off)
     free = params.N_off - n_off_prev + q_out_off
-    return max(0.0, entering - free), params.k_off
+    return max(0.0, entering - free)
 
 
 def productions_and_outflows(
@@ -240,7 +240,7 @@ def productions_and_outflows(
     else:
         o_m_off = o_m_on = o_m_pass = 0.0
 
-    q_off_on, _ = overflow(o_m_off, state.n_m_off, q_in_off, state.n_off, q_out_off, params)
+    q_off_on = overflow(o_m_off, state.n_m_off, q_in_off, state.n_off, q_out_off, params)
 
     o_c_raw = P_c * dt / l_c if l_c > 0 else float("inf")
     cap_avail = state.n_c + q_off_on_delayed + o_m_on
@@ -278,27 +278,25 @@ def macro_step(
     q_in_off: float,
     q_in_pass: float,
     params: MacroParams,
-    redeparture_weights: np.ndarray | None = None,
+    redeparture_weights: np.ndarray,
 ) -> dict[str, float]:
     """Advance the state by one step (in place) and return the step's flows.
 
-    ``redeparture_weights`` may carry precomputed per-lag duration-CDF
-    increments; otherwise they are derived from the duration distribution.
+    ``redeparture_weights`` are the per-lag duration-CDF increments,
+    ``params.redeparture_weights(n)`` with n at least the new step index;
+    ``redeparture_flows`` is the loop form of the same sum.
     """
     if min(q_in_on, q_in_off, q_in_pass) < 0:
         raise ValueError("inflows must be >= 0")
     k = state.k + 1
 
-    if redeparture_weights is not None and k >= 2:
+    q_out_on = q_out_off = 0.0
+    if k >= 2:
         h_on = np.asarray(state.o_c_hist[1:k])
         h_off = np.asarray(state.o_m_off_hist[1:k]) - np.asarray(state.q_off_on_hist[1:k])
         w_rev = redeparture_weights[k - 2 :: -1]
         q_out_on = float(np.dot(h_on, w_rev))
         q_out_off = float(np.dot(h_off, w_rev))
-    else:
-        q_out_on, q_out_off = redeparture_flows(
-            state.o_c_hist, state.o_m_off_hist, state.q_off_on_hist, params.duration, k, params.dt
-        )
 
     k_off = params.k_off
     if k_off == 0:

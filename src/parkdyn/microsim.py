@@ -22,7 +22,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,25 @@ ALLOWED_TRANSITIONS = frozenset(
         ("vi", "iii"),
         ("iii", "exited"),
     }
+)
+
+# Per-step series of a run, in the column order of series.csv.
+SERIES_COLUMNS = (
+    "t_s",
+    "dist_km",
+    "active",
+    "n_i",
+    "n_ii",
+    "n_iii",
+    "n_iv",
+    "n_on",
+    "n_off",
+    "in_circuit",
+    "occ_on",
+    "occ_off",
+    "parked_on",
+    "parked_off",
+    "overflow",
 )
 
 
@@ -116,22 +135,30 @@ class ScenarioConfig:
     def from_dict(d: dict) -> "ScenarioConfig":
         d = dict(d)
         if isinstance(d.get("duration"), dict):
-            dd = d["duration"]
-            d["duration"] = DurationDistribution(
-                kind=dd.get("kind", "uniform"),
-                lo=dd.get("lo", 0.0),
-                hi=dd.get("hi", 1.0),
-                xs=tuple(dd.get("xs", ())),
-                cdf_values=tuple(dd.get("cdf_values", ())),
-            )
+            dd = dict(d["duration"])
+            for key in ("xs", "cdf_values"):
+                if key in dd:
+                    dd[key] = tuple(dd[key])
+            d["duration"] = _from_fields(DurationDistribution, dd, "duration.")
         if isinstance(d.get("guidance"), dict):
-            d["guidance"] = GuidanceConfig(**d["guidance"])
-        return ScenarioConfig(**d)
+            d["guidance"] = _from_fields(GuidanceConfig, d["guidance"], "guidance.")
+        return _from_fields(ScenarioConfig, d, "")
 
     @staticmethod
     def load(path) -> "ScenarioConfig":
         with open(path) as fh:
-            return ScenarioConfig.from_dict(json.load(fh))
+            try:
+                return ScenarioConfig.from_dict(json.load(fh))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"scenario file {path}: {e}") from None
+
+
+def _from_fields(cls, d: dict, prefix: str):
+    """``cls(**d)``, rejecting keys that are not fields of ``cls``."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown field {prefix + unknown[0]!r}")
+    return cls(**d)
 
 
 class Event(NamedTuple):
@@ -263,9 +290,25 @@ class RunResult:
 
     def ineffective_cruising_time(self) -> float:
         """veh-hr cruising on street plus full-lot circuit deadweight."""
-        on_street = float(self.series["n_iv"].sum()) * self.dt_sim / 3600.0
-        circuits = float(self.series["overflow"].sum())
-        return on_street + circuits * self.l_off / self.v_off_f
+        return time_metrics(self.series, self.dt_sim, self.l_off, self.v_off_f)[
+            "ineffective_cruising_veh_hr"
+        ]
+
+
+def time_metrics(series: dict, dt_sim: float, l_off: float, v_off_f: float) -> dict[str, float]:
+    """The veh-hr accounts of a micro series: full-lot circuit deadweight,
+    on-street cruising, their sum (ineffective cruising), and time on road.
+
+    Each full-lot arrival costs one circuit of ``l_off`` km at ``v_off_f``.
+    """
+    deadweight = float(series["overflow"].sum()) * l_off / v_off_f
+    on_street = float(series["n_iv"].sum()) * dt_sim / 3600.0
+    return {
+        "deadweight_veh_hr": deadweight,
+        "on_street_cruising_veh_hr": on_street,
+        "ineffective_cruising_veh_hr": on_street + deadweight,
+        "total_travel_time_veh_hr": float(series["active"].sum()) * dt_sim / 3600.0,
+    }
 
 
 class Simulation:
@@ -290,6 +333,9 @@ class Simulation:
         self.lot = next(iter(sorted(network.lots))) if network.lots else None
         if self.lot is not None:
             self.lot = network.lots[self.lot]
+        # circuit length (km) and in-lot speed (km/hr) of the lot, if any
+        self.l_off = self.lot.circuit_length if self.lot else 0.0
+        self.v_off_f = self.lot.internal_cruise_speed if self.lot else 1.0
         self.lot_occ = 0
         self.capacity = network.total_parking_capacity
         self.free = {lid: ln.parking_capacity for lid, ln in network.links.items()}
@@ -326,24 +372,7 @@ class Simulation:
         self.still_steps = 0
         self.gridlock = False
 
-        names = (
-            "t_s",
-            "dist_km",
-            "active",
-            "n_i",
-            "n_ii",
-            "n_iii",
-            "n_iv",
-            "n_on",
-            "n_off",
-            "in_circuit",
-            "occ_on",
-            "occ_off",
-            "parked_on",
-            "parked_off",
-            "overflow",
-        )
-        self._series = {k: np.zeros(self.n_steps) for k in names}
+        self._series = {k: np.zeros(self.n_steps) for k in SERIES_COLUMNS}
 
     # ------------------------------------------------------------- setup
 
@@ -787,6 +816,10 @@ class Simulation:
             self.step()
         return self.result()
 
+    def series(self) -> dict[str, np.ndarray]:
+        """Views of the per-step series over the steps run so far."""
+        return {k: v[: self.step_i] for k, v in self._series.items()}
+
     def result(self) -> RunResult:
         records = [
             VehicleRecord(
@@ -803,7 +836,7 @@ class Simulation:
             )
             for v in self.vehicles
         ]
-        trimmed = {k: v[: self.step_i].copy() for k, v in self._series.items()}
+        trimmed = {k: v.copy() for k, v in self.series().items()}
         summary = {
             "seed": self.seed,
             "injected": self.injected,
@@ -814,8 +847,8 @@ class Simulation:
             "on_street_capacity": self.capacity,
             "lot_capacity": self.lot.capacity if self.lot else 0,
             "network_length": self.net.total_length,
-            "l_off": self.lot.circuit_length if self.lot else 0.0,
-            "v_off_f": self.lot.internal_cruise_speed if self.lot else 1.0,
+            "l_off": self.l_off,
+            "v_off_f": self.v_off_f,
         }
         return RunResult(
             events=list(self.events),
@@ -825,8 +858,8 @@ class Simulation:
             dt_sim=self.dt,
             horizon=self.sc.horizon,
             network_length=self.net.total_length,
-            l_off=self.lot.circuit_length if self.lot else 0.0,
-            v_off_f=self.lot.internal_cruise_speed if self.lot else 1.0,
+            l_off=self.l_off,
+            v_off_f=self.v_off_f,
             summary=summary,
         )
 

@@ -21,7 +21,7 @@ from .macromodel import (
     MacroTrajectories,
     simulate_macro,
 )
-from .microsim import Simulation
+from .microsim import Simulation, time_metrics
 
 FACILITIES = ("on", "off")
 
@@ -64,6 +64,9 @@ class MpcConfig:
     control_interval: float = 0.25  # hr
     n_intervals: int = 2  # pricing intervals optimized simultaneously
     dt_macro: float = 10.0 / 3600.0  # hr
+    # Multi-starts per solve. The anchor (last applied prices), tau_min and
+    # tau_max starts always run, plus any extra starts the caller passes;
+    # random starts fill up to n_starts. So n_starts < 3 still runs three.
     n_starts: int = 8
     budget: int = 400  # objective evaluations per start
     controlled: tuple[str, ...] = ("on",)
@@ -87,20 +90,24 @@ class MpcConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
 
 
+def veh_hr_with_deadweight(counts, q_off_on, params: MacroParams) -> float:
+    """veh-hr of the per-step accumulations ``counts`` plus the circuit
+    deadweight loss of the full-lot overflows ``q_off_on``."""
+    held = float(np.sum(counts)) * params.dt
+    deadweight = float(np.sum(q_off_on)) * params.l_off / params.v_off_f
+    return held + deadweight
+
+
 def objective_ineffective_cruising(traj: MacroTrajectories, params: MacroParams) -> float:
     """veh-hr of on-street cruising plus the full-lot circuit deadweight loss.
 
     Cruising of vehicles that manage to park off street is not counted."""
-    cruise = float(traj.n_c[:-1].sum()) * params.dt
-    deadweight = float(traj.q_off_on.sum()) * params.l_off / params.v_off_f
-    return cruise + deadweight
+    return veh_hr_with_deadweight(traj.n_c[:-1], traj.q_off_on, params)
 
 
 def objective_total_travel_time(traj: MacroTrajectories, params: MacroParams) -> float:
     """veh-hr on the road network plus the circuit deadweight loss."""
-    on_road = float(traj.n[:-1].sum()) * params.dt
-    deadweight = float(traj.q_off_on.sum()) * params.l_off / params.v_off_f
-    return on_road + deadweight
+    return veh_hr_with_deadweight(traj.n[:-1], traj.q_off_on, params)
 
 
 def repair_schedule(
@@ -238,7 +245,6 @@ def solve_open_loop(
         starts.extend(np.asarray(s, dtype=float).reshape(-1) for s in extra_starts)
     while len(starts) < config.n_starts:
         starts.append(rng.uniform(config.tau_min, config.tau_max, size=dim))
-    starts = starts[: max(config.n_starts, len(starts))]
 
     best_x, best_f, evals_total = None, math.inf, 0
     history: list[float] = []
@@ -327,9 +333,8 @@ class MacroPlant:
         self.state = MacroState()
         self.t_hr = 0.0
         self.step = 0
-        self.n_c_series: list[float] = []
-        self.q_off_on_series: list[float] = []
-        self.n_series: list[float] = []
+        self.n_c_steps: list[float] = []
+        self.q_off_on_steps: list[float] = []
 
     def read_state(self) -> MacroState:
         return self.state.copy()
@@ -344,24 +349,17 @@ class MacroPlant:
         traj = simulate_macro(
             self.park[lo:hi], self.pazz[lo:hi], rows, self.params, initial_state=self.state
         )
-        self.n_c_series.extend(traj.n_c[:-1].tolist())
-        self.q_off_on_series.extend(traj.q_off_on.tolist())
-        self.n_series.extend(traj.n[:-1].tolist())
+        self.n_c_steps.extend(traj.n_c[:-1].tolist())
+        self.q_off_on_steps.extend(traj.q_off_on.tolist())
         self.state = traj.final_state
         self.step = hi
         self.t_hr = hi * self.params.dt
 
     def ineffective_cruising(self) -> float:
-        return (
-            float(np.sum(self.n_c_series)) * self.params.dt
-            + float(np.sum(self.q_off_on_series)) * self.params.l_off / self.params.v_off_f
-        )
-
-    def total_travel_time(self) -> float:
-        return float(np.sum(self.n_series)) * self.params.dt
+        return veh_hr_with_deadweight(self.n_c_steps, self.q_off_on_steps, self.params)
 
     def realized_n_c(self, lo: int, n: int) -> np.ndarray:
-        return np.asarray(self.n_c_series[lo : lo + n])
+        return np.asarray(self.n_c_steps[lo : lo + n])
 
 
 class MicroPlant:
@@ -392,11 +390,12 @@ class MicroPlant:
             n_off=float(sim.lot_occ),
             n_on=float(sim.occupied_on),
         )
-        done = sim.step_i
-        usable = (done // self._bin) * self._bin
-        parked_on = sim._series["parked_on"][:usable].reshape(-1, self._bin).sum(axis=1)
-        parked_off = sim._series["parked_off"][:usable].reshape(-1, self._bin).sum(axis=1)
-        overflow = sim._series["overflow"][:usable].reshape(-1, self._bin).sum(axis=1)
+        series = sim.series()
+        usable = (sim.step_i // self._bin) * self._bin
+        parked_on, parked_off, overflow = (
+            series[c][:usable].reshape(-1, self._bin).sum(axis=1)
+            for c in ("parked_on", "parked_off", "overflow")
+        )
         state.k = len(parked_on)
         state.o_c_hist = [0.0] + parked_on.tolist()
         state.o_m_off_hist = [0.0] + (parked_off + overflow).tolist()
@@ -426,21 +425,12 @@ class MicroPlant:
 
     def ineffective_cruising(self) -> float:
         sim = self.sim
-        s = sim._series
-        done = sim.step_i
-        on_street = float(s["n_iv"][:done].sum()) * sim.dt / 3600.0
-        circuits = float(s["overflow"][:done].sum())
-        lot = sim.lot
-        return on_street + (circuits * lot.circuit_time if lot else 0.0)
-
-    def total_travel_time(self) -> float:
-        sim = self.sim
-        return float(sim._series["active"][: sim.step_i].sum()) * sim.dt / 3600.0
+        return time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f)[
+            "ineffective_cruising_veh_hr"
+        ]
 
     def realized_n_c(self, lo: int, n: int) -> np.ndarray:
-        sim = self.sim
-        hi = min((lo + n) * self._bin, sim.step_i)
-        block = sim._series["n_iv"][lo * self._bin : hi]
+        block = self.sim.series()["n_iv"][lo * self._bin : (lo + n) * self._bin]
         usable = (len(block) // self._bin) * self._bin
         return block[:usable].reshape(-1, self._bin).mean(axis=1)
 
@@ -452,7 +442,7 @@ class MpcIteration:
     predicted_objective: float
     evaluations: int
     predicted_n_c: np.ndarray
-    realized_n_c: np.ndarray | None
+    realized_n_c: np.ndarray
 
 
 @dataclass
@@ -460,7 +450,6 @@ class MpcRunLog:
     iterations: list[MpcIteration]
     applied_schedule: PricingSchedule
     plant_ineffective_cruising: float
-    plant_total_travel_time: float
 
 
 def mpc_loop(
@@ -473,6 +462,12 @@ def mpc_loop(
     base_prices: tuple[float, float] = (0.0, 0.0),
 ) -> MpcRunLog:
     """Closed-loop rolling-horizon control of ``plant``.
+
+    The plant (``MacroPlant`` or ``MicroPlant``) provides ``read_state()``
+    (a macro state at the current control boundary), ``set_prices(tau_on,
+    tau_off)``, ``advance(interval_hr)``, ``realized_n_c(lo, n)`` (mean
+    cruisers over macro steps lo..lo+n-1) and ``ineffective_cruising()``
+    (veh-hr so far).
 
     ``park_forecast``/``pass_forecast`` are per-macro-step expected inflows
     over the full horizon (the known-demand assumption); the forecast beyond
@@ -503,9 +498,6 @@ def mpc_loop(
         pred = simulate_macro(park, pazz, rows, params, initial_state=state)
         plant.set_prices(tau_on, tau_off)
         plant.advance(config.control_interval)
-        realized = None
-        if hasattr(plant, "realized_n_c"):
-            realized = plant.realized_n_c(lo, steps_per)
         iterations.append(
             MpcIteration(
                 t_hr=K * config.control_interval,
@@ -513,7 +505,7 @@ def mpc_loop(
                 predicted_objective=sol.objective,
                 evaluations=sol.evaluations,
                 predicted_n_c=pred.n_c[:steps_per],  # step starts, as the objective counts
-                realized_n_c=realized,
+                realized_n_c=plant.realized_n_c(lo, steps_per),
             )
         )
         applied.append((tau_on, tau_off))
@@ -530,5 +522,4 @@ def mpc_loop(
         iterations=iterations,
         applied_schedule=schedule,
         plant_ineffective_cruising=plant.ineffective_cruising(),
-        plant_total_travel_time=plant.total_travel_time(),
     )

@@ -159,12 +159,14 @@ def test_a4_macro_conservation_and_capacity():
     rng = np.random.default_rng(99)
     n = 360  # 1 hr at 10 s
     state = MacroState()
+    weights = params.redeparture_weights(n)
     worst_resid = 0.0
     cap_ok = True
 
     for k in range(n):
         macro_step(
-            state, float(rng.uniform(0, 2)), float(rng.uniform(0, 1)), float(rng.uniform(0, 3)), params
+            state, float(rng.uniform(0, 2)), float(rng.uniform(0, 1)), float(rng.uniform(0, 3)),
+            params, weights,
         )
         total = (
             state.n_m_off + state.n_m_on + state.n_m_pass + state.n_c

@@ -65,17 +65,56 @@ def test_micro_outputs_exist(workdir):
     assert "written_at" in meta
 
 
-def test_micro_rerun_byte_identical(workdir, tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_micro_rerun_byte_identical(workdir, tmp_path, jobs):
     rc = main(
         [
             "micro", "run", "--net", str(workdir / "net.json"), "--config",
-            str(workdir / "scenario.json"), "--seeds", "1", "--out", str(tmp_path / "again"),
+            str(workdir / "scenario.json"), "--seeds", "1,2", "--jobs", jobs,
+            "--out", str(tmp_path / "again"),
         ]
     )
     assert rc == 0
-    a = (workdir / "runs" / "seed_1" / "events.csv").read_bytes()
-    b = (tmp_path / "again" / "seed_1" / "events.csv").read_bytes()
-    assert a == b
+    for seed in ("seed_1", "seed_2"):
+        for name in ("events.csv", "nfd.csv", "series.csv", "metrics.json"):
+            a = (workdir / "runs" / seed / name).read_bytes()
+            b = (tmp_path / "again" / seed / name).read_bytes()
+            assert a == b, f"{seed}/{name}"
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        ({"parker_count": 10, "surge": 1}, "'surge'"),
+        ({"guidance": {"local_guidance": True, "nudge": 1}}, "'guidance.nudge'"),
+        ({"duration": {"kind": "uniform", "hi": 0.5, "mode": 0.2}}, "'duration.mode'"),
+    ],
+)
+def test_scenario_loader_names_file_and_field(workdir, tmp_path, capsys, scenario, field):
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(scenario))
+    rc = main(
+        ["macro", "run", "--net", str(workdir / "net.json"), "--config", str(bad),
+         "--calibration", str(workdir / "calibration.json"), "--out", str(tmp_path / "m.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and str(bad) in err[0] and field in err[0]
+
+
+def test_calibration_loader_names_file_and_field(workdir, tmp_path, capsys):
+    bad = tmp_path / "calibration.json"
+    bad.write_text("{}")
+    rc = main(
+        ["macro", "run", "--net", str(workdir / "net.json"), "--config",
+         str(workdir / "scenario.json"), "--calibration", str(bad),
+         "--out", str(tmp_path / "m.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and str(bad) in err[0] and "'nfd'" in err[0]
 
 
 def test_theory_sweep_outputs(workdir):

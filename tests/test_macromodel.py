@@ -121,6 +121,29 @@ class TestRedepartures:
             assert abs(a[0] - b[0]) <= 1e-12
             assert abs(a[1] - b[1]) <= 1e-12
 
+    def test_macro_step_weights_match_loop_oracle(self):
+        # macro_step's vectorised re-departure sum against the per-cohort loop
+        dur = DurationDistribution(
+            "table", xs=(0.0, 0.1, 0.4, 1.5, 3.0), cdf_values=(0.0, 0.05, 0.5, 0.9, 1.0)
+        )
+        p = make_params(duration=dur, N_on=10**6, N_off=10**6)
+        weights = p.redeparture_weights(400)
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            k = int(rng.integers(2, 400))
+            o_c = [0.0] + rng.uniform(0, 5, size=k - 1).tolist()
+            o_m = [0.0] + rng.uniform(0, 5, size=k - 1).tolist()
+            q_o = [0.0] + (np.asarray(o_m[1:]) * rng.uniform(0, 1, size=k - 1)).tolist()
+            state = MacroState(n_on=sum(o_c), n_off=sum(o_m) - sum(q_o), k=k - 1,
+                               o_c_hist=o_c, o_m_off_hist=o_m, q_off_on_hist=q_o)
+            state.cum_inflow = state.n_on + state.n_off + state.in_circuit(p.k_off)
+            want = redeparture_flows(o_c, o_m, q_o, dur, k, p.dt)
+            flows = macro_step(state, 0.0, 0.0, 0.0, p, weights)
+            got = (flows["q_out_on"], flows["q_out_off"])
+            for g, w in zip(got, want):
+                assert w > 0.0
+                assert abs(g - w) <= 1e-12 * w
+
     def test_off_street_subtracts_overflow(self):
         dur = DurationDistribution("uniform", 0.0, 1.0)
         o_m = [0.0, 10.0, 0.0]
@@ -167,13 +190,11 @@ class TestOverflow:
         assert make_params(v_off_f=16.0).k_off == 7  # 6.75 rounds up
 
     def test_no_overflow_with_slack(self):
-        q, k_off = overflow(5.0, 10.0, 1.0, 50.0, 0.0, make_params())
-        assert q == 0.0
-        assert k_off == 7
+        assert overflow(5.0, 10.0, 1.0, 50.0, 0.0, make_params()) == 0.0
 
     def test_overflow_value(self):
         p = make_params(N_off=100)
-        q, _ = overflow(5.0, 10.0, 2.0, 98.0, 1.0, p)
+        q = overflow(5.0, 10.0, 2.0, 98.0, 1.0, p)
         assert q == pytest.approx(2.0)  # 5 entering vs 3 free incl. re-departures
 
 
@@ -181,16 +202,17 @@ class TestMacroStep:
     def test_zero_state_stays_zero(self):
         p = make_params()
         state = MacroState()
-        macro_step(state, 0, 0, 0, p)
+        macro_step(state, 0, 0, 0, p, p.redeparture_weights(1))
         assert state.n_active() == 0.0
         assert state.n_on == 0.0 and state.n_off == 0.0
 
     def test_lot_cohort_accumulates(self):
         p = make_params()
         state = MacroState()
-        macro_step(state, 0.0, 10.0, 0.0, p)
+        weights = p.redeparture_weights(61)
+        macro_step(state, 0.0, 10.0, 0.0, p, weights)
         for _ in range(60):
-            macro_step(state, 0.0, 0.0, 0.0, p)
+            macro_step(state, 0.0, 0.0, 0.0, p, weights)
         # with no overflow, the lot balance is exactly arrivals minus
         # re-departures (Eq. 15e with the overflow term at zero)
         assert sum(state.q_off_on_hist) == 0.0
@@ -203,22 +225,25 @@ class TestMacroStep:
         p = make_params(N_on=300, N_off=50)
         rng = np.random.default_rng(5)
         state = MacroState()
+        weights = p.redeparture_weights(360)
         for k in range(360):
-            macro_step(state, rng.uniform(0, 2), rng.uniform(0, 1), rng.uniform(0, 3), p)
+            macro_step(state, rng.uniform(0, 2), rng.uniform(0, 1), rng.uniform(0, 3), p, weights)
         # macro_step itself raises on any conservation residual > 1e-9
         assert state.k == 360
 
     def test_capacities_respected(self):
         p = make_params(N_on=50, N_off=10)
         state = MacroState()
+        weights = p.redeparture_weights(360)
         for _ in range(360):
-            macro_step(state, 3.0, 1.0, 1.0, p)
+            macro_step(state, 3.0, 1.0, 1.0, p, weights)
             assert state.n_on <= 50.0 + 1e-9
             assert 0.0 <= state.n_off <= 10.0 + 1e-9
 
     def test_rejects_negative_inflow(self):
         with pytest.raises(ValueError):
-            macro_step(MacroState(), -1.0, 0.0, 0.0, make_params())
+            p = make_params()
+            macro_step(MacroState(), -1.0, 0.0, 0.0, p, p.redeparture_weights(1))
 
 
 class TestSimulateMacro:
