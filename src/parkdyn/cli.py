@@ -123,31 +123,39 @@ def _run_one_seed(net, sc, seed, out_dir, nfd_window):
     return res.summary
 
 
+def _read_csv(path, columns, types) -> list[tuple]:
+    """Rows of a CSV file with a header line, as tuples of ``types`` applied
+    to ``columns``. A missing column, a short row or a value that does not
+    convert raises ValueError naming the file, the line and the field."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing column {missing[0]!r}")
+        picks = [(c, t, header.index(c)) for c, t in zip(columns, types)]
+        rows = []
+        for line, row in enumerate(reader, start=2):
+            if len(row) < len(header):
+                raise ValueError(f"{path} line {line}: field {header[len(row)]!r} missing")
+            values = []
+            for c, t, i in picks:
+                try:
+                    values.append(t(row[i]))
+                except ValueError:
+                    bad = f"{path} line {line}: field {c!r}: bad value {row[i]!r}"
+                    raise ValueError(bad) from None
+            rows.append(tuple(values))
+    return rows
+
+
 def write_events_csv(path, events):
-    write_csv(
-        path,
-        ["vehicle_id", "t_s", "from_family", "to_family", "link_id", "dist_km", "occ_on", "occ_off"],
-        events,
-    )
+    write_csv(path, microsim.Event._fields, events)
 
 
 def load_events_csv(path) -> list[microsim.Event]:
-    out = []
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                microsim.Event(
-                    int(row["vehicle_id"]),
-                    float(row["t_s"]),
-                    row["from_family"],
-                    row["to_family"],
-                    row["link_id"],
-                    float(row["dist_km"]),
-                    float(row["occ_on"]),
-                    float(row["occ_off"]),
-                )
-            )
-    return out
+    types = (int, float, str, str, str, float, float, float)
+    return [microsim.Event(*row) for row in _read_csv(path, microsim.Event._fields, types)]
 
 
 def write_series_csv(path, res: microsim.RunResult):
@@ -159,11 +167,21 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
     """Rebuild the pieces of a RunResult that calibration needs."""
     seed_dir = Path(seed_dir)
     events = load_events_csv(seed_dir / "events.csv")
-    data = np.genfromtxt(seed_dir / "series.csv", delimiter=",", names=True)
-    series = {c: np.atleast_1d(data[c]) for c in microsim.SERIES_COLUMNS}
-    with open(seed_dir / "metrics.json") as fh:
-        metrics = json.load(fh)
-    summary = metrics["summary"]
+    cols = microsim.SERIES_COLUMNS
+    rows = _read_csv(seed_dir / "series.csv", cols, [float] * len(cols))
+    series = dict(zip(cols, np.array(rows, dtype=float).reshape(-1, len(cols)).T.copy()))
+    path = seed_dir / "metrics.json"
+    with open(path) as fh:
+        try:
+            metrics = json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+    summary = metrics.get("summary") if isinstance(metrics, dict) else None
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path}: missing field 'summary'")
+    missing = [k for k in ("seed", "network_length", "l_off", "v_off_f") if k not in summary]
+    if missing:
+        raise ValueError(f"{path}: missing field 'summary.{missing[0]}'")
     dt = float(series["t_s"][1] - series["t_s"][0]) if len(series["t_s"]) > 1 else 1.0
     return microsim.RunResult(
         events=events,
@@ -177,6 +195,14 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
         v_off_f=summary["v_off_f"],
         summary=summary,
     )
+
+
+def _seed_dirs(runs) -> list[Path]:
+    """The ``seed_*`` run directories under ``runs``, in name order."""
+    found = sorted(Path(runs).glob("seed_*"))
+    if not found:
+        raise ValueError(f"no seed_* directories under {runs}")
+    return found
 
 
 def cmd_micro_run(args):
@@ -252,11 +278,7 @@ def cmd_theory_sweep(args):
 
 
 def cmd_estimators_fit(args):
-    run_dirs = sorted(Path(args.runs).glob("seed_*"))
-    if not run_dirs:
-        print(f"no seed_* directories under {args.runs}", file=sys.stderr)
-        return 1
-    logs = [load_events_csv(d / "events.csv") for d in run_dirs]
+    logs = [load_events_csv(d / "events.csv") for d in _seed_dirs(args.runs)]
     obs = calibration.extract_occupancy_distance(logs, trend=args.trend, occupancy_ref=args.ref)
     if args.kind == "exp-distance":
         model, diag = calibration.fit_distance_curve(obs)
@@ -314,11 +336,7 @@ def cmd_macro_run(args):
 
 
 def cmd_calibrate(args):
-    run_dirs = sorted(Path(args.runs).glob("seed_*"))
-    if not run_dirs:
-        print(f"no seed_* directories under {args.runs}", file=sys.stderr)
-        return 1
-    results = [load_run_dir(d) for d in run_dirs]
+    results = [load_run_dir(d) for d in _seed_dirs(args.runs)]
     report = calibration.calibrate(
         results, nfd_window_s=args.nfd_window, trend=args.trend, occupancy_ref=args.ref
     )
@@ -338,11 +356,7 @@ def cmd_validate(args):
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)
-    run_dirs = sorted(Path(args.runs).glob("seed_*"))
-    if not run_dirs:
-        print(f"no seed_* directories under {args.runs}", file=sys.stderr)
-        return 1
-    results = [load_run_dir(d) for d in run_dirs]
+    results = [load_run_dir(d) for d in _seed_dirs(args.runs)]
     dt = args.dt_macro / 3600.0
     params = scenarios.macro_params_from_calibration(report, net, sc, dt)
     park, pas = scenarios.macro_demand(sc, dt)
@@ -444,9 +458,6 @@ def run_mode(mode, net, sc, params, cfg, seed):
 
 
 def cmd_compare(args):
-    if not Path(args.calibration).exists():
-        print(f"calibration file not found: {args.calibration}", file=sys.stderr)
-        return 1
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)

@@ -84,8 +84,14 @@ class MacroParams:
 
 @dataclass
 class MacroState:
-    """Accumulations at the end of step k plus the flow histories that the
-    re-departure sums and the delayed lot-overflow term need.
+    """Accumulations at the end of step k plus the three flow histories the
+    dynamics read: the parked cohorts that re-depart (``o_c_hist`` on street,
+    ``o_off_hist`` off street) and the lot overflow (``q_off_on_hist``), which
+    re-enters the search after the circuit delay and is in the circuit until
+    then.
+
+    The off-street cohort of step i is the arrivals that actually parked,
+    o_m_off(i) - q_off_on(i); it is stored as that difference.
 
     History arrays are step-indexed from 1; index 0 is padding so that
     ``o_c_hist[i]`` is the flow of step i.
@@ -99,10 +105,8 @@ class MacroState:
     n_on: float = 0.0
     k: int = 0
     o_c_hist: list[float] = field(default_factory=lambda: [0.0])
-    o_m_off_hist: list[float] = field(default_factory=lambda: [0.0])
+    o_off_hist: list[float] = field(default_factory=lambda: [0.0])
     q_off_on_hist: list[float] = field(default_factory=lambda: [0.0])
-    q_out_off_hist: list[float] = field(default_factory=lambda: [0.0])
-    q_out_on_hist: list[float] = field(default_factory=lambda: [0.0])
     cum_inflow: float = 0.0
     cum_exit: float = 0.0
 
@@ -124,10 +128,8 @@ class MacroState:
             self.n_on,
             self.k,
             list(self.o_c_hist),
-            list(self.o_m_off_hist),
+            list(self.o_off_hist),
             list(self.q_off_on_hist),
-            list(self.q_out_off_hist),
-            list(self.q_out_on_hist),
             self.cum_inflow,
             self.cum_exit,
         )
@@ -292,11 +294,9 @@ def macro_step(
 
     q_out_on = q_out_off = 0.0
     if k >= 2:
-        h_on = np.asarray(state.o_c_hist[1:k])
-        h_off = np.asarray(state.o_m_off_hist[1:k]) - np.asarray(state.q_off_on_hist[1:k])
         w_rev = redeparture_weights[k - 2 :: -1]
-        q_out_on = float(np.dot(h_on, w_rev))
-        q_out_off = float(np.dot(h_off, w_rev))
+        q_out_on = float(np.dot(state.o_c_hist[1:k], w_rev))
+        q_out_off = float(np.dot(state.o_off_hist[1:k], w_rev))
 
     k_off = params.k_off
     if k_off == 0:
@@ -348,10 +348,8 @@ def macro_step(
 
     state.k = k
     state.o_c_hist.append(o_c)
-    state.o_m_off_hist.append(o_m_off)
+    state.o_off_hist.append(o_m_off - q_off_on)
     state.q_off_on_hist.append(q_off_on)
-    state.q_out_off_hist.append(q_out_off)
-    state.q_out_on_hist.append(q_out_on)
     state.cum_inflow += q_in_on + q_in_off + q_in_pass
     state.cum_exit += o_m_pass
 

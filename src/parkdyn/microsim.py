@@ -336,7 +336,6 @@ class Simulation:
         # circuit length (km) and in-lot speed (km/hr) of the lot, if any
         self.l_off = self.lot.circuit_length if self.lot else 0.0
         self.v_off_f = self.lot.internal_cruise_speed if self.lot else 1.0
-        self.lot_occ = 0
         self.capacity = network.total_parking_capacity
         self.free = {lid: ln.parking_capacity for lid, ln in network.links.items()}
         self.occupied_on = 0
@@ -363,12 +362,9 @@ class Simulation:
         self._sweeping = False
         self._entered: list[tuple[str, _Vehicle]] = []
         self.events: list[Event] = []
-        self.vehicles: list[_Vehicle] = []
-        self.injected = 0
-        self.exited = 0
-        self.cur_parked_on = 0  # vehicles currently in family v
-        self.parked_on_total = 0
-        self.parked_off_total = 0
+        self.vehicles: list[_Vehicle] = []  # injected so far
+        # vehicles per family, kept by _log; family ii includes the lot circuit
+        self.family_count = {"new": len(self.pending), **dict.fromkeys((*FAMILIES, "exited"), 0)}
         self.still_steps = 0
         self.gridlock = False
 
@@ -460,7 +456,16 @@ class Simulation:
         return self.occupied_on / self.capacity if self.capacity else 0.0
 
     def occ_off(self) -> float:
-        return self.lot_occ / self.lot.capacity if self.lot and self.lot.capacity else 0.0
+        lot = self.lot
+        return self.family_count["vi"] / lot.capacity if lot and lot.capacity else 0.0
+
+    @property
+    def injected(self) -> int:
+        return len(self.vehicles)
+
+    @property
+    def exited(self) -> int:
+        return self.family_count["exited"]
 
     def regional_occupancy(self, region: int) -> float:
         cap = self.region_cap.get(region, 0)
@@ -471,6 +476,8 @@ class Simulation:
     def _log(self, veh: _Vehicle, to_family: str, link_id: str):
         if (veh.family, to_family) not in ALLOWED_TRANSITIONS:
             raise RuntimeError(f"illegal family transition {veh.family}->{to_family}")
+        self.family_count[veh.family] -= 1
+        self.family_count[to_family] += 1
         self.events.append(
             Event(
                 veh.vid,
@@ -573,8 +580,6 @@ class Simulation:
         veh.link = None
         veh.parked_link = lid
         veh.ever_parked = True
-        self.cur_parked_on += 1
-        self.parked_on_total += 1
         self._series["parked_on"][self.step_i] += 1
         self._seq += 1
         heapq.heappush(
@@ -583,12 +588,10 @@ class Simulation:
 
     def _arrive_lot(self, veh: _Vehicle):
         lot = self.lot
-        if self.lot_occ < lot.capacity:
-            self.lot_occ += 1
+        if self.family_count["vi"] < lot.capacity:
             self._log(veh, "vi", lot.id)
             veh.link = None
             veh.ever_parked = True
-            self.parked_off_total += 1
             self._series["parked_off"][self.step_i] += 1
             self._seq += 1
             heapq.heappush(
@@ -605,7 +608,6 @@ class Simulation:
         dest = veh.trip.destination
         if from_node == dest:
             self._log(veh, "exited", "")
-            self.exited += 1
             return
         veh.route = self.net.path_links(from_node, dest)
         veh.route_i = 0
@@ -625,7 +627,6 @@ class Simulation:
             return
         if fam == "iii" and veh.route_i == len(veh.route) - 1:
             self._log(veh, "exited", lid)
-            self.exited += 1
             veh.link = None
             return
         veh.route_i += 1
@@ -637,7 +638,6 @@ class Simulation:
         while self.pending and self.pending[-1].trip.entry_time <= self.t:
             veh = self.pending.pop()
             trip = veh.trip
-            self.injected += 1
             self.vehicles.append(veh)
             if trip.purpose == "pass":
                 self._log(veh, "iii", "")
@@ -683,12 +683,10 @@ class Simulation:
         while self.parked_heap and self.parked_heap[0][0] <= self.t:
             _, _, veh = heapq.heappop(self.parked_heap)
             if veh.family == "v":
-                self.cur_parked_on -= 1
                 self._free_spot(veh.parked_link)
                 self._log(veh, "iii", veh.parked_link)
                 self._route_to_exit(veh, self.net.links[veh.parked_link].to_node)
             else:
-                self.lot_occ -= 1
                 self._log(veh, "iii", self.lot.id)
                 self._route_to_exit(veh, self.net.links[self.lot.entry_link].to_node)
 
@@ -765,29 +763,20 @@ class Simulation:
         self._vacate_due()
 
         s = self._series
-        n_i = n_ii = n_iii = n_iv = active = 0
-        for occ in self.occupants.values():
-            for veh in occ:
-                active += 1
-                fam = veh.family
-                if fam == "i":
-                    n_i += 1
-                elif fam == "ii":
-                    n_ii += 1
-                elif fam == "iii":
-                    n_iii += 1
-                else:
-                    n_iv += 1
+        fc = self.family_count
+        in_circuit = len(self.circuit_heap)
+        n_ii = fc["ii"] - in_circuit
+        active = fc["i"] + n_ii + fc["iii"] + fc["iv"]
         s["t_s"][i] = self.t
         s["dist_km"][i] = dist_sum
         s["active"][i] = active
-        s["n_i"][i] = n_i
+        s["n_i"][i] = fc["i"]
         s["n_ii"][i] = n_ii
-        s["n_iii"][i] = n_iii
-        s["n_iv"][i] = n_iv
-        s["n_on"][i] = self.cur_parked_on
-        s["n_off"][i] = self.lot_occ
-        s["in_circuit"][i] = len(self.circuit_heap)
+        s["n_iii"][i] = fc["iii"]
+        s["n_iv"][i] = fc["iv"]
+        s["n_on"][i] = fc["v"]
+        s["n_off"][i] = fc["vi"]
+        s["in_circuit"][i] = in_circuit
         s["occ_on"][i] = self.occ_on()
         s["occ_off"][i] = self.occ_off()
 
@@ -806,10 +795,18 @@ class Simulation:
             self.step()
 
     def check_conservation(self) -> bool:
-        """injected == on-network + parked + in-lot-circuit + exited."""
-        on_net = sum(len(v) for v in self.occupants.values())
-        total = on_net + len(self.parked_heap) + len(self.circuit_heap) + self.exited
-        return total == self.injected
+        """injected == on-network + parked + in-lot-circuit + exited, and the
+        family ledger matches the vehicles held on links, in the lot circuit
+        and in the parked heap."""
+        held = dict.fromkeys(self.family_count, 0)
+        for occ in self.occupants.values():
+            for veh in occ:
+                held[veh.family] += 1
+        held["ii"] += len(self.circuit_heap)
+        for _, _, veh in self.parked_heap:
+            held[veh.family] += 1
+        total = sum(held.values()) + self.exited
+        return total == self.injected and all(held[f] == self.family_count[f] for f in FAMILIES)
 
     def run(self) -> RunResult:
         while self.step_i < self.n_steps:
@@ -841,8 +838,8 @@ class Simulation:
             "seed": self.seed,
             "injected": self.injected,
             "exited": self.exited,
-            "parked_on_total": self.parked_on_total,
-            "parked_off_total": self.parked_off_total,
+            "parked_on_total": int(trimmed["parked_on"].sum()),
+            "parked_off_total": int(trimmed["parked_off"].sum()),
             "gridlock": self.gridlock,
             "on_street_capacity": self.capacity,
             "lot_capacity": self.lot.capacity if self.lot else 0,

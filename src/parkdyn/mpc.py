@@ -365,9 +365,10 @@ class MacroPlant:
 class MicroPlant:
     """A live micro-simulation exposed through the plant protocol.
 
-    Family counts map directly onto the macro accumulations (vehicles in the
-    lot circuit count toward the moving-to-off family); past parking flows
-    are re-binned to the macro step to seed the re-departure cohorts.
+    The simulation's family ledger maps directly onto the macro
+    accumulations (its moving-to-off family already includes the lot
+    circuit); the per-step parked and overflow series are re-binned to the
+    macro step to seed the re-departure cohorts and the circuit pipeline.
     Cruising distance already traveled is discarded, a known residual source.
     """
 
@@ -378,16 +379,13 @@ class MicroPlant:
 
     def read_state(self) -> MacroState:
         sim = self.sim
-        fam = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0}
-        for occ in sim.occupants.values():
-            for veh in occ:
-                fam[veh.family] += 1.0
+        fam = sim.family_count
         state = MacroState(
-            n_m_off=fam["ii"] + len(sim.circuit_heap),
-            n_m_on=fam["i"],
-            n_m_pass=fam["iii"],
-            n_c=fam["iv"],
-            n_off=float(sim.lot_occ),
+            n_m_off=float(fam["ii"]),
+            n_m_on=float(fam["i"]),
+            n_m_pass=float(fam["iii"]),
+            n_c=float(fam["iv"]),
+            n_off=float(fam["vi"]),
             n_on=float(sim.occupied_on),
         )
         series = sim.series()
@@ -398,10 +396,8 @@ class MicroPlant:
         )
         state.k = len(parked_on)
         state.o_c_hist = [0.0] + parked_on.tolist()
-        state.o_m_off_hist = [0.0] + (parked_off + overflow).tolist()
+        state.o_off_hist = [0.0] + parked_off.tolist()
         state.q_off_on_hist = [0.0] + overflow.tolist()
-        state.q_out_off_hist = [0.0] * (state.k + 1)
-        state.q_out_on_hist = [0.0] * (state.k + 1)
         # seed the macro balance identity at the pull point (captive spots
         # count in n_on but are not vehicles, so the sim's own injected
         # total does not apply)

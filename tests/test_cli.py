@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,37 @@ def test_calibration_loader_names_file_and_field(workdir, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and str(bad) in err[0] and "'nfd'" in err[0]
+
+
+def _truncate_series(text):
+    lines = text.splitlines()
+    return "\n".join(lines[:5] + [",".join(lines[5].split(",")[:2])])
+
+
+def _bad_vehicle_id(text):
+    lines = text.splitlines()
+    lines[1] = "x" + lines[1][lines[1].index(","):]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, alter, field",
+    [
+        ("metrics.json", lambda text: "{}", "'summary'"),
+        ("series.csv", _truncate_series, "'active'"),
+        ("events.csv", _bad_vehicle_id, "'vehicle_id'"),
+    ],
+)
+def test_run_dir_loader_names_file_and_field(workdir, tmp_path, capsys, name, alter, field):
+    runs = tmp_path / "runs"
+    shutil.copytree(workdir / "runs" / "seed_0", runs / "seed_0")
+    bad = runs / "seed_0" / name
+    bad.write_text(alter(bad.read_text()))
+    rc = main(["calibrate", "--runs", str(runs), "--out", str(tmp_path / "calibration.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and str(bad) in err[0] and field in err[0]
 
 
 def test_theory_sweep_outputs(workdir):

@@ -199,7 +199,7 @@ class TestStep:
         sc = small_scenario(parker_count=0, passer_count=0, captive_spots=0)
         sim = Simulation(net, sc, 0)
         lot = sim.lot
-        sim.lot_occ = 1  # lot already full
+        sim.family_count["vi"] = 1  # lot already full
         from parkdyn.microsim import _Vehicle
         from parkdyn.network import TripChain
 
@@ -232,6 +232,14 @@ class TestStep:
                 assert sim.check_conservation()
         assert sim.check_conservation()
 
+    def test_conservation_checks_family_ledger(self):
+        sim = Simulation(small_net(), small_scenario(), 1)
+        sim.run_until(600.0)
+        assert sim.check_conservation()
+        sim.family_count["iii"] -= 1
+        sim.family_count["iv"] += 1  # right total, wrong families
+        assert not sim.check_conservation()
+
     def test_determinism_bit_identical_events(self):
         net = small_net()
         r1 = Simulation(net, small_scenario(), 9).run()
@@ -246,7 +254,7 @@ class TestStep:
         while sim.step_i < sim.n_steps:
             sim.step()
             assert all(0 <= f <= net.links[lid].parking_capacity for lid, f in sim.free.items())
-            assert 0 <= sim.lot_occ <= 3
+            assert 0 <= sim.family_count["vi"] <= 3
 
     def test_prices_shift_parker_choices(self):
         net = small_net(lot_capacity=40)

@@ -251,7 +251,8 @@ class TestMicroPlant:
         on_net = sum(len(v) for v in sim.occupants.values())
         assert state.n_active() == pytest.approx(on_net)
         assert state.n_on == sim.occupied_on
-        assert state.n_off == sim.lot_occ
+        parked_off = sum(veh.family == "vi" for _, _, veh in sim.parked_heap)
+        assert state.n_off == sim.family_count["vi"] == parked_off
         assert state.k == int(round(0.25 / params.dt))
 
     def test_pulled_state_advances_cleanly(self, setup):
