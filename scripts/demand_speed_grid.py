@@ -12,7 +12,7 @@ from parkdyn.microsim import Simulation, measure_nfd, mean_network_speed, perfor
 from parkdyn.scenarios import desk_network, validation_scenario
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/demand_speed_grid")
     ap.add_argument("--seeds", type=int, default=5)
@@ -20,7 +20,7 @@ def main():
     ap.add_argument("--cruise-speeds", default="10,30,50")
     ap.add_argument("--parkers", type=int, default=400)
     ap.add_argument("--captive", type=int, default=130)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     net = desk_network()
     out = Path(args.out)

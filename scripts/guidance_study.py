@@ -12,12 +12,12 @@ from parkdyn.microsim import GuidanceConfig, Simulation, mean_network_speed, per
 from parkdyn.scenarios import desk_network, validation_scenario
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/guidance")
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--compliances", default="0,0.25,0.5,0.75,1.0")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     net = desk_network(
         rows=8, cols=8, total_spots=300, lot_capacity=30, upper_share=0.3, supply_fraction=0.3

@@ -15,7 +15,7 @@ from scipy.optimize import least_squares
 
 from .estimators import DistanceModel, FitDegenerateError, fit as fit_estimator
 from .macromodel import MacroTrajectories, NfdModel
-from .microsim import Event, RunResult, measure_nfd
+from .microsim import Event, RunResult, macro_blocks, measure_nfd, steps_per_macro
 
 
 def nfd_samples(results: list[RunResult], window_s: float = 60.0) -> list[tuple[float, float]]:
@@ -275,28 +275,22 @@ def calibrate(
     )
 
 
-def _resample_block_mean(x: np.ndarray, factor: int) -> np.ndarray:
-    n = (len(x) // factor) * factor
-    return x[:n].reshape(-1, factor).mean(axis=1)
-
-
 def micro_series_on_macro_grid(results: list[RunResult], dt_macro_s: float) -> dict:
     """Block-mean micro series per replication on the macro step grid.
 
     Returns arrays of shape (n_seeds, n_macro_steps) for n_on (occupied
     spots), n_off, n_active, and the Edie speed v (NaN where no vehicle time).
     """
-    factor = int(round(dt_macro_s / results[0].dt_sim))
+    steps = steps_per_macro(dt_macro_s, results[0].dt_sim)
     out = {"n_on": [], "n_off": [], "n_active": [], "v": []}
     for res in results:
         s = res.series
         cap = s["occ_on"] * _total_capacity(res)
-        out["n_on"].append(_resample_block_mean(cap, factor))
-        out["n_off"].append(_resample_block_mean(s["n_off"], factor))
-        out["n_active"].append(_resample_block_mean(s["active"], factor))
-        n = (len(s["dist_km"]) // factor) * factor
-        dist = s["dist_km"][:n].reshape(-1, factor).sum(axis=1)
-        time_vh = s["active"][:n].reshape(-1, factor).sum(axis=1) * res.dt_sim / 3600.0
+        out["n_on"].append(macro_blocks(cap, steps).mean(axis=1))
+        out["n_off"].append(macro_blocks(s["n_off"], steps).mean(axis=1))
+        out["n_active"].append(macro_blocks(s["active"], steps).mean(axis=1))
+        dist = macro_blocks(s["dist_km"], steps).sum(axis=1)
+        time_vh = macro_blocks(s["active"], steps).sum(axis=1) * res.dt_sim / 3600.0
         with np.errstate(invalid="ignore", divide="ignore"):
             out["v"].append(np.where(time_vh > 0, dist / time_vh, np.nan))
     return {k: np.array(v) for k, v in out.items()}

@@ -179,9 +179,11 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
     summary = metrics.get("summary") if isinstance(metrics, dict) else None
     if not isinstance(summary, dict):
         raise ValueError(f"{path}: missing field 'summary'")
-    missing = [k for k in ("seed", "network_length", "l_off", "v_off_f") if k not in summary]
-    if missing:
-        raise ValueError(f"{path}: missing field 'summary.{missing[0]}'")
+    for key in ("seed", "network_length", "l_off", "v_off_f"):
+        if key not in summary:
+            raise ValueError(f"{path}: missing field 'summary.{key}'")
+        if isinstance(summary[key], bool) or not isinstance(summary[key], (int, float)):
+            raise ValueError(f"{path}: field 'summary.{key}' must be a number")
     dt = float(series["t_s"][1] - series["t_s"][0]) if len(series["t_s"]) > 1 else 1.0
     return microsim.RunResult(
         events=events,
@@ -357,6 +359,7 @@ def cmd_validate(args):
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)
     results = [load_run_dir(d) for d in _seed_dirs(args.runs)]
+    micro = calibration.micro_series_on_macro_grid(results, args.dt_macro)
     dt = args.dt_macro / 3600.0
     params = scenarios.macro_params_from_calibration(report, net, sc, dt)
     park, pas = scenarios.macro_demand(sc, dt)
@@ -364,7 +367,6 @@ def cmd_validate(args):
         park, pas, scenarios.base_price_rows(sc, len(park)), params,
         initial_state=scenarios.macro_initial_state(sc),
     )
-    micro = calibration.micro_series_on_macro_grid(results, args.dt_macro)
     metrics = calibration.validate(traj, micro)
     write_json(args.out, metrics)
     print(json.dumps(metrics, indent=1, sort_keys=True))
@@ -467,6 +469,9 @@ def cmd_compare(args):
     if bad:
         print(f"unknown modes: {bad}", file=sys.stderr)
         return 1
+    if any(m != "no-price" for m in modes):
+        # the priced modes bin the plant onto the macro grid; check it first
+        microsim.steps_per_macro(args.dt_macro, sc.dt_sim)
     cfg = _mpc_config(args)
     params = scenarios.macro_params_from_calibration(report, net, sc, cfg.dt_macro)
     rows = []

@@ -11,7 +11,7 @@ delay. All flows are fractional (veh per step).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,7 +94,9 @@ class MacroState:
     o_m_off(i) - q_off_on(i); it is stored as that difference.
 
     History arrays are step-indexed from 1; index 0 is padding so that
-    ``o_c_hist[i]`` is the flow of step i.
+    ``o_c_hist[i]`` is the flow of step i. A history is never written in
+    place: ``macro_step`` replaces it with a longer array, so a copy of the
+    state shares its histories with the original.
     """
 
     n_m_off: float = 0.0
@@ -104,9 +106,9 @@ class MacroState:
     n_off: float = 0.0
     n_on: float = 0.0
     k: int = 0
-    o_c_hist: list[float] = field(default_factory=lambda: [0.0])
-    o_off_hist: list[float] = field(default_factory=lambda: [0.0])
-    q_off_on_hist: list[float] = field(default_factory=lambda: [0.0])
+    o_c_hist: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    o_off_hist: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    q_off_on_hist: np.ndarray = field(default_factory=lambda: np.zeros(1))
     cum_inflow: float = 0.0
     cum_exit: float = 0.0
 
@@ -116,23 +118,15 @@ class MacroState:
     def in_circuit(self, k_off: int) -> float:
         """Vehicles currently cruising out of the full lot (overflow pipeline)."""
         lo = max(1, self.k - k_off + 1)
-        return sum(self.q_off_on_hist[lo : self.k + 1])
+        return float(sum(self.q_off_on_hist[lo : self.k + 1]))
+
+    def held(self, k_off: int) -> float:
+        """Vehicles on the network, parked or in the lot circuit: with the
+        exits, the total the mass balance compares with the inflow."""
+        return self.n_active() + self.n_off + self.n_on + self.in_circuit(k_off)
 
     def copy(self) -> "MacroState":
-        return MacroState(
-            self.n_m_off,
-            self.n_m_on,
-            self.n_m_pass,
-            self.n_c,
-            self.n_off,
-            self.n_on,
-            self.k,
-            list(self.o_c_hist),
-            list(self.o_off_hist),
-            list(self.q_off_on_hist),
-            self.cum_inflow,
-            self.cum_exit,
-        )
+        return replace(self)
 
 
 def split_demand(
@@ -298,31 +292,19 @@ def macro_step(
         q_out_on = float(np.dot(state.o_c_hist[1:k], w_rev))
         q_out_off = float(np.dot(state.o_off_hist[1:k], w_rev))
 
+    # the overflow of step k - k_off re-enters now; with k_off == 0 that is
+    # this step's own overflow, which needs a second evaluation
     k_off = params.k_off
-    if k_off == 0:
-        delayed_known = None  # equals this step's overflow, resolved below
-    else:
-        i = k - k_off
-        delayed_known = state.q_off_on_hist[i] if i >= 1 else 0.0
-
+    i = k - k_off
+    delayed = float(state.q_off_on_hist[i]) if 1 <= i < k else 0.0
     flows = productions_and_outflows(
-        state,
-        params,
-        q_in_on,
-        q_in_off,
-        q_in_pass,
-        q_out_on,
-        q_out_off,
-        delayed_known if delayed_known is not None else 0.0,
+        state, params, q_in_on, q_in_off, q_in_pass, q_out_on, q_out_off, delayed
     )
-    if delayed_known is None:
+    if k_off == 0 and flows["q_off_on"] > 0.0:
         delayed = flows["q_off_on"]
-        if delayed > 0.0:
-            flows = productions_and_outflows(
-                state, params, q_in_on, q_in_off, q_in_pass, q_out_on, q_out_off, delayed
-            )
-    else:
-        delayed = delayed_known
+        flows = productions_and_outflows(
+            state, params, q_in_on, q_in_off, q_in_pass, q_out_on, q_out_off, delayed
+        )
 
     o_c = flows["o_c"]
     o_m_on = flows["o_m_on"]
@@ -347,22 +329,13 @@ def macro_step(
     state.n_on = n_on_new
 
     state.k = k
-    state.o_c_hist.append(o_c)
-    state.o_off_hist.append(o_m_off - q_off_on)
-    state.q_off_on_hist.append(q_off_on)
+    state.o_c_hist = np.append(state.o_c_hist, o_c)
+    state.o_off_hist = np.append(state.o_off_hist, o_m_off - q_off_on)
+    state.q_off_on_hist = np.append(state.q_off_on_hist, q_off_on)
     state.cum_inflow += q_in_on + q_in_off + q_in_pass
     state.cum_exit += o_m_pass
 
-    total = (
-        state.n_m_off
-        + state.n_m_on
-        + state.n_m_pass
-        + state.n_c
-        + state.n_off
-        + state.n_on
-        + state.in_circuit(k_off)
-        + state.cum_exit
-    )
+    total = state.held(k_off) + state.cum_exit
     residual = abs(total - state.cum_inflow)
     if residual > 1e-9 * max(1.0, state.cum_inflow):
         raise ConservationError(f"step {k}: conservation residual {residual}")

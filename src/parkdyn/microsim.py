@@ -134,13 +134,16 @@ class ScenarioConfig:
     @staticmethod
     def from_dict(d: dict) -> "ScenarioConfig":
         d = dict(d)
-        if isinstance(d.get("duration"), dict):
+        for name in ("duration", "guidance"):
+            if name in d and not isinstance(d[name], dict):
+                raise ValueError(f"field {name!r} must be a JSON object")
+        if "duration" in d:
             dd = dict(d["duration"])
             for key in ("xs", "cdf_values"):
                 if key in dd:
                     dd[key] = tuple(dd[key])
             d["duration"] = _from_fields(DurationDistribution, dd, "duration.")
-        if isinstance(d.get("guidance"), dict):
+        if "guidance" in d:
             d["guidance"] = _from_fields(GuidanceConfig, d["guidance"], "guidance.")
         return _from_fields(ScenarioConfig, d, "")
 
@@ -309,6 +312,25 @@ def time_metrics(series: dict, dt_sim: float, l_off: float, v_off_f: float) -> d
         "ineffective_cruising_veh_hr": on_street + deadweight,
         "total_travel_time_veh_hr": float(series["active"].sum()) * dt_sim / 3600.0,
     }
+
+
+def steps_per_macro(dt_macro_s: float, dt_sim: float) -> int:
+    """Micro steps in one macro step; raises ValueError unless the macro step
+    is a whole, positive multiple of the micro step."""
+    ratio = dt_macro_s / dt_sim
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+        raise ValueError(
+            f"macro step {dt_macro_s:g} s is not a whole, positive multiple "
+            f"of the micro step {dt_sim:g} s"
+        )
+    return steps
+
+
+def macro_blocks(x: np.ndarray, steps: int) -> np.ndarray:
+    """A per-micro-step series cut into whole macro steps of ``steps`` micro
+    steps, one row each; a trailing partial macro step is dropped."""
+    return x[: len(x) // steps * steps].reshape(-1, steps)
 
 
 class Simulation:

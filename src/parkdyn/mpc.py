@@ -21,7 +21,7 @@ from .macromodel import (
     MacroTrajectories,
     simulate_macro,
 )
-from .microsim import Simulation, time_metrics
+from .microsim import Simulation, macro_blocks, steps_per_macro, time_metrics
 
 FACILITIES = ("on", "off")
 
@@ -74,7 +74,6 @@ class MpcConfig:
     tau_max: float = 10.0
     tau_gap: float = 3.0
     seed: int = 0
-    objective: str = "ineffective_cruising"  # or "total_travel_time"
 
     def __post_init__(self):
         if abs(self.n_intervals * self.control_interval - self.prediction_horizon) > 1e-9:
@@ -86,8 +85,6 @@ class MpcConfig:
             raise ValueError("infeasible price constraint box")
         if not self.controlled or any(f not in FACILITIES for f in self.controlled):
             raise ValueError("controlled facilities must be a non-empty subset of on/off")
-        if self.objective not in ("ineffective_cruising", "total_travel_time"):
-            raise ValueError(f"unknown objective {self.objective!r}")
 
 
 def veh_hr_with_deadweight(counts, q_off_on, params: MacroParams) -> float:
@@ -103,11 +100,6 @@ def objective_ineffective_cruising(traj: MacroTrajectories, params: MacroParams)
 
     Cruising of vehicles that manage to park off street is not counted."""
     return veh_hr_with_deadweight(traj.n_c[:-1], traj.q_off_on, params)
-
-
-def objective_total_travel_time(traj: MacroTrajectories, params: MacroParams) -> float:
-    """veh-hr on the road network plus the circuit deadweight loss."""
-    return veh_hr_with_deadweight(traj.n[:-1], traj.q_off_on, params)
 
 
 def repair_schedule(
@@ -206,12 +198,6 @@ def solve_open_loop(
     cols = [FACILITIES.index(fac) for fac in config.controlled]
     prev = None if prior_prices is None else np.array(prior_prices, dtype=float)
 
-    objective_fn = (
-        objective_ineffective_cruising
-        if config.objective == "ineffective_cruising"
-        else objective_total_travel_time
-    )
-
     def full_matrix(x: np.ndarray) -> np.ndarray:
         mat = np.tile(np.asarray(base, dtype=float), (n_int, 1))
         mat[:, cols] = x.reshape(n_int, len(cols))
@@ -231,7 +217,7 @@ def solve_open_loop(
         mat = full_matrix(x)
         rows = np.repeat(mat, steps_per, axis=0)[:n_steps]
         traj = simulate_macro(park_forecast, pass_forecast, rows, params, initial_state=state)
-        val = objective_fn(traj, params)
+        val = objective_ineffective_cruising(traj, params)
         cache[key] = val
         return val
 
@@ -285,7 +271,7 @@ def solve_full_horizon(
     never exceed the static one."""
     if mode not in ("dynamic", "static"):
         raise ValueError(f"unknown mode {mode!r}")
-    state = initial_state.copy() if initial_state is not None else MacroState()
+    state = initial_state if initial_state is not None else MacroState()
     n_int_dyn = int(round(horizon / config.control_interval))
     static_cfg = replace(
         config,
@@ -334,7 +320,6 @@ class MacroPlant:
         self.t_hr = 0.0
         self.step = 0
         self.n_c_steps: list[float] = []
-        self.q_off_on_steps: list[float] = []
 
     def read_state(self) -> MacroState:
         return self.state.copy()
@@ -350,13 +335,12 @@ class MacroPlant:
             self.park[lo:hi], self.pazz[lo:hi], rows, self.params, initial_state=self.state
         )
         self.n_c_steps.extend(traj.n_c[:-1].tolist())
-        self.q_off_on_steps.extend(traj.q_off_on.tolist())
         self.state = traj.final_state
         self.step = hi
         self.t_hr = hi * self.params.dt
 
     def ineffective_cruising(self) -> float:
-        return veh_hr_with_deadweight(self.n_c_steps, self.q_off_on_steps, self.params)
+        return veh_hr_with_deadweight(self.n_c_steps, self.state.q_off_on_hist[1:], self.params)
 
     def realized_n_c(self, lo: int, n: int) -> np.ndarray:
         return np.asarray(self.n_c_steps[lo : lo + n])
@@ -375,11 +359,16 @@ class MicroPlant:
     def __init__(self, sim: Simulation, params: MacroParams):
         self.sim = sim
         self.params = params
-        self._bin = int(round(params.dt * 3600.0 / sim.dt))
+        self._bin = steps_per_macro(params.dt * 3600.0, sim.dt)
 
     def read_state(self) -> MacroState:
         sim = self.sim
         fam = sim.family_count
+        series = sim.series()
+        parked_on, parked_off, overflow = (
+            np.append(0.0, macro_blocks(series[c], self._bin).sum(axis=1))
+            for c in ("parked_on", "parked_off", "overflow")
+        )
         state = MacroState(
             n_m_off=float(fam["ii"]),
             n_m_on=float(fam["i"]),
@@ -387,30 +376,15 @@ class MicroPlant:
             n_c=float(fam["iv"]),
             n_off=float(fam["vi"]),
             n_on=float(sim.occupied_on),
+            k=len(parked_on) - 1,
+            o_c_hist=parked_on,
+            o_off_hist=parked_off,
+            q_off_on_hist=overflow,
         )
-        series = sim.series()
-        usable = (sim.step_i // self._bin) * self._bin
-        parked_on, parked_off, overflow = (
-            series[c][:usable].reshape(-1, self._bin).sum(axis=1)
-            for c in ("parked_on", "parked_off", "overflow")
-        )
-        state.k = len(parked_on)
-        state.o_c_hist = [0.0] + parked_on.tolist()
-        state.o_off_hist = [0.0] + parked_off.tolist()
-        state.q_off_on_hist = [0.0] + overflow.tolist()
         # seed the macro balance identity at the pull point (captive spots
         # count in n_on but are not vehicles, so the sim's own injected
         # total does not apply)
-        state.cum_exit = 0.0
-        state.cum_inflow = (
-            state.n_m_off
-            + state.n_m_on
-            + state.n_m_pass
-            + state.n_c
-            + state.n_off
-            + state.n_on
-            + state.in_circuit(self.params.k_off)
-        )
+        state.cum_inflow = state.held(self.params.k_off)
         return state
 
     def set_prices(self, tau_on: float, tau_off: float):
@@ -426,9 +400,7 @@ class MicroPlant:
         ]
 
     def realized_n_c(self, lo: int, n: int) -> np.ndarray:
-        block = self.sim.series()["n_iv"][lo * self._bin : (lo + n) * self._bin]
-        usable = (len(block) // self._bin) * self._bin
-        return block[:usable].reshape(-1, self._bin).mean(axis=1)
+        return macro_blocks(self.sim.series()["n_iv"], self._bin)[lo : lo + n].mean(axis=1)
 
 
 @dataclass
@@ -463,7 +435,11 @@ def mpc_loop(
     (a macro state at the current control boundary), ``set_prices(tau_on,
     tau_off)``, ``advance(interval_hr)``, ``realized_n_c(lo, n)`` (mean
     cruisers over macro steps lo..lo+n-1) and ``ineffective_cruising()``
-    (veh-hr so far).
+    (veh-hr so far). Each solve and the prediction start from copies of the
+    state ``read_state()`` returns, so the loop never changes it.
+
+    Every solve minimizes the predicted ineffective cruising
+    (``objective_ineffective_cruising``) over the prediction horizon.
 
     ``park_forecast``/``pass_forecast`` are per-macro-step expected inflows
     over the full horizon (the known-demand assumption); the forecast beyond

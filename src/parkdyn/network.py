@@ -529,9 +529,12 @@ def load_network(path) -> Network:
             )
             for lot in raw.get("lots", [])
         ]
-        regions = {str(k): int(v) for k, v in raw.get("regions", {}).items()}
+        regions = raw.get("regions", {})
+        if not isinstance(regions, dict):
+            raise NetworkFormatError(f"{path}: 'regions' must be a JSON object")
+        regions = {str(k): int(v) for k, v in regions.items()}
         return Network(nodes, links, lots=lots, region_assignment=regions)
     except NetworkFormatError:
         raise
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, OverflowError) as e:
         raise NetworkFormatError(f"{path}: {e}") from e

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from parkdyn import macromodel
 from parkdyn.cli import main
-from parkdyn.microsim import ScenarioConfig
+from parkdyn.microsim import ScenarioConfig, Simulation
 from parkdyn.network import DurationDistribution, load_network
 
 
@@ -89,6 +90,8 @@ def test_micro_rerun_byte_identical(workdir, tmp_path, jobs):
         ({"parker_count": 10, "surge": 1}, "'surge'"),
         ({"guidance": {"local_guidance": True, "nudge": 1}}, "'guidance.nudge'"),
         ({"duration": {"kind": "uniform", "hi": 0.5, "mode": 0.2}}, "'duration.mode'"),
+        ({"duration": 5}, "'duration'"),
+        ({"guidance": [1]}, "'guidance'"),
     ],
 )
 def test_scenario_loader_names_file_and_field(workdir, tmp_path, capsys, scenario, field):
@@ -123,6 +126,12 @@ def _truncate_series(text):
     return "\n".join(lines[:5] + [",".join(lines[5].split(",")[:2])])
 
 
+def _text_network_length(text):
+    metrics = json.loads(text)
+    metrics["summary"]["network_length"] = "x"
+    return json.dumps(metrics)
+
+
 def _bad_vehicle_id(text):
     lines = text.splitlines()
     lines[1] = "x" + lines[1][lines[1].index(","):]
@@ -133,6 +142,7 @@ def _bad_vehicle_id(text):
     "name, alter, field",
     [
         ("metrics.json", lambda text: "{}", "'summary'"),
+        ("metrics.json", _text_network_length, "'summary.network_length'"),
         ("series.csv", _truncate_series, "'active'"),
         ("events.csv", _bad_vehicle_id, "'vehicle_id'"),
     ],
@@ -248,3 +258,24 @@ def test_unknown_compare_mode_rejected(workdir, tmp_path):
          str(workdir / "calibration.json"), "--seeds", "0", "--out", str(tmp_path / "x")]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "mpc run", "compare --modes no-price,mpc"])
+def test_macro_step_must_be_whole_micro_steps(workdir, tmp_path, capsys, monkeypatch, command):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the macro step")
+
+    monkeypatch.setattr(macromodel, "simulate_macro", no_simulation)
+    monkeypatch.setattr(Simulation, "step", no_simulation)
+    argv = command.split() + [
+        "--net", str(workdir / "net.json"), "--config", str(workdir / "scenario.json"),
+        "--calibration", str(workdir / "calibration.json"), "--dt-macro", "0.4",
+    ]
+    if command == "validate":
+        argv += ["--runs", str(workdir / "runs"), "--out", str(tmp_path / "validation.json")]
+    else:
+        argv += ["--seeds", "0", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "macro step 0.4 s is not a whole" in err[0]

@@ -13,7 +13,7 @@ from parkdyn.calibration import CalibrationReport
 from parkdyn.estimators import KINDS, DistanceModel
 from parkdyn.macromodel import NfdModel
 from parkdyn.microsim import GuidanceConfig, ScenarioConfig
-from parkdyn.network import DurationDistribution
+from parkdyn.network import DurationDistribution, Link, Node, OffStreetLot, load_network
 
 _scalars = (
     st.none()
@@ -57,9 +57,10 @@ def path(tmp_path_factory):
 
 
 def _loads_or_value_error(load, path, doc):
+    """The loaded object, or None after a ValueError naming the file."""
     path.write_text(json.dumps(doc))
     try:
-        load(path)
+        return load(path)
     except ValueError as e:
         assert str(path) in str(e)
 
@@ -67,10 +68,33 @@ def _loads_or_value_error(load, path, doc):
 @settings(max_examples=300, deadline=None)
 @given(_json | _scenario)
 def test_scenario_loader(path, doc):
-    _loads_or_value_error(ScenarioConfig.load, path, doc)
+    sc = _loads_or_value_error(ScenarioConfig.load, path, doc)
+    if sc is not None:
+        assert isinstance(sc.duration, DurationDistribution)
+        assert isinstance(sc.guidance, GuidanceConfig)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_json | _calibration)
 def test_calibration_loader(path, doc):
     _loads_or_value_error(CalibrationReport.load, path, doc)
+
+
+_ids = st.integers(0, 3) | st.sampled_from(["a", "b"]) | st.floats(0.01, 1.0)
+_network = _some_of(
+    ["nodes", "links", "lots", "regions"],
+    _json
+    | st.lists(
+        _some_of(_fields(Node), _json | _ids)
+        | _some_of(_fields(Link), _json | _ids)
+        | _some_of(_fields(OffStreetLot), _json | _ids),
+        max_size=3,
+    )
+    | st.dictionaries(st.sampled_from(["a", "b"]) | st.text(max_size=2), _json | _ids, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json | _network)
+def test_network_loader(path, doc):
+    _loads_or_value_error(load_network, path, doc)

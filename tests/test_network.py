@@ -109,6 +109,13 @@ def test_load_rejects_zero_length(tmp_path):
         load_network(path)
 
 
+def test_load_rejects_regions_list(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"nodes": [], "links": [], "regions": []}')
+    with pytest.raises(NetworkFormatError, match="'regions'"):
+        load_network(path)
+
+
 def test_link_spot_fit_invariant():
     with pytest.raises(ValueError):
         Link(id="x", from_node=0, to_node=1, length=0.1, parking_capacity=10, spot_spacing=0.02)
