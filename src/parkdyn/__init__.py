@@ -7,69 +7,4 @@ simulator, and a rolling-horizon MPC parking-pricing optimizer coupling the
 two.
 """
 
-from .bintheory import (
-    BinParams,
-    brute_force_envelope,
-    critical_density,
-    envelope_no_cruising,
-    envelope_with_cruising,
-    two_bin_speed,
-    unstable_area,
-)
-from .calibration import (
-    CalibrationReport,
-    calibrate,
-    estimate_moving_distances,
-    extract_occupancy_distance,
-    fit_nfd,
-    validate,
-)
-from .estimators import DistanceModel, evaluate, fit, monte_carlo_screening
-from .macromodel import (
-    MacroParams,
-    MacroState,
-    MacroTrajectories,
-    NfdModel,
-    macro_step,
-    nfd_speed,
-    overflow,
-    redeparture_flows,
-    redeparture_flows_uniform,
-    simulate_macro,
-    split_demand,
-)
-from .microsim import (
-    Event,
-    GuidanceConfig,
-    RunResult,
-    ScenarioConfig,
-    Simulation,
-    apply_regional_guidance,
-    choose_parking_alternative,
-    measure_nfd,
-    performance_metrics,
-)
-from .mpc import (
-    MacroPlant,
-    MicroPlant,
-    MpcConfig,
-    PricingSchedule,
-    mpc_loop,
-    objective_ineffective_cruising,
-    solve_full_horizon,
-    solve_open_loop,
-)
-from .network import (
-    DurationDistribution,
-    Link,
-    Network,
-    Node,
-    OffStreetLot,
-    TripChain,
-    build_grid,
-    greenshields_speed,
-    load_network,
-    save_network,
-)
-
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from scipy.optimize import least_squares
 
 from .estimators import DistanceModel, FitDegenerateError, fit as fit_estimator
 from .macromodel import MacroTrajectories, NfdModel
-from .microsim import Event, RunResult, macro_blocks, measure_nfd, steps_per_macro
+from .microsim import Event, RunResult, macro_blocks, measure_nfd, whole_steps
 
 
 def nfd_samples(results: list[RunResult], window_s: float = 60.0) -> list[tuple[float, float]]:
@@ -281,7 +281,7 @@ def micro_series_on_macro_grid(results: list[RunResult], dt_macro_s: float) -> d
     Returns arrays of shape (n_seeds, n_macro_steps) for n_on (occupied
     spots), n_off, n_active, and the Edie speed v (NaN where no vehicle time).
     """
-    steps = steps_per_macro(dt_macro_s, results[0].dt_sim)
+    steps = whole_steps(dt_macro_s, results[0].dt_sim, "macro step", "micro step")
     out = {"n_on": [], "n_off": [], "n_active": [], "v": []}
     for res in results:
         s = res.series

@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -53,9 +54,12 @@ def write_meta(out_dir, argv):
 
 
 def _parse_seeds(text: str) -> list[int]:
-    seeds = [int(s) for s in text.replace(",", " ").split()]
+    try:
+        seeds = [int(s) for s in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"--seeds: {text!r} is not a list of integers") from None
     if not seeds:
-        raise SystemExit("no seeds given")
+        raise ValueError("--seeds: no seeds given")
     return seeds
 
 
@@ -126,27 +130,38 @@ def _run_one_seed(net, sc, seed, out_dir, nfd_window):
 def _read_csv(path, columns, types) -> list[tuple]:
     """Rows of a CSV file with a header line, as tuples of ``types`` applied
     to ``columns``. A missing column, a short row or a value that does not
-    convert raises ValueError naming the file, the line and the field."""
-    with open(path, newline="") as fh:
+    convert (a byte that is not UTF-8 included) raises ValueError naming the
+    file, the line and the field; a line the csv module rejects raises one
+    naming the file and the line."""
+    # an undecodable byte becomes a lone surrogate, which float, int and _utf8 reject
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing column {missing[0]!r}")
-        picks = [(c, t, header.index(c)) for c, t in zip(columns, types)]
-        rows = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) < len(header):
-                raise ValueError(f"{path} line {line}: field {header[len(row)]!r} missing")
-            values = []
-            for c, t, i in picks:
-                try:
-                    values.append(t(row[i]))
-                except ValueError:
-                    bad = f"{path} line {line}: field {c!r}: bad value {row[i]!r}"
-                    raise ValueError(bad) from None
-            rows.append(tuple(values))
+        try:
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing column {missing[0]!r}")
+            picks = [(c, t, header.index(c)) for c, t in zip(columns, types)]
+            rows = []
+            for line, row in enumerate(reader, start=2):
+                if len(row) < len(header):
+                    raise ValueError(f"{path} line {line}: field {header[len(row)]!r} missing")
+                values = []
+                for c, t, i in picks:
+                    try:
+                        values.append(t(row[i]))
+                    except ValueError:
+                        bad = f"{path} line {line}: field {c!r}: bad value {row[i]!r}"
+                        raise ValueError(bad) from None
+                rows.append(tuple(values))
+        except csv.Error as e:
+            raise ValueError(f"{path} line {reader.line_num}: {e}") from None
     return rows
+
+
+def _utf8(text: str) -> str:
+    text.encode()  # UnicodeEncodeError, a ValueError, on an escaped non-UTF-8 byte
+    return text
 
 
 def write_events_csv(path, events):
@@ -154,7 +169,7 @@ def write_events_csv(path, events):
 
 
 def load_events_csv(path) -> list[microsim.Event]:
-    types = (int, float, str, str, str, float, float, float)
+    types = (int, float, _utf8, _utf8, _utf8, float, float, float)
     return [microsim.Event(*row) for row in _read_csv(path, microsim.Event._fields, types)]
 
 
@@ -168,8 +183,13 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
     seed_dir = Path(seed_dir)
     events = load_events_csv(seed_dir / "events.csv")
     cols = microsim.SERIES_COLUMNS
-    rows = _read_csv(seed_dir / "series.csv", cols, [float] * len(cols))
-    series = dict(zip(cols, np.array(rows, dtype=float).reshape(-1, len(cols)).T.copy()))
+    series_path = seed_dir / "series.csv"
+    data = np.array(_read_csv(series_path, cols, [float] * len(cols))).reshape(-1, len(cols))
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        line, col = bad[0]
+        raise ValueError(f"{series_path} line {line + 2}: field {cols[col]!r} must be finite")
+    series = dict(zip(cols, data.T.copy()))
     path = seed_dir / "metrics.json"
     with open(path) as fh:
         try:
@@ -184,7 +204,12 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
             raise ValueError(f"{path}: missing field 'summary.{key}'")
         if isinstance(summary[key], bool) or not isinstance(summary[key], (int, float)):
             raise ValueError(f"{path}: field 'summary.{key}' must be a number")
+    for key in ("network_length", "v_off_f"):
+        if not 0 < summary[key] < math.inf:
+            raise ValueError(f"{path}: field 'summary.{key}' must be > 0 and finite")
     dt = float(series["t_s"][1] - series["t_s"][0]) if len(series["t_s"]) > 1 else 1.0
+    if dt <= 0:
+        raise ValueError(f"{series_path}: field 't_s' must increase")
     return microsim.RunResult(
         events=events,
         series=series,
@@ -378,7 +403,6 @@ def cmd_validate(args):
 
 def _mpc_config(args) -> mpc.MpcConfig:
     return mpc.MpcConfig(
-        prediction_horizon=args.intervals * args.control_interval,
         control_interval=args.control_interval,
         n_intervals=args.intervals,
         dt_macro=args.dt_macro / 3600.0,
@@ -391,23 +415,50 @@ def _mpc_config(args) -> mpc.MpcConfig:
     )
 
 
+def _check_grid(sc, cfg: mpc.MpcConfig):
+    """Reject, before anything runs, an MPC time grid that does not tile the
+    plant's run: the macro step must be whole micro steps and the control
+    interval must divide the scenario horizon."""
+    microsim.whole_steps(cfg.dt_macro * 3600.0, sc.dt_sim, "macro step", "micro step")
+    cfg.intervals_in(sc.horizon)
+
+
+MODES = ("no-price", "mpc", "full-dynamic", "full-static")
+
+
+def run_mode(mode, net, sc, params, cfg, seed, schedule=None):
+    """One plant replication under one pricing mode. Returns the four
+    time-related metrics of the comparison and, in "mpc" mode, the loop's
+    log (else None). The full-horizon modes apply ``schedule``."""
+    sim = microsim.Simulation(net, sc, seed)
+    log = None
+    if mode == "no-price":
+        sim.run()
+    else:
+        plant = mpc.MicroPlant(sim, params)
+        if mode == "mpc":
+            park, pas = scenarios.macro_demand(sc, cfg.dt_macro)
+            log = mpc.mpc_loop(plant, params, cfg, park, pas, horizon=sc.horizon,
+                               base_prices=(sc.tau_on, sc.tau_off))
+        else:
+            for tau_on, tau_off in schedule.prices:
+                plant.set_prices(tau_on, tau_off)
+                plant.advance(schedule.interval_hr)
+    return microsim.time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f), log
+
+
 def cmd_mpc_run(args):
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)
     seeds = _parse_seeds(args.seeds)
     cfg = _mpc_config(args)
+    _check_grid(sc, cfg)
     params = scenarios.macro_params_from_calibration(report, net, sc, cfg.dt_macro)
-    park, pas = scenarios.macro_demand(sc, cfg.dt_macro)
     out = Path(args.out)
     log_rows, pred_rows = [], []
     for seed in seeds:
-        sim = microsim.Simulation(net, sc, seed)
-        plant = mpc.MicroPlant(sim, params)
-        log = mpc.mpc_loop(
-            plant, params, cfg, park, pas, horizon=sc.horizon,
-            base_prices=(sc.tau_on, sc.tau_off),
-        )
+        _, log = run_mode("mpc", net, sc, params, cfg, seed)
         for it in log.iterations:
             log_rows.append(
                 (seed, it.t_hr, it.applied[0], it.applied[1], it.predicted_objective, it.evaluations)
@@ -432,33 +483,6 @@ def cmd_mpc_run(args):
     return 0
 
 
-MODES = ("no-price", "mpc", "full-dynamic", "full-static")
-
-
-def run_mode(mode, net, sc, params, cfg, seed):
-    """One plant replication under one pricing mode; returns the four
-    time-related metrics of the comparison."""
-    sim = microsim.Simulation(net, sc, seed)
-    if mode == "no-price":
-        sim.run()
-    else:
-        park, pas = scenarios.macro_demand(sc, cfg.dt_macro)
-        plant = mpc.MicroPlant(sim, params)
-        if mode == "mpc":
-            mpc.mpc_loop(plant, params, cfg, park, pas, horizon=sc.horizon,
-                         base_prices=(sc.tau_on, sc.tau_off))
-        else:
-            sol = mpc.solve_full_horizon(
-                park, pas, params, cfg, sc.horizon, (sc.tau_on, sc.tau_off),
-                mode="dynamic" if mode == "full-dynamic" else "static",
-                initial_state=scenarios.macro_initial_state(sc),
-            )
-            for tau_on, tau_off in sol.schedule.prices:
-                plant.set_prices(tau_on, tau_off)
-                plant.advance(sol.schedule.interval_hr)
-    return microsim.time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f)
-
-
 def cmd_compare(args):
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
@@ -467,17 +491,24 @@ def cmd_compare(args):
     modes = args.modes.split(",")
     bad = [m for m in modes if m not in MODES]
     if bad:
-        print(f"unknown modes: {bad}", file=sys.stderr)
-        return 1
-    if any(m != "no-price" for m in modes):
-        # the priced modes bin the plant onto the macro grid; check it first
-        microsim.steps_per_macro(args.dt_macro, sc.dt_sim)
+        raise ValueError(f"--modes: unknown mode {bad[0]!r}, expected one of {', '.join(MODES)}")
     cfg = _mpc_config(args)
+    if any(m != "no-price" for m in modes):
+        _check_grid(sc, cfg)
     params = scenarios.macro_params_from_calibration(report, net, sc, cfg.dt_macro)
     rows = []
     for mode in modes:
+        schedule = None
+        if mode.startswith("full-"):
+            # the full-horizon problem does not depend on the plant seed
+            park, pas = scenarios.macro_demand(sc, cfg.dt_macro)
+            schedule = mpc.solve_full_horizon(
+                park, pas, params, cfg, sc.horizon, (sc.tau_on, sc.tau_off),
+                mode=mode.removeprefix("full-"),
+                initial_state=scenarios.macro_initial_state(sc),
+            ).schedule
         for seed in seeds:
-            m = run_mode(mode, net, sc, params, cfg, seed)
+            m, _ = run_mode(mode, net, sc, params, cfg, seed, schedule)
             rows.append(
                 (
                     mode,

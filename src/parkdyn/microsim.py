@@ -314,15 +314,15 @@ def time_metrics(series: dict, dt_sim: float, l_off: float, v_off_f: float) -> d
     }
 
 
-def steps_per_macro(dt_macro_s: float, dt_sim: float) -> int:
-    """Micro steps in one macro step; raises ValueError unless the macro step
-    is a whole, positive multiple of the micro step."""
-    ratio = dt_macro_s / dt_sim
+def whole_steps(span: float, step: float, name: str, step_name: str, unit: str = "s") -> int:
+    """The number of ``step``s in ``span``; raises ValueError naming both
+    quantities unless ``span`` is a whole, positive multiple of ``step``."""
+    ratio = span / step if step > 0 else math.nan
     steps = round(ratio) if math.isfinite(ratio) else 0
     if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
         raise ValueError(
-            f"macro step {dt_macro_s:g} s is not a whole, positive multiple "
-            f"of the micro step {dt_sim:g} s"
+            f"{name} {span:g} {unit} is not a whole, positive multiple "
+            f"of the {step_name} {step:g} {unit}"
         )
     return steps
 

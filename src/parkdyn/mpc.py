@@ -11,7 +11,7 @@ price).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .macromodel import (
     MacroTrajectories,
     simulate_macro,
 )
-from .microsim import Simulation, macro_blocks, steps_per_macro, time_metrics
+from .microsim import Simulation, macro_blocks, time_metrics, whole_steps
 
 FACILITIES = ("on", "off")
 
@@ -49,18 +49,17 @@ class PricingSchedule:
             if abs(b_on - a_on) > self.tau_gap + 1e-9 or abs(b_off - a_off) > self.tau_gap + 1e-9:
                 raise ValueError("consecutive prices violate the smoothing gap")
 
-    def per_step(self, dt_hr: float, n_steps: int) -> np.ndarray:
-        steps_per = int(round(self.interval_hr / dt_hr))
-        rows = []
-        for i in range(n_steps):
-            j = min(i // steps_per, len(self.prices) - 1)
-            rows.append(self.prices[j])
-        return np.array(rows)
+    def per_step(self, dt_hr: float) -> np.ndarray:
+        """One (tau_on, tau_off) row per step of ``dt_hr`` hr."""
+        steps = whole_steps(self.interval_hr * 3600.0, dt_hr * 3600.0, "price interval", "step")
+        return np.repeat(np.array(self.prices), steps, axis=0)
 
 
 @dataclass(frozen=True)
 class MpcConfig:
-    prediction_horizon: float = 0.5  # hr
+    """Pricing-loop settings. The prediction horizon is ``n_intervals``
+    control intervals, each a whole number of macro steps."""
+
     control_interval: float = 0.25  # hr
     n_intervals: int = 2  # pricing intervals optimized simultaneously
     dt_macro: float = 10.0 / 3600.0  # hr
@@ -76,15 +75,29 @@ class MpcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if abs(self.n_intervals * self.control_interval - self.prediction_horizon) > 1e-9:
-            raise ValueError("prediction horizon must equal n_intervals * control_interval")
-        steps = self.control_interval / self.dt_macro
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("macro step must divide the control interval")
+        if self.n_intervals < 1:
+            raise ValueError(f"prediction intervals must be >= 1, got {self.n_intervals}")
+        self.steps_per_interval  # raises unless the macro step divides the control interval
         if self.tau_gap < 0 or self.tau_max < self.tau_min:
             raise ValueError("infeasible price constraint box")
         if not self.controlled or any(f not in FACILITIES for f in self.controlled):
             raise ValueError("controlled facilities must be a non-empty subset of on/off")
+
+    @property
+    def steps_per_interval(self) -> int:
+        """Macro steps in one control interval."""
+        return whole_steps(
+            self.control_interval * 3600.0, self.dt_macro * 3600.0, "control interval", "macro step"
+        )
+
+    @property
+    def horizon_steps(self) -> int:
+        """Macro steps in the prediction horizon."""
+        return self.n_intervals * self.steps_per_interval
+
+    def intervals_in(self, horizon: float) -> int:
+        """Control intervals in a run of ``horizon`` hr."""
+        return whole_steps(horizon, self.control_interval, "horizon", "control interval", "hr")
 
 
 def veh_hr_with_deadweight(counts, q_off_on, params: MacroParams) -> float:
@@ -193,8 +206,7 @@ def solve_open_loop(
     base = prior_prices if base_prices is None else base_prices
     if base is None:
         raise ValueError("need base prices when no prior prices are given")
-    n_steps = len(park_forecast)
-    steps_per = int(round(config.control_interval / config.dt_macro))
+    steps_per = config.steps_per_interval
     cols = [FACILITIES.index(fac) for fac in config.controlled]
     prev = None if prior_prices is None else np.array(prior_prices, dtype=float)
 
@@ -215,7 +227,7 @@ def solve_open_loop(
         if key in cache:
             return cache[key]
         mat = full_matrix(x)
-        rows = np.repeat(mat, steps_per, axis=0)[:n_steps]
+        rows = np.repeat(mat, steps_per, axis=0)
         traj = simulate_macro(park_forecast, pass_forecast, rows, params, initial_state=state)
         val = objective_ineffective_cruising(traj, params)
         cache[key] = val
@@ -272,23 +284,14 @@ def solve_full_horizon(
     if mode not in ("dynamic", "static"):
         raise ValueError(f"unknown mode {mode!r}")
     state = initial_state if initial_state is not None else MacroState()
-    n_int_dyn = int(round(horizon / config.control_interval))
-    static_cfg = replace(
-        config,
-        n_intervals=1,
-        control_interval=horizon,
-        prediction_horizon=horizon,
-    )
+    n_int_dyn = config.intervals_in(horizon)
+    static_cfg = replace(config, n_intervals=1, control_interval=horizon)
     static = solve_open_loop(
         state, park_profile, pass_profile, params, static_cfg, None, base_prices
     )
     if mode == "static":
         return static
-    dyn_cfg = replace(
-        config,
-        n_intervals=n_int_dyn,
-        prediction_horizon=n_int_dyn * config.control_interval,
-    )
+    dyn_cfg = replace(config, n_intervals=n_int_dyn)
     seed_start = np.tile(
         [static.schedule.prices[0][FACILITIES.index(f)] for f in config.controlled], n_int_dyn
     )
@@ -328,7 +331,7 @@ class MacroPlant:
         self.prices = (tau_on, tau_off)
 
     def advance(self, interval_hr: float):
-        n = int(round(interval_hr / self.params.dt))
+        n = whole_steps(interval_hr * 3600.0, self.params.dt * 3600.0, "interval", "macro step")
         lo, hi = self.step, min(self.step + n, len(self.park))
         rows = np.tile(self.prices, (hi - lo, 1))
         traj = simulate_macro(
@@ -359,7 +362,7 @@ class MicroPlant:
     def __init__(self, sim: Simulation, params: MacroParams):
         self.sim = sim
         self.params = params
-        self._bin = steps_per_macro(params.dt * 3600.0, sim.dt)
+        self._bin = whole_steps(params.dt * 3600.0, sim.dt, "macro step", "micro step")
 
     def read_state(self) -> MacroState:
         sim = self.sim
@@ -448,9 +451,9 @@ def mpc_loop(
     """
     park_forecast = np.asarray(park_forecast, dtype=float)
     pass_forecast = np.asarray(pass_forecast, dtype=float)
-    steps_per = int(round(config.control_interval / config.dt_macro))
-    horizon_steps = int(round(config.prediction_horizon / config.dt_macro))
-    n_controls = int(round(horizon / config.control_interval))
+    steps_per = config.steps_per_interval
+    horizon_steps = config.horizon_steps
+    n_controls = config.intervals_in(horizon)
     applied: list[tuple[float, float]] = []
     iterations: list[MpcIteration] = []
     prior = base_prices
@@ -466,7 +469,7 @@ def mpc_loop(
         state = plant.read_state()
         sol = solve_open_loop(state, park, pazz, params, config, prior, base_prices)
         tau_on, tau_off = sol.schedule.prices[0]
-        rows = sol.schedule.per_step(config.dt_macro, horizon_steps)
+        rows = sol.schedule.per_step(config.dt_macro)
         pred = simulate_macro(park, pazz, rows, params, initial_state=state)
         plant.set_prices(tau_on, tau_off)
         plant.advance(config.control_interval)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from parkdyn import macromodel
+from parkdyn import macromodel, mpc
 from parkdyn.cli import main
 from parkdyn.microsim import ScenarioConfig, Simulation
 from parkdyn.network import DurationDistribution, load_network
@@ -138,6 +138,31 @@ def _bad_vehicle_id(text):
     return "\n".join(lines) + "\n"
 
 
+def _zero_network_length(text):
+    metrics = json.loads(text)
+    metrics["summary"]["network_length"] = 0
+    return json.dumps(metrics)
+
+
+def _set_active(value):
+    """An alteration that sets series.csv's 'active' field on line 3."""
+
+    def alter(text):
+        lines = text.splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("active")] = value
+        lines[2] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+
+    return alter
+
+
+def _huge_field(text):
+    lines = text.splitlines()
+    lines[1] += "," + "9" * 131073
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "name, alter, field",
     [
@@ -145,13 +170,19 @@ def _bad_vehicle_id(text):
         ("metrics.json", _text_network_length, "'summary.network_length'"),
         ("series.csv", _truncate_series, "'active'"),
         ("events.csv", _bad_vehicle_id, "'vehicle_id'"),
+        ("metrics.json", _zero_network_length, "'summary.network_length'"),
+        # written with surrogateescape, "\udcff" is the non-UTF-8 byte 0xff
+        ("series.csv", _set_active("\udcff"), "line 3: field 'active': bad value"),
+        ("series.csv", _set_active("nan"), "line 3: field 'active' must be finite"),
+        # the csv module does not say which field overflowed, only where
+        ("series.csv", _huge_field, "line 2: field larger than field limit"),
     ],
 )
 def test_run_dir_loader_names_file_and_field(workdir, tmp_path, capsys, name, alter, field):
     runs = tmp_path / "runs"
     shutil.copytree(workdir / "runs" / "seed_0", runs / "seed_0")
     bad = runs / "seed_0" / name
-    bad.write_text(alter(bad.read_text()))
+    bad.write_text(alter(bad.read_text()), errors="surrogateescape")
     rc = main(["calibrate", "--runs", str(runs), "--out", str(tmp_path / "calibration.json")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
@@ -251,22 +282,53 @@ def test_compare_emits_rows(workdir):
     assert lines[0].startswith("mode,seed,deadweight_veh_hr")
 
 
-def test_unknown_compare_mode_rejected(workdir, tmp_path):
+def test_unknown_compare_mode_rejected(workdir, tmp_path, capsys):
     rc = main(
         ["compare", "--modes", "surge", "--net", str(workdir / "net.json"),
          "--config", str(workdir / "scenario.json"), "--calibration",
          str(workdir / "calibration.json"), "--seeds", "0", "--out", str(tmp_path / "x")]
     )
     assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: --modes") and "'surge'" in err[0]
+
+
+@pytest.mark.parametrize("seeds", ["", "a", "0,1.5"])
+def test_bad_seeds_name_the_flag(workdir, tmp_path, capsys, seeds):
+    rc = main(
+        ["micro", "run", "--net", str(workdir / "net.json"), "--config",
+         str(workdir / "scenario.json"), "--seeds", seeds, "--out", str(tmp_path / "runs")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: --seeds")
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if anything runs the micro or the macro model."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before checking the input")
+
+    monkeypatch.setattr(Simulation, "step", refuse)
+    # mpc imported simulate_macro by name, so both attributes need the patch
+    monkeypatch.setattr(macromodel, "simulate_macro", refuse)
+    monkeypatch.setattr(mpc, "simulate_macro", refuse)
+
+
+def _priced_argv(workdir, tmp_path, command):
+    return command.split() + [
+        "--net", str(workdir / "net.json"), "--config", str(workdir / "scenario.json"),
+        "--calibration", str(workdir / "calibration.json"), "--seeds", "0",
+        "--out", str(tmp_path / "out"),
+    ]
 
 
 @pytest.mark.parametrize("command", ["validate", "mpc run", "compare --modes no-price,mpc"])
-def test_macro_step_must_be_whole_micro_steps(workdir, tmp_path, capsys, monkeypatch, command):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated before checking the macro step")
-
-    monkeypatch.setattr(macromodel, "simulate_macro", no_simulation)
-    monkeypatch.setattr(Simulation, "step", no_simulation)
+def test_macro_step_must_be_whole_micro_steps(workdir, tmp_path, capsys, no_simulation, command):
     argv = command.split() + [
         "--net", str(workdir / "net.json"), "--config", str(workdir / "scenario.json"),
         "--calibration", str(workdir / "calibration.json"), "--dt-macro", "0.4",
@@ -279,3 +341,41 @@ def test_macro_step_must_be_whole_micro_steps(workdir, tmp_path, capsys, monkeyp
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "macro step 0.4 s is not a whole" in err[0]
+
+
+# The test scenario runs 0.5 hr: 0.3 and 0.2 hr intervals do not divide it
+# (0.5 / 0.2 rounds to 2), 0 hr holds no macro step and 0 intervals predict nothing.
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--control-interval", "0.3"], "horizon 0.5 hr is not a whole"),
+        (["--control-interval", "0.2"], "horizon 0.5 hr is not a whole"),
+        (["--control-interval", "0"], "control interval 0 s is not a whole"),
+        (["--intervals", "0"], "prediction intervals must be >= 1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["mpc run", "compare --modes no-price,mpc"])
+def test_mpc_grid_rejected_before_simulating(
+    workdir, tmp_path, capsys, no_simulation, command, flags, message
+):
+    assert main(_priced_argv(workdir, tmp_path, command) + flags) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+
+
+def test_compare_solves_each_full_horizon_mode_once(workdir, tmp_path, monkeypatch):
+    calls = []
+    solve = mpc.solve_full_horizon
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["mode"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "solve_full_horizon", counted)
+    argv = _priced_argv(workdir, tmp_path, "compare --modes full-dynamic,full-static")
+    argv[argv.index("--seeds") + 1] = "0,1"
+    assert main(argv + ["--starts", "2", "--budget", "20"]) == 0
+    assert calls == ["dynamic", "static"]
+    lines = (tmp_path / "out" / "comparison.csv").read_text().splitlines()
+    assert len(lines) == 1 + 4

@@ -1,18 +1,20 @@
-"""Fuzz the JSON loaders: any JSON document either loads or raises
-ValueError (which the CLI prints as one ``error:`` line), never another
-exception type."""
+"""Fuzz the file loaders: any JSON document, and any run directory, either
+loads or raises ValueError naming the file (which the CLI prints as one
+``error:`` line), never another exception type."""
 
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkdyn.calibration import CalibrationReport
+from parkdyn.cli import load_run_dir
 from parkdyn.estimators import KINDS, DistanceModel
 from parkdyn.macromodel import NfdModel
-from parkdyn.microsim import GuidanceConfig, ScenarioConfig
+from parkdyn.microsim import SERIES_COLUMNS, Event, GuidanceConfig, ScenarioConfig
 from parkdyn.network import DurationDistribution, Link, Node, OffStreetLot, load_network
 
 _scalars = (
@@ -98,3 +100,61 @@ _network = _some_of(
 @given(_json | _network)
 def test_network_loader(path, doc):
     _loads_or_value_error(load_network, path, doc)
+
+
+_num = st.floats(allow_nan=True, allow_infinity=True).map(repr) | st.integers(-2, 2).map(str)
+
+
+def _csv(columns, ints=()):
+    """CSV bytes: the right header or a jumble of names, rows of numbers of
+    the right kind, perhaps an odd row, or no CSV at all."""
+    header = st.just(list(columns)) | st.lists(
+        st.sampled_from(columns) | st.text(max_size=3), max_size=len(columns) + 1
+    )
+    typed = st.tuples(*(st.integers(-2, 2).map(str) if c in ints else _num for c in columns))
+    odd = st.lists(_num | st.text(max_size=3), max_size=len(columns) + 1)
+    text = st.tuples(header, st.lists(typed, max_size=3), st.lists(odd, max_size=1)).map(
+        lambda p: "\r\n".join(",".join(cells) for cells in [p[0], *p[1], *p[2]]).encode()
+    )
+    return text | st.binary(max_size=24)
+
+
+_SUMMARY = {"seed": 0, "network_length": 1.0, "l_off": 0.3, "v_off_f": 15.0}
+_number = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-2, 5)
+_RUN_FILES = {
+    "events.csv": (",".join(Event._fields).encode(), _csv(Event._fields, ints=("vehicle_id",))),
+    "series.csv": (
+        "\r\n".join(",".join(map(str, r)) for r in
+                     [SERIES_COLUMNS, [0] * len(SERIES_COLUMNS), [1] * len(SERIES_COLUMNS)]).encode(),
+        _csv(SERIES_COLUMNS),
+    ),
+    "metrics.json": (
+        json.dumps({"summary": _SUMMARY}).encode(),
+        (_json | st.fixed_dictionaries(
+            {"summary": st.fixed_dictionaries({k: _number for k in _SUMMARY}) | _some_of(_SUMMARY)}
+        )).map(lambda doc: json.dumps(doc).encode())
+        | st.binary(max_size=24),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def seed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "seed_0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_RUN_FILES)).flatmap(lambda n: st.tuples(st.just(n), _RUN_FILES[n][1])))
+def test_run_dir_loader(seed_dir, fuzzed):
+    """One file of the run directory fuzzed, the other two well formed."""
+    seed_dir.mkdir(exist_ok=True)
+    name, data = fuzzed
+    for other, (valid, _) in _RUN_FILES.items():
+        (seed_dir / other).write_bytes(data if other == name else valid)
+    try:
+        res = load_run_dir(seed_dir)
+    except ValueError as e:
+        assert str(seed_dir / name) in str(e)
+    else:
+        assert res.dt_sim > 0 and res.network_length > 0 and res.v_off_f > 0
+        assert all(np.isfinite(col).all() for col in res.series.values())

@@ -76,7 +76,7 @@ class TestPricingSchedule:
 
     def test_per_step_expansion(self):
         s = PricingSchedule(0.25, ((1.0, 0.0), (2.0, 0.0)))
-        rows = s.per_step(DT, 180)
+        rows = s.per_step(DT)
         assert rows.shape == (180, 2)
         assert rows[0, 0] == 1.0 and rows[90, 0] == 2.0 and rows[-1, 0] == 2.0
 
@@ -205,7 +205,7 @@ class TestMpcLoopMacroPlant:
         park, pas = pressure_demand()
         plant = MacroPlant(p, park, pas, (0.0, 0.0))
         log = mpc_loop(plant, p, SMALL, park, pas, horizon=1.0)
-        rows = log.applied_schedule.per_step(p.dt, len(park))
+        rows = log.applied_schedule.per_step(p.dt)
         traj = simulate_macro(park, pas, rows, p)
         assert objective_ineffective_cruising(traj, p) == pytest.approx(
             log.plant_ineffective_cruising, abs=1e-9
