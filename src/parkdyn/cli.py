@@ -236,6 +236,8 @@ def cmd_micro_run(args):
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     seeds = _parse_seeds(args.seeds)
+    # measure_nfd's window rule, checked before anything is simulated
+    microsim.whole_steps(args.nfd_window, sc.dt_sim, "NFD window", "micro step")
     out = Path(args.out)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
@@ -320,41 +322,25 @@ def cmd_estimators_fit(args):
 # ---------------------------------------------------------------- macro
 
 
+# accumulations at the end of each step (with t), then the step's flows
+MACRO_RUN_COLUMNS = ("t", "n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "v", "O_on",
+                     *macromodel.StepFlows._fields)
+
+
+def _baseline_macro_run(args) -> macromodel.MacroTrajectories:
+    return scenarios.baseline_macro_run(
+        calibration.CalibrationReport.load(args.calibration),
+        network.load_network(args.net),
+        microsim.ScenarioConfig.load(args.config),
+        args.dt_macro / 3600.0,
+    )
+
+
 def cmd_macro_run(args):
-    net = network.load_network(args.net)
-    sc = microsim.ScenarioConfig.load(args.config)
-    report = calibration.CalibrationReport.load(args.calibration)
-    dt = args.dt_macro / 3600.0
-    params = scenarios.macro_params_from_calibration(report, net, sc, dt)
-    park, pas = scenarios.macro_demand(sc, dt)
-    prices = scenarios.base_price_rows(sc, len(park))
-    traj = macromodel.simulate_macro(
-        park, pas, prices, params, initial_state=scenarios.macro_initial_state(sc)
-    )
-    rows = [
-        (
-            traj.t[k + 1],
-            traj.n_m_on[k + 1],
-            traj.n_m_off[k + 1],
-            traj.n_m_pass[k + 1],
-            traj.n_c[k + 1],
-            traj.n_on[k + 1],
-            traj.n_off[k + 1],
-            traj.v[k + 1],
-            traj.O_on[k + 1],
-            traj.o_c[k],
-            traj.q_off_on[k],
-            traj.q_out_on[k],
-            traj.q_out_off[k],
-        )
-        for k in range(traj.n_steps)
-    ]
-    write_csv(
-        args.out,
-        ["t", "n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "v", "O_on",
-         "o_c", "q_off_on", "q_out_on", "q_out_off"],
-        rows,
-    )
+    traj = _baseline_macro_run(args)
+    # accumulation series start with the t=0 value, flow series with step 1
+    series = [getattr(traj, name) for name in MACRO_RUN_COLUMNS]
+    write_csv(args.out, MACRO_RUN_COLUMNS, zip(*(x[len(x) - traj.n_steps :] for x in series)))
     print(f"wrote {args.out} ({traj.n_steps} steps)")
     return 0
 
@@ -380,19 +366,9 @@ def cmd_calibrate(args):
 
 
 def cmd_validate(args):
-    net = network.load_network(args.net)
-    sc = microsim.ScenarioConfig.load(args.config)
-    report = calibration.CalibrationReport.load(args.calibration)
     results = [load_run_dir(d) for d in _seed_dirs(args.runs)]
     micro = calibration.micro_series_on_macro_grid(results, args.dt_macro)
-    dt = args.dt_macro / 3600.0
-    params = scenarios.macro_params_from_calibration(report, net, sc, dt)
-    park, pas = scenarios.macro_demand(sc, dt)
-    traj = macromodel.simulate_macro(
-        park, pas, scenarios.base_price_rows(sc, len(park)), params,
-        initial_state=scenarios.macro_initial_state(sc),
-    )
-    metrics = calibration.validate(traj, micro)
+    metrics = calibration.validate(_baseline_macro_run(args), micro)
     write_json(args.out, metrics)
     print(json.dumps(metrics, indent=1, sort_keys=True))
     return 0

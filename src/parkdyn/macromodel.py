@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,49 +182,62 @@ def redeparture_flows_uniform(
     return q_on, q_off
 
 
-def overflow(
-    o_m_off: float,
-    n_m_off_prev: float,
-    q_in_off: float,
-    n_off_prev: float,
-    q_out_off: float,
-    params: MacroParams,
-) -> float:
-    """Vehicles pushed back to on-street search by a full lot; they reappear
-    after the circuit delay ``params.k_off``."""
-    entering = min(o_m_off, n_m_off_prev + q_in_off)
-    free = params.N_off - n_off_prev + q_out_off
-    return max(0.0, entering - free)
+def _settle(x: float, scale: float) -> float:
+    # float dust from the balance arithmetic, not a logic clamp
+    if x < 0.0:
+        if x < -1e-9 * max(1.0, scale):
+            raise ConservationError(f"negative accumulation {x}")
+        return 0.0
+    return x
 
 
-def productions_and_outflows(
+class StepFlows(NamedTuple):
+    """The flows of one macro step that callers record (veh per step)."""
+
+    o_c: float  # cruisers that park on street
+    q_off_on: float  # full-lot overflow, re-entering the search after k_off steps
+    q_out_on: float  # on-street re-departures
+    q_out_off: float  # off-street re-departures
+
+
+def macro_step(
     state: MacroState,
-    params: MacroParams,
     q_in_on: float,
     q_in_off: float,
     q_in_pass: float,
-    q_out_on: float,
-    q_out_off: float,
-    q_off_on_delayed: float,
-) -> dict[str, float]:
-    """Little's-formula transfer flows for one step, with capacity caps.
+    params: MacroParams,
+    redeparture_weights: np.ndarray,
+) -> StepFlows:
+    """Advance the state by one step (in place) and return the step's flows.
 
-    The cruising outflow is capped by both the cruisers available this step
-    and the free on-street spots (including spots vacated by this step's
-    re-departures).
+    Moving vehicles leave their families by Little's formula, sharing the
+    moving production in proportion to their accumulations; each outflow is
+    capped by the vehicles available this step. Arrivals at a full lot
+    overflow back to the street. The cruising outflow is capped by the
+    cruisers available and by the free on-street spots (including spots
+    vacated by this step's re-departures).
+
+    ``redeparture_weights`` are the per-lag duration-CDF increments,
+    ``params.redeparture_weights(n)`` with n at least the new step index;
+    ``redeparture_flows`` is the loop form of the same sum.
     """
-    for name in ("n_m_off", "n_m_on", "n_m_pass", "n_c", "n_off", "n_on"):
-        if getattr(state, name) < 0:
-            raise ValueError(f"negative accumulation {name}")
+    if min(q_in_on, q_in_off, q_in_pass) < 0:
+        raise ValueError("inflows must be >= 0")
+    if min(state.n_m_off, state.n_m_on, state.n_m_pass, state.n_c, state.n_off, state.n_on) < 0:
+        raise ValueError("accumulations must be >= 0")
+    k = state.k + 1
+    dt = params.dt
+
+    q_out_on = q_out_off = 0.0
+    if k >= 2:
+        w_rev = redeparture_weights[k - 2 :: -1]
+        q_out_on = float(np.dot(state.o_c_hist[1:k], w_rev))
+        q_out_off = float(np.dot(state.o_off_hist[1:k], w_rev))
+
     n = state.n_active()
     v = nfd_speed(params.nfd, n)
-    v_on = min(params.v_on_f, v)
-    P_c = state.n_c * v_on
+    P_c = state.n_c * min(params.v_on_f, v)
     P_m = n * v - P_c
-    O_on = state.n_on / params.N_on if params.N_on > 0 else 0.0
-    l_c = evaluate_clamped(params.distance_model, O_on)
-
-    dt = params.dt
     n_m_sum = state.n_m_off + state.n_m_on + state.n_m_pass
     if n_m_sum > 0.0:
         share = P_m * dt / n_m_sum
@@ -236,81 +250,23 @@ def productions_and_outflows(
     else:
         o_m_off = o_m_on = o_m_pass = 0.0
 
-    q_off_on = overflow(o_m_off, state.n_m_off, q_in_off, state.n_off, q_out_off, params)
+    # lot arrivals beyond the free spots, counting this step's re-departures
+    q_off_on = max(0.0, o_m_off - (params.N_off - state.n_off + q_out_off))
 
-    o_c_raw = P_c * dt / l_c if l_c > 0 else float("inf")
-    cap_avail = state.n_c + q_off_on_delayed + o_m_on
-    cap_spots = params.N_on - state.n_on + q_out_on
-    o_c = min(o_c_raw, cap_avail, cap_spots)
-    o_c = max(0.0, o_c)
-
-    return {
-        "o_c": o_c,
-        "o_m_on": o_m_on,
-        "o_m_off": o_m_off,
-        "o_m_pass": o_m_pass,
-        "q_off_on": q_off_on,
-        "P_c": P_c,
-        "P_m": P_m,
-        "v": v,
-        "O_on": O_on,
-        "l_c": l_c,
-        "o_c_spot_capped": o_c_raw > cap_spots or cap_avail > cap_spots,
-    }
-
-
-def _settle(x: float, scale: float) -> float:
-    # float dust from the balance arithmetic, not a logic clamp
-    if x < 0.0:
-        if x < -1e-9 * max(1.0, scale):
-            raise ConservationError(f"negative accumulation {x}")
-        return 0.0
-    return x
-
-
-def macro_step(
-    state: MacroState,
-    q_in_on: float,
-    q_in_off: float,
-    q_in_pass: float,
-    params: MacroParams,
-    redeparture_weights: np.ndarray,
-) -> dict[str, float]:
-    """Advance the state by one step (in place) and return the step's flows.
-
-    ``redeparture_weights`` are the per-lag duration-CDF increments,
-    ``params.redeparture_weights(n)`` with n at least the new step index;
-    ``redeparture_flows`` is the loop form of the same sum.
-    """
-    if min(q_in_on, q_in_off, q_in_pass) < 0:
-        raise ValueError("inflows must be >= 0")
-    k = state.k + 1
-
-    q_out_on = q_out_off = 0.0
-    if k >= 2:
-        w_rev = redeparture_weights[k - 2 :: -1]
-        q_out_on = float(np.dot(state.o_c_hist[1:k], w_rev))
-        q_out_off = float(np.dot(state.o_off_hist[1:k], w_rev))
-
-    # the overflow of step k - k_off re-enters now; with k_off == 0 that is
-    # this step's own overflow, which needs a second evaluation
+    # the overflow of step k - k_off re-enters the search now; with k_off == 0
+    # that is this step's own overflow
     k_off = params.k_off
-    i = k - k_off
-    delayed = float(state.q_off_on_hist[i]) if 1 <= i < k else 0.0
-    flows = productions_and_outflows(
-        state, params, q_in_on, q_in_off, q_in_pass, q_out_on, q_out_off, delayed
-    )
-    if k_off == 0 and flows["q_off_on"] > 0.0:
-        delayed = flows["q_off_on"]
-        flows = productions_and_outflows(
-            state, params, q_in_on, q_in_off, q_in_pass, q_out_on, q_out_off, delayed
-        )
+    if k_off == 0:
+        delayed = q_off_on
+    else:
+        delayed = float(state.q_off_on_hist[k - k_off]) if k - k_off >= 1 else 0.0
 
-    o_c = flows["o_c"]
-    o_m_on = flows["o_m_on"]
-    o_m_off = flows["o_m_off"]
-    o_m_pass = flows["o_m_pass"]
-    q_off_on = flows["q_off_on"]
+    O_on = state.n_on / params.N_on if params.N_on > 0 else 0.0
+    l_c = evaluate_clamped(params.distance_model, O_on)
+    o_c_raw = P_c * dt / l_c if l_c > 0 else float("inf")
+    cap_avail = state.n_c + delayed + o_m_on
+    cap_spots = params.N_on - state.n_on + q_out_on
+    o_c = max(0.0, min(o_c_raw, cap_avail, cap_spots))
 
     scale = state.cum_inflow + q_in_on + q_in_off + q_in_pass
     state.n_m_off = _settle(state.n_m_off + q_in_off - o_m_off, scale)
@@ -324,7 +280,7 @@ def macro_step(
         n_off_new = min(n_off_new, float(params.N_off))
     state.n_off = n_off_new
     n_on_new = _settle(state.n_on + o_c - q_out_on, scale)
-    if flows["o_c_spot_capped"]:
+    if o_c_raw > cap_spots or cap_avail > cap_spots:  # the free spots bound o_c
         n_on_new = min(n_on_new, float(params.N_on))
     state.n_on = n_on_new
 
@@ -340,9 +296,7 @@ def macro_step(
     if residual > 1e-9 * max(1.0, state.cum_inflow):
         raise ConservationError(f"step {k}: conservation residual {residual}")
 
-    out = dict(flows)
-    out.update(q_out_on=q_out_on, q_out_off=q_out_off, q_off_on_delayed=delayed)
-    return out
+    return StepFlows(o_c, q_off_on, q_out_on, q_out_off)
 
 
 @dataclass
@@ -396,7 +350,7 @@ def simulate_macro(
         name: np.empty(n_steps + 1)
         for name in ("n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "n", "v", "O_on")
     }
-    flow = {name: np.empty(n_steps) for name in ("o_c", "q_off_on", "q_out_on", "q_out_off")}
+    flow = {name: np.empty(n_steps) for name in StepFlows._fields}
 
     def record_acc(i):
         acc["n_m_on"][i] = state.n_m_on
@@ -413,10 +367,10 @@ def simulate_macro(
     for i in range(n_steps):
         q_in_on, q_in_off = split_demand(park_inflow[i], prices[i, 0], prices[i, 1], params)
         flows = macro_step(state, q_in_on, q_in_off, pass_inflow[i], params, weights)
-        flow["o_c"][i] = flows["o_c"]
-        flow["q_off_on"][i] = flows["q_off_on"]
-        flow["q_out_on"][i] = flows["q_out_on"]
-        flow["q_out_off"][i] = flows["q_out_off"]
+        flow["o_c"][i] = flows.o_c
+        flow["q_off_on"][i] = flows.q_off_on
+        flow["q_out_on"][i] = flows.q_out_on
+        flow["q_out_off"][i] = flows.q_out_off
         record_acc(i + 1)
 
     t = params.dt * np.arange(n_steps + 1)

@@ -124,8 +124,14 @@ class ScenarioConfig:
             raise ValueError(f"demand profiles must be one of {DEMAND_PROFILES}")
         if self.dt_sim <= 0 or self.horizon <= 0:
             raise ValueError("dt_sim and horizon must be > 0")
+        self.n_steps  # raises unless dt_sim divides the horizon
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+
+    @property
+    def n_steps(self) -> int:
+        """Micro steps in the horizon."""
+        return whole_steps(self.horizon * 3600.0, self.dt_sim, "horizon", "dt_sim")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -217,18 +223,10 @@ def choose_parking_alternative(fees, attractions, beta: float, rng) -> tuple[int
 
 
 def apply_regional_guidance(
-    regional_occupancy: float, config: GuidanceConfig, rng, compliant: bool | None = None
+    regional_occupancy: float, config: GuidanceConfig, compliant: bool
 ) -> bool:
-    """True when the driver diverts away from the saturated region.
-
-    Compliance may be resolved per driver (``compliant``) or drawn per call
-    from the configured compliance fraction.
-    """
-    if regional_occupancy <= config.regional_threshold:
-        return False
-    if compliant is not None:
-        return compliant
-    return rng.random() < config.compliance
+    """True when a ``compliant`` driver diverts away from the saturated region."""
+    return regional_occupancy > config.regional_threshold and compliant
 
 
 class _Vehicle:
@@ -342,7 +340,7 @@ class Simulation:
         self.seed = seed
         self.dt = scenario.dt_sim
         self.dt_hr = self.dt / 3600.0
-        self.n_steps = int(round(scenario.horizon * 3600.0 / self.dt))
+        self.n_steps = scenario.n_steps
         self.t = 0.0
         self.step_i = 0
         self.tau_on = scenario.tau_on
@@ -543,7 +541,6 @@ class Simulation:
                 or not apply_regional_guidance(
                     self.regional_occupancy(self.link_region[lid]),
                     gc,
-                    self.rng_search,
                     veh.compliant,
                 )
             ]
@@ -892,11 +889,9 @@ def measure_nfd(series: dict, network_length: float, window_s: float, dt_s: floa
     Windows without any vehicle time are omitted. Parked and in-lot vehicles
     never enter the series' distance or active-count sums.
     """
-    if window_s <= 0:
-        raise ValueError("window must be > 0")
     if network_length <= 0:
         raise ValueError("network length must be > 0")
-    steps = max(1, int(round(window_s / dt_s)))
+    steps = whole_steps(window_s, dt_s, "NFD window", "micro step")
     n = len(series["t_s"])
     rows = []
     for start in range(0, n, steps):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import macromodel
 from .calibration import CalibrationReport
-from .macromodel import MacroParams, MacroState, uniform_profile
-from .microsim import GuidanceConfig, ScenarioConfig
+from .macromodel import MacroParams, MacroState, MacroTrajectories, uniform_profile
+from .microsim import GuidanceConfig, ScenarioConfig, whole_steps
 from .network import (
     DurationDistribution,
     Network,
@@ -116,8 +117,11 @@ def macro_initial_state(scenario: ScenarioConfig) -> MacroState:
 
 
 def macro_demand(scenario: ScenarioConfig, dt: float = 10.0 / 3600.0):
-    """Expected per-step (park, pass) inflows matching the micro demand."""
-    n_steps = int(round(scenario.horizon / dt))
+    """Expected per-step (park, pass) inflows matching the micro demand; the
+    macro step ``dt`` (hr) must divide the scenario horizon."""
+    n_steps = whole_steps(
+        scenario.horizon * 3600.0, dt * 3600.0, "scenario horizon", "macro step"
+    )
 
     def profile(total, kind):
         if kind == "uniform":
@@ -132,5 +136,18 @@ def macro_demand(scenario: ScenarioConfig, dt: float = 10.0 / 3600.0):
     )
 
 
-def base_price_rows(scenario: ScenarioConfig, n_steps: int) -> np.ndarray:
-    return np.tile((scenario.tau_on, scenario.tau_off), (n_steps, 1))
+def baseline_macro_run(
+    report: CalibrationReport,
+    network: Network,
+    scenario: ScenarioConfig,
+    dt: float = 10.0 / 3600.0,
+) -> MacroTrajectories:
+    """The calibrated macro model over the scenario's expected demand at its
+    base prices, from the captive initial state."""
+    params = macro_params_from_calibration(report, network, scenario, dt)
+    park, pas = macro_demand(scenario, dt)
+    prices = np.tile((scenario.tau_on, scenario.tau_off), (len(park), 1))
+    # through the module, so that a replaced macromodel.simulate_macro sees the run
+    return macromodel.simulate_macro(
+        park, pas, prices, params, initial_state=macro_initial_state(scenario)
+    )

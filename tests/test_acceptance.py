@@ -26,7 +26,6 @@ from parkdyn.macromodel import (
     nfd_speed,
     redeparture_flows,
     redeparture_flows_uniform,
-    simulate_macro,
     uniform_profile,
 )
 from parkdyn.microsim import (
@@ -39,10 +38,9 @@ from parkdyn.microsim import (
 from parkdyn.mpc import MicroPlant, MpcConfig, mpc_loop, solve_full_horizon
 from parkdyn.network import DurationDistribution
 from parkdyn.scenarios import (
-    base_price_rows,
+    baseline_macro_run,
     desk_network,
     macro_demand,
-    macro_initial_state,
     macro_params_from_calibration,
     validation_scenario,
 )
@@ -194,13 +192,7 @@ def a5_pipeline():
     sc = validation_scenario()  # 400 parkers, 10 seeds below
     results = [Simulation(net, sc, seed).run() for seed in SEEDS]
     cal = calibrate(results)
-    dt = 10.0 / 3600.0
-    params = macro_params_from_calibration(cal, net, sc, dt)
-    park, pas = macro_demand(sc, dt)
-    traj = simulate_macro(
-        park, pas, base_price_rows(sc, len(park)), params,
-        initial_state=macro_initial_state(sc),
-    )
+    traj = baseline_macro_run(cal, net, sc, 10.0 / 3600.0)
     micro = micro_series_on_macro_grid(results, 10.0)
     metrics = validate(traj, micro)
     return metrics, time.time() - t0, net, sc, results

@@ -92,6 +92,8 @@ def test_micro_rerun_byte_identical(workdir, tmp_path, jobs):
         ({"duration": {"kind": "uniform", "hi": 0.5, "mode": 0.2}}, "'duration.mode'"),
         ({"duration": 5}, "'duration'"),
         ({"guidance": [1]}, "'guidance'"),
+        ({"dt_sim": 0.7, "horizon": 0.05}, "horizon 180 s is not a whole, positive multiple "
+                                           "of the dt_sim 0.7 s"),
     ],
 )
 def test_scenario_loader_names_file_and_field(workdir, tmp_path, capsys, scenario, field):
@@ -327,20 +329,50 @@ def _priced_argv(workdir, tmp_path, command):
     ]
 
 
-@pytest.mark.parametrize("command", ["validate", "mpc run", "compare --modes no-price,mpc"])
-def test_macro_step_must_be_whole_micro_steps(workdir, tmp_path, capsys, no_simulation, command):
+# The test scenario runs 1800 s: 500 s steps are whole micro steps but do not tile it.
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        pytest.param("validate --dt-macro 0.4", "macro step 0.4 s is not a whole", id="validate"),
+        pytest.param("mpc run --dt-macro 0.4", "macro step 0.4 s is not a whole", id="mpc run"),
+        pytest.param("compare --modes no-price,mpc --dt-macro 0.4",
+                     "macro step 0.4 s is not a whole", id="compare --modes no-price,mpc"),
+        pytest.param("macro run --dt-macro 500", "scenario horizon 1800 s is not a whole",
+                     id="macro run --dt-macro 500"),
+        pytest.param("validate --dt-macro 500", "scenario horizon 1800 s is not a whole",
+                     id="validate --dt-macro 500"),
+    ],
+)
+def test_macro_step_must_be_whole_micro_steps(
+    workdir, tmp_path, capsys, no_simulation, command, message
+):
     argv = command.split() + [
         "--net", str(workdir / "net.json"), "--config", str(workdir / "scenario.json"),
-        "--calibration", str(workdir / "calibration.json"), "--dt-macro", "0.4",
+        "--calibration", str(workdir / "calibration.json"),
     ]
-    if command == "validate":
+    if command.startswith("validate"):
         argv += ["--runs", str(workdir / "runs"), "--out", str(tmp_path / "validation.json")]
+    elif command.startswith("macro run"):
+        argv += ["--out", str(tmp_path / "macro.csv")]
     else:
         argv += ["--seeds", "0", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error:") and "macro step 0.4 s is not a whole" in err[0]
+    assert err[0].startswith("error:") and message in err[0]
+
+
+@pytest.mark.parametrize("command", ["micro run", "calibrate"])
+def test_nfd_window_must_be_whole_micro_steps(workdir, tmp_path, capsys, no_simulation, command):
+    if command == "micro run":
+        argv = ["micro", "run", "--net", str(workdir / "net.json"), "--config",
+                str(workdir / "scenario.json"), "--seeds", "0", "--out", str(tmp_path / "runs")]
+    else:
+        argv = ["calibrate", "--runs", str(workdir / "runs"), "--out", str(tmp_path / "cal.json")]
+    assert main(argv + ["--nfd-window", "1.5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "NFD window 1.5 s is not a whole" in err[0]
 
 
 # The test scenario runs 0.5 hr: 0.3 and 0.2 hr intervals do not divide it

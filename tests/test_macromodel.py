@@ -12,8 +12,6 @@ from parkdyn.macromodel import (
     NfdModel,
     macro_step,
     nfd_speed,
-    overflow,
-    productions_and_outflows,
     redeparture_flows,
     redeparture_flows_uniform,
     simulate_macro,
@@ -140,7 +138,7 @@ class TestRedepartures:
             state.cum_inflow = state.n_on + state.n_off + state.in_circuit(p.k_off)
             want = redeparture_flows(o_c, o_m, q_o, dur, k, p.dt)
             flows = macro_step(state, 0.0, 0.0, 0.0, p, weights)
-            got = (flows["q_out_on"], flows["q_out_off"])
+            got = (flows.q_out_on, flows.q_out_off)
             for g, w in zip(got, want):
                 assert w > 0.0
                 assert abs(g - w) <= 1e-12 * w
@@ -153,13 +151,19 @@ class TestRedepartures:
         assert q_off == pytest.approx(6.0 * DT / 1.0)
 
 
+def first_step(state, p, q_in_on=0.0, q_in_off=0.0, q_in_pass=0.0):
+    """One macro step from ``state`` as step 1; its held mass is the inflow
+    so far, so the step's own conservation check holds."""
+    state.cum_inflow = state.held(p.k_off)
+    return macro_step(state, q_in_on, q_in_off, q_in_pass, p, p.redeparture_weights(1))
+
+
 class TestProductionsAndOutflows:
     def test_no_cruisers_no_cruise_outflow(self):
-        p = make_params()
         state = MacroState(n_m_on=5.0, n_m_pass=5.0)
-        flows = productions_and_outflows(state, p, 0, 0, 0, 0, 0, 0)
-        assert flows["P_c"] == 0.0
-        assert flows["o_c"] == 0.0
+        flows = first_step(state, make_params())
+        assert flows.o_c == 0.0
+        assert state.n_on == 0.0
 
     def test_little_formula_share(self):
         # P_m = 500 veh km/hr split by family share over mean trip lengths
@@ -168,20 +172,18 @@ class TestProductionsAndOutflows:
         n = state.n_active()
         v = nfd_speed(p.nfd, n)
         expected = 500.0 * 10.0 / 50.0 * (1.0 / 360.0) / 1.0
-        flows = productions_and_outflows(state, p, 0, 0, 0, 0, 0, 0)
-        got = flows["o_m_on"] * 500.0 / (n * v)  # rescale to the stated P_m
+        first_step(state, p)
+        o_m_on = state.n_c  # with no cruisers yet, none park this step
+        got = o_m_on * 500.0 / (n * v)  # rescale to the stated P_m
         assert got == pytest.approx(expected)
 
     def test_no_free_spots_blocks_parking(self):
-        p = make_params(N_on=100)
         state = MacroState(n_c=50.0, n_on=100.0)
-        flows = productions_and_outflows(state, p, 0, 0, 0, 0.0, 0, 0)
-        assert flows["o_c"] == 0.0
+        assert first_step(state, make_params(N_on=100)).o_c == 0.0
 
     def test_rejects_negative_accumulation(self):
-        state = MacroState(n_c=-1.0)
         with pytest.raises(ValueError):
-            productions_and_outflows(state, make_params(), 0, 0, 0, 0, 0, 0)
+            first_step(MacroState(n_c=-1.0), make_params())
 
 
 class TestOverflow:
@@ -191,12 +193,16 @@ class TestOverflow:
         assert make_params(v_off_f=16.0).k_off == 7  # 6.75 rounds up
 
     def test_no_overflow_with_slack(self):
-        assert overflow(5.0, 10.0, 1.0, 50.0, 0.0, make_params()) == 0.0
+        state = MacroState(n_m_off=10.0, n_off=50.0)
+        assert first_step(state, make_params(), q_in_off=1.0).q_off_on == 0.0
 
     def test_overflow_value(self):
-        p = make_params(N_off=100)
-        q = overflow(5.0, 10.0, 2.0, 98.0, 1.0, p)
-        assert q == pytest.approx(2.0)  # 5 entering vs 3 free incl. re-departures
+        # a short lot trip lets all 10 + 2 searchers arrive in one step
+        p = make_params(N_off=100, l_m_off=0.01)
+        state = MacroState(n_m_off=10.0, n_off=98.0)
+        q = first_step(state, p, q_in_off=2.0).q_off_on
+        assert q == pytest.approx(10.0)  # 12 entering vs 2 free
+        assert state.n_off == 100.0
 
 
 class TestMacroStep:
@@ -211,9 +217,9 @@ class TestMacroStep:
         p = make_params()
         state = MacroState()
         weights = p.redeparture_weights(61)
-        q_out_off = macro_step(state, 0.0, 10.0, 0.0, p, weights)["q_out_off"]
+        q_out_off = macro_step(state, 0.0, 10.0, 0.0, p, weights).q_out_off
         for _ in range(60):
-            q_out_off += macro_step(state, 0.0, 0.0, 0.0, p, weights)["q_out_off"]
+            q_out_off += macro_step(state, 0.0, 0.0, 0.0, p, weights).q_out_off
         # with no overflow, the lot balance is exactly arrivals minus
         # re-departures (Eq. 15e with the overflow term at zero)
         assert sum(state.q_off_on_hist) == 0.0

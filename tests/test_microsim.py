@@ -82,17 +82,20 @@ class TestRegionalGuidance:
     CFG = GuidanceConfig(regional_guidance=True, regional_threshold=0.95, compliance=1.0)
 
     def test_divert_above_threshold(self):
-        assert apply_regional_guidance(0.96, self.CFG, random.Random(0)) is True
+        assert apply_regional_guidance(0.96, self.CFG, compliant=True) is True
 
     def test_proceed_below_threshold(self):
-        assert apply_regional_guidance(0.90, self.CFG, random.Random(0)) is False
+        assert apply_regional_guidance(0.90, self.CFG, compliant=True) is False
 
     def test_no_cooperation_no_effect(self):
+        # compliance is drawn once per driver: at 0 no driver is compliant
         cfg = GuidanceConfig(regional_guidance=True, compliance=0.0)
-        assert apply_regional_guidance(0.96, cfg, random.Random(0)) is False
+        sim = Simulation(small_net(), small_scenario(guidance=cfg), 0)
+        assert sim.pending
+        assert not any(apply_regional_guidance(0.96, cfg, v.compliant) for v in sim.pending)
 
     def test_per_driver_flag_overrides(self):
-        assert apply_regional_guidance(0.96, self.CFG, random.Random(0), compliant=False) is False
+        assert apply_regional_guidance(0.96, self.CFG, compliant=False) is False
 
 
 class TestLocalSearch:
