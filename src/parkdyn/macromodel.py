@@ -10,6 +10,7 @@ delay. All flows are fractional (veh per step).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -74,13 +75,27 @@ class MacroParams:
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
 
-    @property
+    @functools.cached_property
     def k_off(self) -> int:
         """Circuit delay in steps: nearest integer (half-up) to l_off/(v_off_f dt)."""
         return int(math.floor(self.l_off / (self.v_off_f * self.dt) + 0.5))
 
     def redeparture_weights(self, n_steps: int) -> np.ndarray:
-        return np.asarray(self.duration.step_weights(self.dt, n_steps))
+        """The re-departure table ``macro_step`` reads, for up to n_steps + 1 steps."""
+        return redeparture_table(self.duration, self.dt, n_steps)
+
+
+@functools.lru_cache(maxsize=64)
+def redeparture_table(duration: DurationDistribution, dt: float, n_steps: int) -> np.ndarray:
+    """``duration.step_weights(dt, n_steps)`` reversed, so that lag 0 is last.
+
+    The re-departure sum of step k dots the cohorts of steps 1..k-1 with the
+    last k-1 entries. The array is shared by every caller with the same key,
+    so it is read-only.
+    """
+    table = np.array(duration.step_weights(dt, n_steps)[::-1])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -95,9 +110,13 @@ class MacroState:
     o_m_off(i) - q_off_on(i); it is stored as that difference.
 
     History arrays are step-indexed from 1; index 0 is padding so that
-    ``o_c_hist[i]`` is the flow of step i. A history is never written in
-    place: ``macro_step`` replaces it with a longer array, so a copy of the
-    state shares its histories with the original.
+    ``o_c_hist[i]`` is the flow of step i. Every state the public API hands
+    back has histories of exactly k + 1 entries, and ``macro_step`` replaces
+    such a history with a longer array rather than writing it. So a copy of
+    the state may share its histories with the original, and no array a
+    caller holds is ever written in place. Only the private working state of
+    ``simulate_macro`` holds longer buffers, which ``macro_step`` fills in
+    place.
     """
 
     n_m_off: float = 0.0
@@ -217,77 +236,86 @@ def macro_step(
     cruisers available and by the free on-street spots (including spots
     vacated by this step's re-departures).
 
-    ``redeparture_weights`` are the per-lag duration-CDF increments,
-    ``params.redeparture_weights(n)`` with n at least the new step index;
-    ``redeparture_flows`` is the loop form of the same sum.
+    ``redeparture_weights`` is ``params.redeparture_weights(n)`` with n at
+    least the new step index minus one; ``redeparture_flows`` is the loop
+    form of the same sum. The step's flows go into index k of the histories
+    when they have room (``simulate_macro``'s buffers), else onto new arrays.
     """
+    n_m_off, n_m_on, n_m_pass = state.n_m_off, state.n_m_on, state.n_m_pass
+    n_c, n_off, n_on = state.n_c, state.n_off, state.n_on
     if min(q_in_on, q_in_off, q_in_pass) < 0:
         raise ValueError("inflows must be >= 0")
-    if min(state.n_m_off, state.n_m_on, state.n_m_pass, state.n_c, state.n_off, state.n_on) < 0:
+    if min(n_m_off, n_m_on, n_m_pass, n_c, n_off, n_on) < 0:
         raise ValueError("accumulations must be >= 0")
     k = state.k + 1
     dt = params.dt
+    k_off = params.k_off
+    o_c_hist, o_off_hist, q_off_on_hist = state.o_c_hist, state.o_off_hist, state.q_off_on_hist
 
     q_out_on = q_out_off = 0.0
     if k >= 2:
-        w_rev = redeparture_weights[k - 2 :: -1]
-        q_out_on = float(np.dot(state.o_c_hist[1:k], w_rev))
-        q_out_off = float(np.dot(state.o_off_hist[1:k], w_rev))
+        w_rev = redeparture_weights[1 - k :]
+        q_out_on = float(np.dot(o_c_hist[1:k], w_rev))
+        q_out_off = float(np.dot(o_off_hist[1:k], w_rev))
 
     n = state.n_active()
     v = nfd_speed(params.nfd, n)
-    P_c = state.n_c * min(params.v_on_f, v)
+    P_c = n_c * min(params.v_on_f, v)
     P_m = n * v - P_c
-    n_m_sum = state.n_m_off + state.n_m_on + state.n_m_pass
+    n_m_sum = n_m_off + n_m_on + n_m_pass
     if n_m_sum > 0.0:
         share = P_m * dt / n_m_sum
-        o_m_off = min(share * state.n_m_off / params.l_m_off, state.n_m_off + q_in_off)
-        o_m_on = min(share * state.n_m_on / params.l_m_on, state.n_m_on + q_in_on)
+        o_m_off = min(share * n_m_off / params.l_m_off, n_m_off + q_in_off)
+        o_m_on = min(share * n_m_on / params.l_m_on, n_m_on + q_in_on)
         o_m_pass = min(
-            share * state.n_m_pass / params.l_m_pass,
-            state.n_m_pass + q_in_pass + q_out_on + q_out_off,
+            share * n_m_pass / params.l_m_pass,
+            n_m_pass + q_in_pass + q_out_on + q_out_off,
         )
     else:
         o_m_off = o_m_on = o_m_pass = 0.0
 
     # lot arrivals beyond the free spots, counting this step's re-departures
-    q_off_on = max(0.0, o_m_off - (params.N_off - state.n_off + q_out_off))
+    q_off_on = max(0.0, o_m_off - (params.N_off - n_off + q_out_off))
 
     # the overflow of step k - k_off re-enters the search now; with k_off == 0
     # that is this step's own overflow
-    k_off = params.k_off
     if k_off == 0:
         delayed = q_off_on
     else:
-        delayed = float(state.q_off_on_hist[k - k_off]) if k - k_off >= 1 else 0.0
+        delayed = float(q_off_on_hist[k - k_off]) if k - k_off >= 1 else 0.0
 
-    O_on = state.n_on / params.N_on if params.N_on > 0 else 0.0
+    N_on = params.N_on
+    O_on = n_on / N_on if N_on > 0 else 0.0
     l_c = evaluate_clamped(params.distance_model, O_on)
     o_c_raw = P_c * dt / l_c if l_c > 0 else float("inf")
-    cap_avail = state.n_c + delayed + o_m_on
-    cap_spots = params.N_on - state.n_on + q_out_on
+    cap_avail = n_c + delayed + o_m_on
+    cap_spots = N_on - n_on + q_out_on
     o_c = max(0.0, min(o_c_raw, cap_avail, cap_spots))
 
     scale = state.cum_inflow + q_in_on + q_in_off + q_in_pass
-    state.n_m_off = _settle(state.n_m_off + q_in_off - o_m_off, scale)
-    state.n_m_on = _settle(state.n_m_on + q_in_on - o_m_on, scale)
-    state.n_m_pass = _settle(
-        state.n_m_pass + q_in_pass + q_out_on + q_out_off - o_m_pass, scale
-    )
-    state.n_c = _settle(state.n_c + delayed + o_m_on - o_c, scale)
-    n_off_new = _settle(state.n_off + o_m_off - q_off_on - q_out_off, scale)
+    state.n_m_off = _settle(n_m_off + q_in_off - o_m_off, scale)
+    state.n_m_on = _settle(n_m_on + q_in_on - o_m_on, scale)
+    state.n_m_pass = _settle(n_m_pass + q_in_pass + q_out_on + q_out_off - o_m_pass, scale)
+    state.n_c = _settle(n_c + delayed + o_m_on - o_c, scale)
+    n_off_new = _settle(n_off + o_m_off - q_off_on - q_out_off, scale)
     if q_off_on > 0.0:
         n_off_new = min(n_off_new, float(params.N_off))
     state.n_off = n_off_new
-    n_on_new = _settle(state.n_on + o_c - q_out_on, scale)
+    n_on_new = _settle(n_on + o_c - q_out_on, scale)
     if o_c_raw > cap_spots or cap_avail > cap_spots:  # the free spots bound o_c
-        n_on_new = min(n_on_new, float(params.N_on))
+        n_on_new = min(n_on_new, float(N_on))
     state.n_on = n_on_new
 
     state.k = k
-    state.o_c_hist = np.append(state.o_c_hist, o_c)
-    state.o_off_hist = np.append(state.o_off_hist, o_m_off - q_off_on)
-    state.q_off_on_hist = np.append(state.q_off_on_hist, q_off_on)
+    o_off = o_m_off - q_off_on
+    if len(q_off_on_hist) > k:
+        o_c_hist[k] = o_c
+        o_off_hist[k] = o_off
+        q_off_on_hist[k] = q_off_on
+    else:
+        state.o_c_hist = np.append(o_c_hist, o_c)
+        state.o_off_hist = np.append(o_off_hist, o_off)
+        state.q_off_on_hist = np.append(q_off_on_hist, q_off_on)
     state.cum_inflow += q_in_on + q_in_off + q_in_pass
     state.cum_exit += o_m_pass
 
@@ -344,37 +372,43 @@ def simulate_macro(
         raise ValueError("demand profiles must have equal length")
     n_steps = len(park_inflow)
     state = initial_state.copy() if initial_state is not None else MacroState()
-    weights = params.redeparture_weights(state.k + n_steps)
+    # fresh history buffers for the whole run, which macro_step fills in place
+    k0 = state.k
+    for name in ("o_c_hist", "o_off_hist", "q_off_on_hist"):
+        buf = np.zeros(k0 + n_steps + 1)
+        buf[: k0 + 1] = getattr(state, name)[: k0 + 1]
+        setattr(state, name, buf)
+    weights = params.redeparture_weights(k0 + n_steps)
+    nfd, N_on = params.nfd, params.N_on
 
-    acc = {
-        name: np.empty(n_steps + 1)
-        for name in ("n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "n", "v", "O_on")
-    }
-    flow = {name: np.empty(n_steps) for name in StepFlows._fields}
+    def record():  # one row of _ACC_FIELDS
+        n = state.n_active()
+        O_on = state.n_on / N_on if N_on > 0 else 0.0
+        return (state.n_m_on, state.n_m_off, state.n_m_pass, state.n_c, state.n_on,
+                state.n_off, n, nfd_speed(nfd, n), O_on)
 
-    def record_acc(i):
-        acc["n_m_on"][i] = state.n_m_on
-        acc["n_m_off"][i] = state.n_m_off
-        acc["n_m_pass"][i] = state.n_m_pass
-        acc["n_c"][i] = state.n_c
-        acc["n_on"][i] = state.n_on
-        acc["n_off"][i] = state.n_off
-        acc["n"][i] = state.n_active()
-        acc["v"][i] = nfd_speed(params.nfd, state.n_active())
-        acc["O_on"][i] = state.n_on / params.N_on if params.N_on > 0 else 0.0
-
-    record_acc(0)
-    for i in range(n_steps):
-        q_in_on, q_in_off = split_demand(park_inflow[i], prices[i, 0], prices[i, 1], params)
-        flows = macro_step(state, q_in_on, q_in_off, pass_inflow[i], params, weights)
-        flow["o_c"][i] = flows.o_c
-        flow["q_off_on"][i] = flows.q_off_on
-        flow["q_out_on"][i] = flows.q_out_on
-        flow["q_out_off"][i] = flows.q_out_off
-        record_acc(i + 1)
+    acc = [record()]
+    flows = []
+    for q_park, q_pass, (tau_on, tau_off) in zip(
+        park_inflow.tolist(), pass_inflow.tolist(), prices.tolist()
+    ):
+        q_in_on, q_in_off = split_demand(q_park, tau_on, tau_off, params)
+        flows.append(macro_step(state, q_in_on, q_in_off, q_pass, params, weights))
+        acc.append(record())
 
     t = params.dt * np.arange(n_steps + 1)
-    return MacroTrajectories(t=t, **acc, **flow, final_state=state)
+    return MacroTrajectories(
+        t=t, **_columns(_ACC_FIELDS, acc), **_columns(StepFlows._fields, flows), final_state=state
+    )
+
+
+_ACC_FIELDS = ("n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "n", "v", "O_on")
+
+
+def _columns(names, rows) -> dict[str, np.ndarray]:
+    """Named contiguous float64 columns of a list of equal-length rows."""
+    table = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    return dict(zip(names, table.T.copy()))
 
 
 def uniform_profile(total: float, n_steps: int) -> np.ndarray:

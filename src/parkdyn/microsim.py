@@ -144,11 +144,7 @@ class ScenarioConfig:
             if name in d and not isinstance(d[name], dict):
                 raise ValueError(f"field {name!r} must be a JSON object")
         if "duration" in d:
-            dd = dict(d["duration"])
-            for key in ("xs", "cdf_values"):
-                if key in dd:
-                    dd[key] = tuple(dd[key])
-            d["duration"] = _from_fields(DurationDistribution, dd, "duration.")
+            d["duration"] = _from_fields(DurationDistribution, d["duration"], "duration.")
         if "guidance" in d:
             d["guidance"] = _from_fields(GuidanceConfig, d["guidance"], "guidance.")
         return _from_fields(ScenarioConfig, d, "")

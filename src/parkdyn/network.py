@@ -274,6 +274,9 @@ class DurationDistribution:
     cdf_values: tuple[float, ...] = ()
 
     def __post_init__(self):
+        # tuples, so that the distribution hashes (the macro weight cache keys on it)
+        object.__setattr__(self, "xs", tuple(self.xs))
+        object.__setattr__(self, "cdf_values", tuple(self.cdf_values))
         if self.kind == "uniform":
             if not (0 <= self.lo < self.hi):
                 raise ValueError("uniform duration needs 0 <= lo < hi")

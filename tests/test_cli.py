@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import parkdyn
 from parkdyn import macromodel, mpc
 from parkdyn.cli import main
 from parkdyn.microsim import ScenarioConfig, Simulation
@@ -411,3 +415,13 @@ def test_compare_solves_each_full_horizon_mode_once(workdir, tmp_path, monkeypat
     assert calls == ["dynamic", "static"]
     lines = (tmp_path / "out" / "comparison.csv").read_text().splitlines()
     assert len(lines) == 1 + 4
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported inside the fits, so `compare` and `micro run` never load it
+    path = [str(Path(parkdyn.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, parkdyn.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

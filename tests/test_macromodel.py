@@ -14,6 +14,7 @@ from parkdyn.macromodel import (
     nfd_speed,
     redeparture_flows,
     redeparture_flows_uniform,
+    redeparture_table,
     simulate_macro,
     split_demand,
     uniform_profile,
@@ -293,6 +294,84 @@ class TestSimulateMacro:
         p = make_params()
         with pytest.raises(ValueError):
             simulate_macro(np.zeros(10), np.zeros(11), np.zeros((10, 2)), p)
+
+
+def _state_bytes(s: MacroState) -> list[bytes]:
+    scalars = [s.n_m_off, s.n_m_on, s.n_m_pass, s.n_c, s.n_off, s.n_on, s.k]
+    scalars += [s.cum_inflow, s.cum_exit]
+    hists = (s.o_c_hist, s.o_off_hist, s.q_off_on_hist)
+    return [np.asarray(scalars, dtype=float).tobytes()] + [np.asarray(h).tobytes() for h in hists]
+
+
+class TestHistoryBuffers:
+    """simulate_macro fills private history buffers in place; no array a
+    caller holds is ever written."""
+
+    N = 60
+
+    def run(self, state=None):
+        # a small lot, so that the overflow history is not all zeros
+        p = make_params(N_on=150, N_off=10)
+        n = self.N
+        prices = np.tile((1.0, 0.0), (n, 1))
+        return simulate_macro(uniform_profile(300, n), uniform_profile(200, n), prices, p, state)
+
+    def test_initial_state_and_shared_copies_untouched(self):
+        state = self.run().final_state
+        shared = state.copy()  # shares the history arrays
+        before = _state_bytes(state)
+        after = self.run(state).final_state
+        assert _state_bytes(state) == before
+        assert _state_bytes(shared) == before
+        assert after.k == state.k + self.N
+
+    def test_final_histories_hold_k_plus_one_entries(self):
+        first = self.run().final_state
+        assert first.q_off_on_hist.max() > 0.0
+        for final in (first, self.run(first).final_state):
+            for h in (final.o_c_hist, final.o_off_hist, final.q_off_on_hist):
+                assert len(h) == final.k + 1
+
+    def test_runs_from_one_state_are_byte_identical(self):
+        state = self.run().final_state
+        a, b = self.run(state), self.run(state)
+        assert _state_bytes(a.final_state) == _state_bytes(b.final_state)
+        for name in ("n_c", "n_on", "n_off", "v", "o_c", "q_off_on", "q_out_on", "q_out_off"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_macro_step_on_a_returned_state_leaves_its_arrays(self):
+        state = self.run().final_state
+        hists = (state.o_c_hist, state.o_off_hist, state.q_off_on_hist)
+        before = [h.tobytes() for h in hists]
+        p = make_params(N_on=150, N_off=10)
+        macro_step(state, 1.0, 1.0, 1.0, p, p.redeparture_weights(state.k + 1))
+        assert [h.tobytes() for h in hists] == before
+        assert len(state.o_c_hist) == state.k + 1
+
+
+class TestRedepartureTable:
+    DURATIONS = (
+        DurationDistribution("uniform", 0.0, 1.0),
+        DurationDistribution(
+            "table", xs=(0.0, 0.1, 0.4, 1.5, 3.0), cdf_values=(0.0, 0.05, 0.5, 0.9, 1.0)
+        ),
+    )
+
+    @pytest.mark.parametrize("dt", [DT, 200.0 / 3600.0])
+    @pytest.mark.parametrize("duration", DURATIONS, ids=["uniform", "table"])
+    def test_cached_weights_match_step_weights(self, duration, dt):
+        n = 400
+        want = np.array(duration.step_weights(dt, n))
+        p = make_params(duration=duration, dt=dt)
+        for table in (redeparture_table(duration, dt, n), p.redeparture_weights(n)):
+            assert table[::-1].tobytes() == want.tobytes()  # lag 0 is last
+            assert table.flags.c_contiguous
+        assert p.redeparture_weights(n) is redeparture_table(duration, dt, n)
+
+    def test_cached_weights_are_read_only(self):
+        table = make_params().redeparture_weights(50)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 @settings(max_examples=20, deadline=None)

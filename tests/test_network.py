@@ -180,6 +180,12 @@ class TestDurationDistribution:
         assert math.isclose(d.cdf(0.25), 0.4)
         assert d.cdf(1.5) == 1.0
 
+    def test_table_from_lists_hashes_like_tuples(self):
+        lists = DurationDistribution("table", xs=[0.0, 0.5, 1.0], cdf_values=[0.0, 0.8, 1.0])
+        tuples = DurationDistribution("table", xs=(0.0, 0.5, 1.0), cdf_values=(0.0, 0.8, 1.0))
+        assert lists == tuples
+        assert hash(lists) == hash(tuples)
+
     def test_table_must_be_monotone(self):
         with pytest.raises(ValueError):
             DurationDistribution("table", xs=(0.0, 1.0), cdf_values=(0.5, 0.2))
