@@ -132,13 +132,23 @@ class MacroState:
     cum_inflow: float = 0.0
     cum_exit: float = 0.0
 
+    def __post_init__(self):
+        # a history given as a list becomes an array; an array is kept as is
+        for name in ("o_c_hist", "o_off_hist", "q_off_on_hist"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+
     def n_active(self) -> float:
         return self.n_m_off + self.n_m_on + self.n_m_pass + self.n_c
 
     def in_circuit(self, k_off: int) -> float:
         """Vehicles currently cruising out of the full lot (overflow pipeline)."""
         lo = max(1, self.k - k_off + 1)
-        return float(sum(self.q_off_on_hist[lo : self.k + 1]))
+        # left to right, as a plain loop: from Python 3.12 on, the builtin
+        # sum compensates float rounding
+        total = 0.0
+        for q in self.q_off_on_hist[lo : self.k + 1].tolist():
+            total += q
+        return total
 
     def held(self, k_off: int) -> float:
         """Vehicles on the network, parked or in the lot circuit: with the
@@ -226,6 +236,7 @@ def macro_step(
     q_in_pass: float,
     params: MacroParams,
     redeparture_weights: np.ndarray,
+    n_v: tuple[float, float] | None = None,
 ) -> StepFlows:
     """Advance the state by one step (in place) and return the step's flows.
 
@@ -240,6 +251,8 @@ def macro_step(
     least the new step index minus one; ``redeparture_flows`` is the loop
     form of the same sum. The step's flows go into index k of the histories
     when they have room (``simulate_macro``'s buffers), else onto new arrays.
+    ``n_v`` is ``(state.n_active(), nfd_speed(params.nfd, state.n_active()))``
+    when the caller has them already.
     """
     n_m_off, n_m_on, n_m_pass = state.n_m_off, state.n_m_on, state.n_m_pass
     n_c, n_off, n_on = state.n_c, state.n_off, state.n_on
@@ -258,8 +271,10 @@ def macro_step(
         q_out_on = float(np.dot(o_c_hist[1:k], w_rev))
         q_out_off = float(np.dot(o_off_hist[1:k], w_rev))
 
-    n = state.n_active()
-    v = nfd_speed(params.nfd, n)
+    if n_v is None:
+        n = state.n_active()
+        n_v = n, nfd_speed(params.nfd, n)
+    n, v = n_v
     P_c = n_c * min(params.v_on_f, v)
     P_m = n * v - P_c
     n_m_sum = n_m_off + n_m_on + n_m_pass
@@ -393,7 +408,8 @@ def simulate_macro(
         park_inflow.tolist(), pass_inflow.tolist(), prices.tolist()
     ):
         q_in_on, q_in_off = split_demand(q_park, tau_on, tau_off, params)
-        flows.append(macro_step(state, q_in_on, q_in_off, q_pass, params, weights))
+        # the last row's n and v belong to the state this step starts from
+        flows.append(macro_step(state, q_in_on, q_in_off, q_pass, params, weights, acc[-1][6:8]))
         acc.append(record())
 
     t = params.dt * np.arange(n_steps + 1)

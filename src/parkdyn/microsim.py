@@ -14,6 +14,26 @@ the other vehicles on the link, with single-lane links capped at the slowest
 cruiser's desired speed (moving-bottleneck approximation). Parked vehicles
 occupy spots but not road space. A run is fully determined by
 (network, scenario, seed).
+
+State layout. A ``_Vehicle`` keeps a vehicle's identity, trip, route,
+family and logging fields in Python, plus its slot: its index in
+``Simulation.vehicles``. Its kinematic state (position, distances, driving
+times, speed caps, next search re-check) lives in numpy arrays indexed by
+slot, and so does the one record of the link it is on: ``link_key`` is
+``(rank of the link in link_order << 40) + entry sequence number`` while
+the vehicle is on a link and -1 otherwise. Sorting the keys of the on-link
+slots gives the sweep order: links in ``link_order``, and the vehicles on
+a link in the order they entered it.
+
+One step's movement sweep is array-shaped. Link counts, Greenshields
+speeds, the single-lane cruiser cap and every vehicle's advance come from a
+few numpy passes over the on-link slots, and the vehicles without a due
+search re-check advance elementwise. Only vehicles with an event (an
+arrival at the link end, or a cruiser on a supplied link whose re-check is
+due) then go through a sequential Python pass in sweep order, so that spot
+races resolve as in a per-vehicle sweep; a due cruiser that finds no free
+spot advances there. The step's distance is summed left to right in sweep
+order.
 """
 
 from __future__ import annotations
@@ -31,7 +51,6 @@ from .network import (
     DurationDistribution,
     Network,
     TripChain,
-    greenshields_speed,
 )
 
 FAMILIES = ("i", "ii", "iii", "iv", "v", "vi")
@@ -226,48 +245,55 @@ def apply_regional_guidance(
 
 
 class _Vehicle:
+    """A vehicle's identity, trip, route and family; its kinematic state is
+    in the simulation's slot arrays at index ``slot``."""
+
     __slots__ = (
         "vid",
+        "slot",
         "trip",
         "purpose",
         "family",
-        "link",
-        "pos",
         "route",
         "route_i",
         "target_link",
-        "dist_family",
-        "dist_total",
         "dist_iv",
-        "drive_time_s",
-        "freeflow_time_s",
         "circuits",
         "compliant",
-        "next_recheck_s",
         "parked_link",
         "ever_parked",
     )
 
     def __init__(self, vid, trip, compliant):
         self.vid = vid
+        self.slot = None
         self.trip = trip
         self.purpose = trip.purpose
         self.family = "new"
-        self.link = None
-        self.pos = 0.0
         self.route = []
         self.route_i = 0
         self.target_link = None
-        self.dist_family = 0.0
-        self.dist_total = 0.0
         self.dist_iv = 0.0
-        self.drive_time_s = 0.0
-        self.freeflow_time_s = 0.0
         self.circuits = 0
         self.compliant = compliant
-        self.next_recheck_s = 0.0
         self.parked_link = None
         self.ever_parked = False
+
+
+# Per-vehicle state arrays, indexed by slot, with the value of a new slot.
+_SLOT_ARRAYS = {
+    "link_key": -1,  # (link rank << _SEQ_BITS) + entry sequence number; -1 off-link
+    "pos": 0.0,  # km from the start of the link
+    "speed_cap": 0.0,  # desired speed on this link: cruising speed if family iv
+    "ff_speed": 0.0,  # min(link free-flow speed, desired speed), for free-flow time
+    "cruiser_cap": math.inf,  # cruising speed if family iv on a single-lane link
+    "next_recheck_s": math.inf,  # family iv on a supplied link: next look for a freed spot
+    "dist_family": 0.0,  # km driven in the current family
+    "dist_total": 0.0,
+    "drive_time_s": 0.0,
+    "freeflow_time_s": 0.0,
+}
+_SEQ_BITS = 40
 
 
 @dataclass
@@ -370,15 +396,19 @@ class Simulation:
         self._build_demand(rng, boundary)
         self._block_spots(rng)
 
-        self.occupants: dict[str, list[_Vehicle]] = {lid: [] for lid in network.links}
         self.link_order = sorted(network.links)
+        self.link_rank = {lid: r for r, lid in enumerate(self.link_order)}
+        ordered = [network.links[lid] for lid in self.link_order]
+        self._length = np.array([ln.length for ln in ordered], dtype=float)
+        self._lane_km = np.array([ln.length * ln.lanes for ln in ordered], dtype=float)
+        self._vf = np.array([ln.free_flow_speed for ln in ordered], dtype=float)
+        self._kj = np.array([ln.jam_density for ln in ordered], dtype=float)
         self.parked_heap: list = []  # (depart_t_s, seq, vehicle)
         self.circuit_heap: list = []  # (exit_t_s, seq, vehicle)
-        self._seq = 0
-        self._sweeping = False
-        self._entered: list[tuple[str, _Vehicle]] = []
+        self._seq = 0  # orders link entries and heap pushes
         self.events: list[Event] = []
-        self.vehicles: list[_Vehicle] = []  # injected so far
+        self.vehicles: list[_Vehicle] = []  # injected so far; a vehicle's slot is its index
+        self._alloc_slots(len(self.pending))
         # vehicles per family, kept by _log; family ii includes the lot circuit
         self.family_count = {"new": len(self.pending), **dict.fromkeys((*FAMILIES, "exited"), 0)}
         self.still_steps = 0
@@ -456,6 +486,26 @@ class Simulation:
             self.vacate_schedule = [((i + 1) * gap_s, lid) for i, lid in enumerate(vacatable)]
             self.vacate_schedule.reverse()
 
+    def _alloc_slots(self, n: int):
+        """Size the slot arrays for ``n`` vehicles, keeping the slots in use."""
+        for name, fill in _SLOT_ARRAYS.items():
+            arr = np.full(n, fill)
+            old = getattr(self, name, None)
+            if old is not None:
+                arr[: len(old)] = old
+            setattr(self, name, arr)
+
+    def _admit(self, veh: _Vehicle):
+        """Give ``veh`` the next slot."""
+        veh.slot = len(self.vehicles)
+        self.vehicles.append(veh)
+        if veh.slot == len(self.link_key):  # beyond the scheduled demand
+            self._alloc_slots(2 * veh.slot + 1)
+
+    def on_link(self) -> np.ndarray:
+        """Slots of the vehicles on a link, ascending."""
+        return (self.link_key[: len(self.vehicles)] >= 0).nonzero()[0]
+
     # ------------------------------------------------------- spot helpers
 
     def _take_spot(self, lid):
@@ -494,6 +544,7 @@ class Simulation:
             raise RuntimeError(f"illegal family transition {veh.family}->{to_family}")
         self.family_count[veh.family] -= 1
         self.family_count[to_family] += 1
+        dist = self.dist_family.item(veh.slot)
         self.events.append(
             Event(
                 veh.vid,
@@ -501,15 +552,15 @@ class Simulation:
                 veh.family,
                 to_family,
                 link_id,
-                veh.dist_family,
+                dist,
                 self.occ_on(),
                 self.occ_off(),
             )
         )
         if veh.family == "iv":
-            veh.dist_iv += veh.dist_family
+            veh.dist_iv += dist
         veh.family = to_family
-        veh.dist_family = 0.0
+        self.dist_family[veh.slot] = 0.0
 
     # ------------------------------------------------------- search logic
 
@@ -518,18 +569,19 @@ class Simulation:
         self.tau_on = tau_on
         self.tau_off = tau_off
 
-    def _candidates(self, veh: _Vehicle, node_id: int) -> list[str]:
+    def _candidates(self, from_link: str, compliant: bool) -> list[str]:
+        node_id = self.net.links[from_link].to_node
         node = self.net.nodes[node_id]
         outs = self.net.out_links[node_id]
         if not outs:
             raise TopologyError(f"dead-end node {node_id}")
-        reverse = self.net.reverse_link(veh.link) if veh.link else None
+        reverse = self.net.reverse_link(from_link)
         cands = [lid for lid in outs if node.allows_u_turn or lid != reverse]
         if not cands:
             cands = list(outs)
         gc = self.sc.guidance
         if gc.regional_guidance:
-            here = self.link_region.get(veh.link) if veh.link else None
+            here = self.link_region.get(from_link)
             kept = [
                 lid
                 for lid in cands
@@ -537,16 +589,17 @@ class Simulation:
                 or not apply_regional_guidance(
                     self.regional_occupancy(self.link_region[lid]),
                     gc,
-                    veh.compliant,
+                    compliant,
                 )
             ]
             if kept:
                 cands = kept
         return cands
 
-    def local_search_step(self, veh: _Vehicle, node_id: int) -> str:
-        """Next-link choice of a cruising vehicle at an intersection."""
-        cands = self._candidates(veh, node_id)
+    def local_search_step(self, from_link: str, compliant: bool) -> str:
+        """Next-link choice of a cruising vehicle at the end of ``from_link``;
+        ``compliant`` drivers follow regional guidance."""
+        cands = self._candidates(from_link, compliant)
         rng = self.rng_search
         links = self.net.links
         if self.sc.guidance.local_guidance:
@@ -567,12 +620,21 @@ class Simulation:
     # ------------------------------------------------------- state moves
 
     def _place(self, veh: _Vehicle, lid: str):
-        veh.link = lid
-        veh.pos = 0.0
-        if self._sweeping:
-            self._entered.append((lid, veh))
-        else:
-            self.occupants[lid].append(veh)
+        """Put ``veh`` at the start of ``lid``, behind the vehicles already
+        on it. A vehicle's family does not change while it stays on a link,
+        so the family-dependent fields are set here."""
+        s = veh.slot
+        link = self.net.links[lid]
+        trip = veh.trip
+        iv = veh.family == "iv"
+        self._seq += 1
+        self.link_key[s] = (self.link_rank[lid] << _SEQ_BITS) + self._seq
+        self.pos[s] = 0.0
+        self.speed_cap[s] = trip.desired_cruise_speed if iv else trip.desired_speed
+        self.ff_speed[s] = min(link.free_flow_speed, trip.desired_speed)
+        self.cruiser_cap[s] = trip.desired_cruise_speed if iv and link.lanes == 1 else math.inf
+        rechecks = iv and link.parking_capacity > 0
+        self.next_recheck_s[s] = self.t + self.sc.reeval_period if rechecks else math.inf
 
     def _enter_link(self, veh: _Vehicle, lid: str):
         """Move onto a link; searching vehicles park on entry if a spot is free."""
@@ -581,18 +643,16 @@ class Simulation:
                 self._park_on(veh, lid)
                 return
             self._log(veh, "iv", lid)  # target full: the on-street search begins
-            veh.next_recheck_s = self.t + self.sc.reeval_period
         elif veh.family == "iv":
             if self.free[lid] > 0 and self.net.links[lid].parking_capacity > 0:
                 self._park_on(veh, lid)
                 return
-            veh.next_recheck_s = self.t + self.sc.reeval_period
         self._place(veh, lid)
 
     def _park_on(self, veh: _Vehicle, lid: str):
         self._take_spot(lid)
         self._log(veh, "v", lid)
-        veh.link = None
+        self.link_key[veh.slot] = -1
         veh.parked_link = lid
         veh.ever_parked = True
         self._series["parked_on"][self.step_i] += 1
@@ -603,9 +663,9 @@ class Simulation:
 
     def _arrive_lot(self, veh: _Vehicle):
         lot = self.lot
+        self.link_key[veh.slot] = -1
         if self.family_count["vi"] < lot.capacity:
             self._log(veh, "vi", lot.id)
-            veh.link = None
             veh.ever_parked = True
             self._series["parked_off"][self.step_i] += 1
             self._seq += 1
@@ -614,7 +674,6 @@ class Simulation:
             )
         else:
             veh.circuits += 1
-            veh.link = None
             self._series["overflow"][self.step_i] += 1
             self._seq += 1
             heapq.heappush(self.circuit_heap, (self.t + lot.circuit_time * 3600.0, self._seq, veh))
@@ -630,10 +689,9 @@ class Simulation:
 
     def _arrival(self, veh: _Vehicle, lid: str):
         """Vehicle reached the end of ``lid``; route or search onwards."""
-        node = self.net.links[lid].to_node
         fam = veh.family
         if fam == "iv":
-            nxt = self.local_search_step(veh, node)
+            nxt = self.local_search_step(lid, veh.compliant)
             veh.target_link = nxt
             self._enter_link(veh, nxt)
             return
@@ -642,7 +700,7 @@ class Simulation:
             return
         if fam == "iii" and veh.route_i == len(veh.route) - 1:
             self._log(veh, "exited", lid)
-            veh.link = None
+            self.link_key[veh.slot] = -1
             return
         veh.route_i += 1
         self._enter_link(veh, veh.route[veh.route_i])
@@ -653,7 +711,7 @@ class Simulation:
         while self.pending and self.pending[-1].trip.entry_time <= self.t:
             veh = self.pending.pop()
             trip = veh.trip
-            self.vehicles.append(veh)
+            self._admit(veh)
             if trip.purpose == "pass":
                 self._log(veh, "iii", "")
                 veh.route = self.net.path_links(trip.origin, trip.destination)
@@ -687,8 +745,8 @@ class Simulation:
     def _circuit_exits(self):
         while self.circuit_heap and self.circuit_heap[0][0] <= self.t:
             _, _, veh = heapq.heappop(self.circuit_heap)
-            veh.dist_total += self.lot.circuit_length
-            veh.drive_time_s += self.lot.circuit_time * 3600.0
+            self.dist_total[veh.slot] += self.lot.circuit_length
+            self.drive_time_s[veh.slot] += self.lot.circuit_time * 3600.0
             entry = self.lot.entry_link
             self._log(veh, "iv", entry)
             veh.target_link = entry
@@ -710,70 +768,78 @@ class Simulation:
             _, lid = self.vacate_schedule.pop()
             self._free_spot(lid)
 
+    def _sweep(self) -> float:
+        """Move every vehicle that is on a link at the start of the sweep by
+        one dt; return the distance driven, summed in sweep order.
+
+        Vehicles that enter a link during the sweep move from the next step
+        on, and a link's speed comes from the vehicles on it at the start
+        of the sweep."""
+        on = self.on_link()
+        if not on.size:
+            return 0.0
+        keys = self.link_key[on]
+        order = keys.argsort()
+        on = on[order]
+        lk = keys[order] >> _SEQ_BITS  # link rank of each vehicle, in sweep order
+        # Greenshields speed from the density of the other vehicles on the
+        # link, in the operation order of network.greenshields_speed
+        k = (np.bincount(lk, minlength=len(self._length)) - 1) / self._lane_km
+        eff = np.maximum(self._vf * (1.0 - k / self._kj), 0.0)
+        np.minimum.at(eff, lk, self.cruiser_cap[on])  # single-lane links: the slowest cruiser
+        adv = np.minimum(eff[lk], self.speed_cap[on]) * self.dt_hr
+        room = self._length[lk] - self.pos[on]
+        arrived = adv >= room
+        adv = np.minimum(adv, room)
+        ff = 3600.0 * adv / self.ff_speed[on]
+        due = self.next_recheck_s[on] <= self.t
+        quiet = ~due  # a cruiser with a due re-check moves only if it does not park
+        self._advance(on[quiet], adv[quiet], ff[quiet])
+
+        # Sequential pass over the vehicles with an event, in sweep order:
+        # parking and arrivals change spot counts that later vehicles see.
+        parked = []
+        ev = (arrived | due).nonzero()[0]
+        if ev.size:
+            vehicles, free, link_order = self.vehicles, self.free, self.link_order
+            for j, s, r, is_due, is_arrival, a, f in zip(
+                ev.tolist(),
+                on[ev].tolist(),
+                lk[ev].tolist(),
+                due[ev].tolist(),
+                arrived[ev].tolist(),
+                adv[ev].tolist(),
+                ff[ev].tolist(),
+            ):
+                lid = link_order[r]
+                if is_due:
+                    if free[lid] > 0:
+                        self._park_on(vehicles[s], lid)  # a spot freed since entry
+                        parked.append(j)
+                        continue
+                    self._advance(s, a, f)
+                if is_arrival:
+                    self._arrival(vehicles[s], lid)
+        if parked:
+            adv[parked] = 0.0
+        return float(np.cumsum(adv)[-1])
+
+    def _advance(self, slots, adv, ff):
+        """Move ``slots`` on by ``adv`` km, ``ff`` s of free-flow time and
+        one step of driving time."""
+        self.pos[slots] += adv
+        self.dist_family[slots] += adv
+        self.dist_total[slots] += adv
+        self.freeflow_time_s[slots] += ff
+        self.drive_time_s[slots] += self.dt
+
     def step(self):
         """Advance one dt: inject, move, park, cycle the lot, re-depart."""
         i = self.step_i
         self._inject_due()
         self._circuit_exits()
 
-        dt_hr = self.dt_hr
-        moved_any = False
-        dist_sum = 0.0
-        links = self.net.links
-        self._sweeping = True
-        for lid in self.link_order:
-            occ = self.occupants[lid]
-            if not occ:
-                continue
-            link = links[lid]
-            k = (len(occ) - 1) / (link.length * link.lanes)
-            eff = greenshields_speed(k, link.free_flow_speed, link.jam_density)
-            if link.lanes == 1:
-                for veh in occ:
-                    if veh.family == "iv" and veh.trip.desired_cruise_speed < eff:
-                        eff = veh.trip.desired_cruise_speed
-            stay = []
-            free_here = self.free
-            for veh in occ:
-                if (
-                    veh.family == "iv"
-                    and link.parking_capacity > 0
-                    and free_here[lid] > 0
-                    and self.t >= veh.next_recheck_s
-                ):
-                    self._park_on(veh, lid)  # a spot freed since entry
-                    continue
-                cap = (
-                    veh.trip.desired_cruise_speed
-                    if veh.family == "iv"
-                    else veh.trip.desired_speed
-                )
-                v = eff if eff < cap else cap
-                adv = v * dt_hr
-                room = link.length - veh.pos
-                arrived = adv >= room
-                if arrived:
-                    adv = room
-                else:
-                    veh.pos += adv
-                    stay.append(veh)
-                veh.dist_family += adv
-                veh.dist_total += adv
-                veh.drive_time_s += self.dt
-                veh.freeflow_time_s += (
-                    3600.0 * adv / min(link.free_flow_speed, veh.trip.desired_speed)
-                )
-                dist_sum += adv
-                if adv > 0.0:
-                    moved_any = True
-                if arrived:
-                    self._arrival(veh, lid)
-            self.occupants[lid] = stay
-        self._sweeping = False
-        for lid, veh in self._entered:
-            self.occupants[lid].append(veh)
-        self._entered.clear()
-
+        dist_sum = self._sweep()
         self._redepartures()
         self._vacate_due()
 
@@ -795,7 +861,7 @@ class Simulation:
         s["occ_on"][i] = self.occ_on()
         s["occ_off"][i] = self.occ_off()
 
-        if active and not moved_any:
+        if active and not dist_sum > 0.0:  # nobody moved: every advance is >= 0
             self.still_steps += 1
             if self.still_steps >= self.sc.gridlock_steps:
                 self.gridlock = True
@@ -810,13 +876,18 @@ class Simulation:
             self.step()
 
     def check_conservation(self) -> bool:
-        """injected == on-network + parked + in-lot-circuit + exited, and the
-        family ledger matches the vehicles held on links, in the lot circuit
-        and in the parked heap."""
+        """injected == on-network + parked + in-lot-circuit + exited; the
+        family ledger matches the vehicles held on links (the on-link slots),
+        in the lot circuit and in the parked heap; and no on-link slot
+        belongs to a parked, circuiting or exited vehicle."""
+        on = self.on_link().tolist()
         held = dict.fromkeys(self.family_count, 0)
-        for occ in self.occupants.values():
-            for veh in occ:
-                held[veh.family] += 1
+        for s in on:
+            held[self.vehicles[s].family] += 1
+        if held["v"] or held["vi"] or held["exited"]:
+            return False
+        if not {veh.slot for _, _, veh in self.circuit_heap}.isdisjoint(on):
+            return False
         held["ii"] += len(self.circuit_heap)
         for _, _, veh in self.parked_heap:
             held[veh.family] += 1
@@ -840,11 +911,11 @@ class Simulation:
                 entry_s=v.trip.entry_time,
                 family_end=v.family,
                 parked=v.ever_parked,
-                dist_total=v.dist_total,
-                dist_iv=v.dist_iv + (v.dist_family if v.family == "iv" else 0.0),
+                dist_total=self.dist_total.item(v.slot),
+                dist_iv=v.dist_iv + (self.dist_family.item(v.slot) if v.family == "iv" else 0.0),
                 circuits=v.circuits,
-                drive_time_s=v.drive_time_s,
-                freeflow_time_s=v.freeflow_time_s,
+                drive_time_s=self.drive_time_s.item(v.slot),
+                freeflow_time_s=self.freeflow_time_s.item(v.slot),
             )
             for v in self.vehicles
         ]

@@ -107,27 +107,25 @@ class TestLocalSearch:
 
     def test_uniform_over_supplied_candidates(self):
         sim, net = self.make_sim()
-        # center node 4 of the 3x3 grid: four out-links, one is the reverse
-        veh = type("V", (), {"link": "1-4", "compliant": False})()
-        counts = Counter(sim.local_search_step(veh, 4) for _ in range(3000))
+        # center node 4 of the 3x3 grid, reached on 1-4: four out-links,
+        # one is the reverse
+        counts = Counter(sim.local_search_step("1-4", False) for _ in range(3000))
         assert set(counts) == {"4-3", "4-5", "4-7"}  # no u-turn back to 1
         for c in counts.values():
             assert c / 3000 == pytest.approx(1 / 3, abs=0.04)
 
     def test_local_guidance_picks_min_occupancy(self):
         sim, net = self.make_sim(GuidanceConfig(local_guidance=True))
-        veh = type("V", (), {"link": "1-4", "compliant": False})()
         sim.free["4-3"] = 0
         sim.free["4-5"] = 2
         sim.free["4-7"] = 1
-        assert sim.local_search_step(veh, 4) == "4-5"
+        assert sim.local_search_step("1-4", False) == "4-5"
 
     def test_local_guidance_falls_back_to_random(self):
         sim, net = self.make_sim(GuidanceConfig(local_guidance=True))
-        veh = type("V", (), {"link": "1-4", "compliant": False})()
         for lid in ("4-3", "4-5", "4-7"):
             sim.free[lid] = 0
-        picks = {sim.local_search_step(veh, 4) for _ in range(200)}
+        picks = {sim.local_search_step("1-4", False) for _ in range(200)}
         assert picks <= {"4-3", "4-5", "4-7"}
         assert len(picks) > 1
 
@@ -135,8 +133,7 @@ class TestLocalSearch:
         net = build_grid(3, 3, 0.1, 50, 100, 0, 0.0)  # nowhere to park
         sc = small_scenario(parker_count=0, passer_count=0, captive_spots=0)
         sim = Simulation(net, sc, 0)
-        veh = type("V", (), {"link": "1-4", "compliant": False})()
-        picks = {sim.local_search_step(veh, 4) for _ in range(100)}
+        picks = {sim.local_search_step("1-4", False) for _ in range(100)}
         assert picks <= {"4-3", "4-5", "4-7"}
 
     def test_u_turn_candidate_when_allowed(self):
@@ -152,8 +149,7 @@ class TestLocalSearch:
         net = Network(nodes, links)
         sc = small_scenario(parker_count=0, passer_count=0, captive_spots=0)
         sim = Simulation(net, sc, 0)
-        veh = type("V", (), {"link": "0-1", "compliant": False})()
-        picks = {sim.local_search_step(veh, 1) for _ in range(200)}
+        picks = {sim.local_search_step("0-1", False) for _ in range(200)}
         assert picks == {"1-0", "1-2"}  # reverse link included at a u-turn node
 
 
@@ -187,15 +183,15 @@ class TestStep:
         )
         passer.family = "iii"
         passer.route = ["0-1", "1-2"]
-        cruiser.link = passer.link = "0-1"
-        cruiser.pos = passer.pos = 0.0
         cruiser.target_link = "9-9"  # not this link: keep it cruising
         sim.free["0-1"] = 0  # nothing to grab mid-link
-        sim.occupants["0-1"] = [cruiser, passer]
+        for veh in (cruiser, passer):
+            sim._admit(veh)
+            sim._place(veh, "0-1")
         sim.step()
         expected = 10.0 * 1.0 / 3600.0
-        assert cruiser.pos == pytest.approx(expected)
-        assert passer.pos == pytest.approx(expected)
+        assert sim.pos[cruiser.slot] == pytest.approx(expected)
+        assert sim.pos[passer.slot] == pytest.approx(expected)
 
     def test_full_lot_circuit_and_reappearance(self):
         net = small_net(lot_capacity=1)
@@ -212,6 +208,7 @@ class TestStep:
         veh.route = [lot.entry_link]
         veh.route_i = 0
         sim.t = 0.0
+        sim._admit(veh)
         sim._arrive_lot(veh)
         assert len(sim.circuit_heap) == 1
         circuit_s = lot.circuit_time * 3600.0
@@ -242,6 +239,21 @@ class TestStep:
         sim.family_count["iii"] -= 1
         sim.family_count["iv"] += 1  # right total, wrong families
         assert not sim.check_conservation()
+
+    def test_conservation_checks_slot_arrays(self):
+        sim = Simulation(small_net(), small_scenario(), 1)
+        sim.run_until(900.0)
+        assert sim.check_conservation()
+        parked = sim.parked_heap[0][2].slot
+        on = sim.on_link()[0]
+        keys = sim.link_key.copy()
+        sim.link_key[parked] = sim.link_key[on] + 1  # a parked vehicle on a link
+        assert not sim.check_conservation()
+        sim.link_key[:] = keys
+        sim.link_key[on] = -1  # an on-road vehicle missing from the arrays
+        assert not sim.check_conservation()
+        sim.link_key[:] = keys
+        assert sim.check_conservation()
 
     def test_determinism_bit_identical_events(self):
         net = small_net()

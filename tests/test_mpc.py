@@ -248,7 +248,7 @@ class TestMicroPlant:
         plant = MicroPlant(sim, params)
         plant.advance(0.25)
         state = plant.read_state()
-        on_net = sum(len(v) for v in sim.occupants.values())
+        on_net = len(sim.on_link())
         assert state.n_active() == pytest.approx(on_net)
         assert state.n_on == sim.occupied_on
         parked_off = sum(veh.family == "vi" for _, _, veh in sim.parked_heap)
