@@ -8,13 +8,14 @@ quantifies macro-vs-micro consistency on aligned time grids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .estimators import DistanceModel, FitDegenerateError, fit as fit_estimator
 from .macromodel import MacroTrajectories, NfdModel
 from .microsim import Event, RunResult, macro_blocks, measure_nfd, whole_steps
+from .network import from_json
 
 
 def nfd_samples(results: list[RunResult], window_s: float = 60.0) -> list[tuple[float, float]]:
@@ -194,54 +195,25 @@ class CalibrationReport:
     """Fitted macro inputs plus diagnostics, serializable to calibration.json."""
 
     nfd: NfdModel
-    nfd_diag: dict
     l_m_on: float
     l_m_off: float
     l_m_pass: float
     distance_model: DistanceModel
-    distance_diag: dict
+    nfd_diag: dict = field(default_factory=dict)
+    distance_diag: dict = field(default_factory=dict)
     moving_distance_std: dict = field(default_factory=dict)
     scenario_filter: str = "increasing+init"
 
-    def to_dict(self) -> dict:
-        return {
-            "nfd": {"v0": self.nfd.v0, "n0": self.nfd.n0, "w": self.nfd.w},
-            "nfd_diag": self.nfd_diag,
-            "l_m_on": self.l_m_on,
-            "l_m_off": self.l_m_off,
-            "l_m_pass": self.l_m_pass,
-            "distance_model": {"kind": self.distance_model.kind, "params": self.distance_model.params},
-            "distance_diag": self.distance_diag,
-            "moving_distance_std": self.moving_distance_std,
-            "scenario_filter": self.scenario_filter,
-        }
-
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-
-    @staticmethod
-    def from_dict(d: dict) -> "CalibrationReport":
-        return CalibrationReport(
-            nfd=NfdModel(**d["nfd"]),
-            nfd_diag=d.get("nfd_diag", {}),
-            l_m_on=d["l_m_on"],
-            l_m_off=d["l_m_off"],
-            l_m_pass=d["l_m_pass"],
-            distance_model=DistanceModel(d["distance_model"]["kind"], d["distance_model"]["params"]),
-            distance_diag=d.get("distance_diag", {}),
-            moving_distance_std=d.get("moving_distance_std", {}),
-            scenario_filter=d.get("scenario_filter", "increasing+init"),
-        )
+            json.dump(asdict(self), fh, indent=1, sort_keys=True)
 
     @staticmethod
     def load(path) -> "CalibrationReport":
         with open(path) as fh:
             try:
-                return CalibrationReport.from_dict(json.load(fh))
-            except KeyError as e:
-                raise ValueError(f"calibration file {path}: missing field {e.args[0]!r}") from None
-            except (TypeError, ValueError) as e:
+                return from_json(CalibrationReport, json.load(fh))
+            except ValueError as e:
                 raise ValueError(f"calibration file {path}: {e}") from None
 
 
@@ -286,8 +258,8 @@ def micro_series_on_macro_grid(results: list[RunResult], dt_macro_s: float) -> d
     out = {"n_on": [], "n_off": [], "n_active": [], "v": []}
     for res in results:
         s = res.series
-        cap = s["occ_on"] * _total_capacity(res)
-        out["n_on"].append(macro_blocks(cap, steps).mean(axis=1))
+        n_on = s["occ_on"] * res.summary["on_street_capacity"]  # occ_on = n_on / capacity
+        out["n_on"].append(macro_blocks(n_on, steps).mean(axis=1))
         out["n_off"].append(macro_blocks(s["n_off"], steps).mean(axis=1))
         out["n_active"].append(macro_blocks(s["active"], steps).mean(axis=1))
         dist = macro_blocks(s["dist_km"], steps).sum(axis=1)
@@ -295,11 +267,6 @@ def micro_series_on_macro_grid(results: list[RunResult], dt_macro_s: float) -> d
         with np.errstate(invalid="ignore", divide="ignore"):
             out["v"].append(np.where(time_vh > 0, dist / time_vh, np.nan))
     return {k: np.array(v) for k, v in out.items()}
-
-
-def _total_capacity(res: RunResult) -> float:
-    # occ_on is occupied/capacity; recover the capacity from the summary
-    return res.summary.get("on_street_capacity", 0.0)
 
 
 def validate(macro: MacroTrajectories, micro: dict) -> dict:

@@ -199,7 +199,7 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
     summary = metrics.get("summary") if isinstance(metrics, dict) else None
     if not isinstance(summary, dict):
         raise ValueError(f"{path}: missing field 'summary'")
-    for key in ("seed", "network_length", "l_off", "v_off_f"):
+    for key in ("seed", "network_length", "l_off", "v_off_f", "on_street_capacity"):
         if key not in summary:
             raise ValueError(f"{path}: missing field 'summary.{key}'")
         if isinstance(summary[key], bool) or not isinstance(summary[key], (int, float)):
@@ -207,6 +207,8 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
     for key in ("network_length", "v_off_f"):
         if not 0 < summary[key] < math.inf:
             raise ValueError(f"{path}: field 'summary.{key}' must be > 0 and finite")
+    if type(summary["on_street_capacity"]) is not int or summary["on_street_capacity"] < 0:
+        raise ValueError(f"{path}: field 'summary.on_street_capacity' must be an integer >= 0")
     dt = float(series["t_s"][1] - series["t_s"][0]) if len(series["t_s"]) > 1 else 1.0
     if dt <= 0:
         raise ValueError(f"{series_path}: field 't_s' must increase")
@@ -214,9 +216,7 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
         events=events,
         series=series,
         vehicles=[],
-        seed=summary["seed"],
         dt_sim=dt,
-        horizon=len(series["t_s"]) * dt / 3600.0,
         network_length=summary["network_length"],
         l_off=summary["l_off"],
         v_off_f=summary["v_off_f"],

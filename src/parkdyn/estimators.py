@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-KINDS = ("exp-time", "hyperbolic-time", "geometric", "modified-geometric", "exp-distance")
-_SINGULAR = ("hyperbolic-time", "geometric", "modified-geometric")
-_N_PARAMS = {
-    "exp-time": 2,
-    "hyperbolic-time": 1,
-    "geometric": 1,
-    "modified-geometric": 3,
-    "exp-distance": 2,
+_PARAM_NAMES = {
+    "exp-time": {"a", "b"},
+    "hyperbolic-time": {"c"},
+    "geometric": {"d_p"},
+    "modified-geometric": {"d_np", "d", "m"},
+    "exp-distance": {"a", "b"},
 }
+KINDS = tuple(_PARAM_NAMES)
+_SINGULAR = ("hyperbolic-time", "geometric", "modified-geometric")
 
 
 class SingularOccupancyError(ValueError):
@@ -53,15 +53,6 @@ class DistanceModel:
     @property
     def is_singular(self) -> bool:
         return self.kind in _SINGULAR
-
-
-_PARAM_NAMES = {
-    "exp-time": {"a", "b"},
-    "hyperbolic-time": {"c"},
-    "geometric": {"d_p"},
-    "modified-geometric": {"d_np", "d", "m"},
-    "exp-distance": {"a", "b"},
-}
 
 
 def evaluate(model: DistanceModel, occupancy: float) -> float:
@@ -109,8 +100,9 @@ def fit(observations, kind: str) -> tuple[DistanceModel, dict[str, float]]:
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     obs = [(float(o), float(v)) for o, v in observations]
-    if len(obs) < _N_PARAMS[kind]:
-        raise FitDegenerateError(f"{kind} needs at least {_N_PARAMS[kind]} observations")
+    n_params = len(_PARAM_NAMES[kind])
+    if len(obs) < n_params:
+        raise FitDegenerateError(f"{kind} needs at least {n_params} observations")
     O = np.array([o for o, _ in obs])
     y = np.array([v for _, v in obs])
     if np.any((O < 0) | (O >= 1)):

@@ -42,7 +42,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +51,7 @@ from .network import (
     DurationDistribution,
     Network,
     TripChain,
+    from_json,
 )
 
 FAMILIES = ("i", "ii", "iii", "iv", "v", "vi")
@@ -153,36 +154,15 @@ class ScenarioConfig:
         return whole_steps(self.horizon * 3600.0, self.dt_sim, "horizon", "dt_sim")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "ScenarioConfig":
-        d = dict(d)
-        for name in ("duration", "guidance"):
-            if name in d and not isinstance(d[name], dict):
-                raise ValueError(f"field {name!r} must be a JSON object")
-        if "duration" in d:
-            d["duration"] = _from_fields(DurationDistribution, d["duration"], "duration.")
-        if "guidance" in d:
-            d["guidance"] = _from_fields(GuidanceConfig, d["guidance"], "guidance.")
-        return _from_fields(ScenarioConfig, d, "")
+        return asdict(self)
 
     @staticmethod
     def load(path) -> "ScenarioConfig":
         with open(path) as fh:
             try:
-                return ScenarioConfig.from_dict(json.load(fh))
-            except (TypeError, ValueError) as e:
+                return from_json(ScenarioConfig, json.load(fh))
+            except ValueError as e:
                 raise ValueError(f"scenario file {path}: {e}") from None
-
-
-def _from_fields(cls, d: dict, prefix: str):
-    """``cls(**d)``, rejecting keys that are not fields of ``cls``."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown field {prefix + unknown[0]!r}")
-    return cls(**d)
 
 
 class Event(NamedTuple):
@@ -303,9 +283,7 @@ class RunResult:
     events: list[Event]
     series: dict[str, np.ndarray]
     vehicles: list[VehicleRecord]
-    seed: int
     dt_sim: float
-    horizon: float
     network_length: float
     l_off: float
     v_off_f: float
@@ -372,9 +350,7 @@ class Simulation:
         self.rng_choice = random.Random(f"{seed}-choice")
         rng = random.Random(f"{seed}-demand")
 
-        self.lot = next(iter(sorted(network.lots))) if network.lots else None
-        if self.lot is not None:
-            self.lot = network.lots[self.lot]
+        self.lot = network.lot
         # circuit length (km) and in-lot speed (km/hr) of the lot, if any
         self.l_off = self.lot.circuit_length if self.lot else 0.0
         self.v_off_f = self.lot.internal_cruise_speed if self.lot else 1.0
@@ -691,9 +667,7 @@ class Simulation:
         """Vehicle reached the end of ``lid``; route or search onwards."""
         fam = veh.family
         if fam == "iv":
-            nxt = self.local_search_step(lid, veh.compliant)
-            veh.target_link = nxt
-            self._enter_link(veh, nxt)
+            self._enter_link(veh, self.local_search_step(lid, veh.compliant))
             return
         if fam == "ii" and veh.route_i == len(veh.route) - 1:
             self._arrive_lot(veh)
@@ -749,7 +723,6 @@ class Simulation:
             self.drive_time_s[veh.slot] += self.lot.circuit_time * 3600.0
             entry = self.lot.entry_link
             self._log(veh, "iv", entry)
-            veh.target_link = entry
             self._enter_link(veh, entry)
 
     def _redepartures(self):
@@ -937,9 +910,7 @@ class Simulation:
             events=list(self.events),
             series=trimmed,
             vehicles=records,
-            seed=self.seed,
             dt_sim=self.dt,
-            horizon=self.sc.horizon,
             network_length=self.net.total_length,
             l_off=self.l_off,
             v_off_f=self.v_off_f,

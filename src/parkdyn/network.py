@@ -6,9 +6,12 @@ the units used throughout the package: km, km/hr, veh/km/lane.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
-from dataclasses import dataclass, replace
+import sys
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 
@@ -87,7 +90,8 @@ class OffStreetLot:
 
 
 class Network:
-    """Immutable directed road graph with parking supplies and lots.
+    """Immutable directed road graph with parking supplies and at most one
+    off-street lot, as both models have.
 
     ``region_assignment`` maps every link id to an integer region, used by
     the bi-partitioned regional guidance.
@@ -104,11 +108,12 @@ class Network:
             if ln.from_node not in self.nodes or ln.to_node not in self.nodes:
                 raise ValueError(f"link {ln.id}: endpoint not in network")
             self.links[ln.id] = ln
-        self.lots: dict[str, OffStreetLot] = {}
-        for lot in lots:
+        self.lots: tuple[OffStreetLot, ...] = tuple(lots)
+        if len(self.lots) > 1:
+            raise ValueError(f"{len(self.lots)} lots given, a network has at most one")
+        for lot in self.lots:
             if lot.entry_link not in self.links:
                 raise ValueError(f"lot {lot.id}: entry link {lot.entry_link} not in network")
-            self.lots[lot.id] = lot
         self.region_assignment: dict[str, int] = dict(region_assignment or {})
         for lid in self.region_assignment:
             if lid not in self.links:
@@ -129,6 +134,11 @@ class Network:
         for ln in self.links.values():
             self._reverse[ln.id] = by_pair.get((ln.to_node, ln.from_node))
         self._next_hop: dict[int, dict[int, str]] | None = None
+
+    @property
+    def lot(self) -> OffStreetLot | None:
+        """The off-street lot, if the network has one."""
+        return self.lots[0] if self.lots else None
 
     @property
     def total_parking_capacity(self) -> int:
@@ -220,38 +230,10 @@ class Network:
         return True
 
     def to_dict(self) -> dict:
-        return {
-            "units": {"length": "km", "speed": "km/hr", "density": "veh/km/lane"},
-            "nodes": [
-                {"id": n.id, "x": n.x, "y": n.y, "allows_u_turn": n.allows_u_turn}
-                for n in sorted(self.nodes.values(), key=lambda n: n.id)
-            ],
-            "links": [
-                {
-                    "id": ln.id,
-                    "from_node": ln.from_node,
-                    "to_node": ln.to_node,
-                    "length": ln.length,
-                    "free_flow_speed": ln.free_flow_speed,
-                    "jam_density": ln.jam_density,
-                    "lanes": ln.lanes,
-                    "parking_capacity": ln.parking_capacity,
-                    "spot_spacing": ln.spot_spacing,
-                }
-                for ln in sorted(self.links.values(), key=lambda ln: ln.id)
-            ],
-            "lots": [
-                {
-                    "id": lot.id,
-                    "entry_link": lot.entry_link,
-                    "capacity": lot.capacity,
-                    "circuit_length": lot.circuit_length,
-                    "internal_cruise_speed": lot.internal_cruise_speed,
-                }
-                for lot in sorted(self.lots.values(), key=lambda lot: lot.id)
-            ],
-            "regions": {lid: self.region_assignment[lid] for lid in sorted(self.region_assignment)},
-        }
+        nodes = tuple(self.nodes[nid] for nid in sorted(self.nodes))
+        links = tuple(self.links[lid] for lid in sorted(self.links))
+        regions = dict(sorted(self.region_assignment.items()))
+        return asdict(_NetworkFile(nodes, links, self.lots, regions))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
@@ -469,7 +451,7 @@ def redistribute_parking(
     return Network(
         list(network.nodes.values()),
         new_links,
-        lots=list(network.lots.values()),
+        lots=network.lots,
         region_assignment=network.region_assignment,
     )
 
@@ -478,7 +460,7 @@ def add_lot(network: Network, lot: OffStreetLot) -> Network:
     return Network(
         list(network.nodes.values()),
         list(network.links.values()),
-        lots=list(network.lots.values()) + [lot],
+        lots=network.lots + (lot,),
         region_assignment=network.region_assignment,
     )
 
@@ -487,57 +469,132 @@ def save_network(network: Network, path) -> None:
     Path(path).write_text(json.dumps(network.to_dict(), indent=1, sort_keys=True))
 
 
+@dataclass(frozen=True)
+class _NetworkFile:
+    """The JSON layout of a network file."""
+
+    nodes: tuple[Node, ...]
+    links: tuple[Link, ...]
+    lots: tuple[OffStreetLot, ...] = ()
+    regions: dict[str, int] = field(default_factory=dict)
+    units: dict = field(
+        default_factory=lambda: {"length": "km", "speed": "km/hr", "density": "veh/km/lane"}
+    )
+
+
 def load_network(path) -> Network:
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise NetworkFormatError(f"{path}: not valid JSON ({e})") from e
-
-    def need(d, key, where):
-        if key not in d:
-            raise NetworkFormatError(f"{path}: missing {key!r} in {where}")
-        return d[key]
-
     try:
-        nodes = [
-            Node(
-                id=int(need(n, "id", "node")),
-                x=float(n.get("x", 0.0)),
-                y=float(n.get("y", 0.0)),
-                allows_u_turn=bool(n.get("allows_u_turn", False)),
-            )
-            for n in need(raw, "nodes", "file")
-        ]
-        links = [
-            Link(
-                id=str(need(ln, "id", "link")),
-                from_node=int(need(ln, "from_node", f"link {ln.get('id')}")),
-                to_node=int(need(ln, "to_node", f"link {ln.get('id')}")),
-                length=float(need(ln, "length", f"link {ln.get('id')}")),
-                free_flow_speed=float(ln.get("free_flow_speed", 50.0)),
-                jam_density=float(ln.get("jam_density", 100.0)),
-                lanes=int(ln.get("lanes", 1)),
-                parking_capacity=int(ln.get("parking_capacity", 0)),
-                spot_spacing=float(ln.get("spot_spacing", 0.0)),
-            )
-            for ln in need(raw, "links", "file")
-        ]
-        lots = [
-            OffStreetLot(
-                id=str(need(lot, "id", "lot")),
-                entry_link=str(need(lot, "entry_link", f"lot {lot.get('id')}")),
-                capacity=int(need(lot, "capacity", f"lot {lot.get('id')}")),
-                circuit_length=float(lot.get("circuit_length", 0.3)),
-                internal_cruise_speed=float(lot.get("internal_cruise_speed", 15.0)),
-            )
-            for lot in raw.get("lots", [])
-        ]
-        regions = raw.get("regions", {})
-        if not isinstance(regions, dict):
-            raise NetworkFormatError(f"{path}: 'regions' must be a JSON object")
-        regions = {str(k): int(v) for k, v in regions.items()}
-        return Network(nodes, links, lots=lots, region_assignment=regions)
-    except NetworkFormatError:
-        raise
-    except (ValueError, TypeError, KeyError, OverflowError) as e:
+        f = from_json(_NetworkFile, raw)
+        return Network(f.nodes, f.links, lots=f.lots, region_assignment=f.regions)
+    except (ValueError, OverflowError) as e:  # OverflowError: a count beyond the float range
         raise NetworkFormatError(f"{path}: {e}") from e
+
+
+def from_json(cls, obj):
+    """The dataclass ``cls`` read from the JSON document ``obj``.
+
+    Every key must be a field of ``cls``, and every field without a default
+    must be present. Each value must match its field's annotation: ``bool``
+    and ``str`` exactly, ``int`` an integer (not a boolean), ``float`` a
+    finite number (stored as float), ``tuple[X, ...]`` an array of X,
+    ``dict[str, X]`` an object of X, a bare ``dict`` any object, and a
+    dataclass an object read by these rules. A ValueError names the field
+    by its dotted path, as in ``unknown field 'links[3].lane'``.
+    """
+    return _reader(cls)(obj, "", None)
+
+
+# A reader is called as read(value, parent, key): the value is at ``key``
+# (a field name, an array index, or None for the whole document) of the
+# value at dotted path ``parent``. The path is joined only where needed.
+
+
+def _path(parent: str, key) -> str:
+    if key is None:
+        return parent
+    if isinstance(key, int):
+        return f"{parent}[{key}]"
+    return f"{parent}.{key}" if parent else key
+
+
+def _mismatch(parent: str, key, what: str) -> ValueError:
+    path = _path(parent, key)
+    where = f"field {path!r}" if path else "the file"
+    return ValueError(f"{where} must be {what}")
+
+
+_EXACT = {int: "an integer", bool: "true or false", str: "a string", dict: "a JSON object",
+          list: "a JSON array"}
+
+
+def _exact(kind):
+    def read(value, parent, key):
+        if type(value) is not kind:
+            raise _mismatch(parent, key, _EXACT[kind])
+        return value
+
+    return read
+
+
+_MAX_FLOAT = sys.float_info.max
+
+
+def _read_float(value, parent, key):
+    # the comparison is exact for integers of any size, and false for nan
+    if type(value) not in (int, float) or not -_MAX_FLOAT <= value <= _MAX_FLOAT:
+        raise _mismatch(parent, key, "a finite number")
+    return float(value)
+
+
+@functools.cache
+def _reader(tp):
+    """The reader for annotation ``tp``. It is built once per annotation, so
+    a dataclass's fields and type hints are resolved once, not per record."""
+    if tp is float:
+        return _read_float
+    if tp in _EXACT:
+        return _exact(tp)
+    is_object = _exact(dict)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple and args[1:] == (Ellipsis,):
+        item, is_array = _reader(args[0]), _exact(list)
+
+        def read_tuple(value, parent, key):
+            path = _path(parent, key)
+            return tuple(item(x, path, i) for i, x in enumerate(is_array(value, parent, key)))
+
+        return read_tuple
+    if origin is dict and args[0] is str:
+        item = _reader(args[1])
+
+        def read_dict(value, parent, key):
+            path = _path(parent, key)
+            return {k: item(x, path, k) for k, x in is_object(value, parent, key).items()}
+
+        return read_dict
+    if not is_dataclass(tp):
+        raise TypeError(f"no JSON reader for {tp!r}")
+    hints = typing.get_type_hints(tp)
+    readers = {f.name: _reader(hints[f.name]) for f in fields(tp)}
+    required = [
+        f.name for f in fields(tp) if f.default is MISSING and f.default_factory is MISSING
+    ]
+
+    def read_dataclass(obj, parent, key):
+        path = _path(parent, key)
+        kwargs = {}
+        for name, value in is_object(obj, parent, key).items():
+            read = readers.get(name)
+            if read is None:
+                raise ValueError(f"unknown field {_path(path, name)!r}")
+            kwargs[name] = read(value, path, name)
+        for name in required:
+            if name not in kwargs:
+                raise ValueError(f"missing field {_path(path, name)!r}")
+        return tp(**kwargs)
+
+    return read_dataclass

@@ -89,7 +89,7 @@ def macro_params_from_calibration(
     dt: float = 10.0 / 3600.0,
 ) -> MacroParams:
     """MacroParams with calibrated curves and the scenario's known constants."""
-    lot = next(iter(network.lots.values())) if network.lots else None
+    lot = network.lot  # without one, placeholders: MacroParams needs l_off, v_off_f > 0
     return MacroParams(
         nfd=report.nfd,
         distance_model=report.distance_model,

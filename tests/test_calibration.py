@@ -212,7 +212,7 @@ class TestSegmentedDistancesAndPipeline:
         path = tmp_path / "calibration.json"
         report.save(path)
         again = CalibrationReport.load(path)
-        assert again.to_dict() == report.to_dict()
+        assert again == report
 
     def test_low_cross_replication_variance(self, runs):
         d = estimate_moving_distances([r.events for r in runs])

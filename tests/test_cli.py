@@ -98,6 +98,9 @@ def test_micro_rerun_byte_identical(workdir, tmp_path, jobs):
         ({"guidance": [1]}, "'guidance'"),
         ({"dt_sim": 0.7, "horizon": 0.05}, "horizon 180 s is not a whole, positive multiple "
                                            "of the dt_sim 0.7 s"),
+        ({"parker_count": 2.5}, "field 'parker_count' must be an integer"),
+        ({"cruise_speed": "30"}, "field 'cruise_speed' must be a finite number"),
+        ({"guidance": {"local_guidance": "no"}}, "field 'guidance.local_guidance' must be true"),
     ],
 )
 def test_scenario_loader_names_file_and_field(workdir, tmp_path, capsys, scenario, field):
@@ -111,6 +114,59 @@ def test_scenario_loader_names_file_and_field(workdir, tmp_path, capsys, scenari
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and str(bad) in err[0] and field in err[0]
+
+
+def _json_with(alter):
+    """An alteration of a JSON file that edits its document in place."""
+
+    def edit(text):
+        doc = json.loads(text)
+        alter(doc)
+        return json.dumps(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, alter, field",
+    [
+        ("net.json", lambda d: d["nodes"][0].update(allows_u_turn="false"),
+         "field 'nodes[0].allows_u_turn' must be true or false"),
+        ("net.json", lambda d: d["links"][3].update(lanes=1.9),
+         "field 'links[3].lanes' must be an integer"),
+        ("net.json", lambda d: d["links"][0].update(lane=2), "unknown field 'links[0].lane'"),
+        ("calibration.json", lambda d: d.update(l_m_on="0.4"),
+         "field 'l_m_on' must be a finite number"),
+        ("calibration.json", lambda d: d["nfd"].update(k=1.0), "unknown field 'nfd.k'"),
+    ],
+)
+def test_network_and_calibration_loaders_name_file_and_field(
+    workdir, tmp_path, capsys, name, alter, field
+):
+    files = {n: workdir / n for n in ("net.json", "calibration.json")}
+    bad = files[name] = tmp_path / name
+    bad.write_text(_json_with(alter)((workdir / name).read_text()))
+    rc = main(
+        ["macro", "run", "--net", str(files["net.json"]), "--config",
+         str(workdir / "scenario.json"), "--calibration", str(files["calibration.json"]),
+         "--out", str(tmp_path / "m.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and str(bad) in err[0] and field in err[0]
+
+
+def test_net_check_rejects_second_lot(workdir, tmp_path, capsys):
+    def second_lot(doc):
+        doc["lots"].insert(0, dict(doc["lots"][0], id="z", capacity=7))
+
+    bad = tmp_path / "net.json"
+    bad.write_text(_json_with(second_lot)((workdir / "net.json").read_text()))
+    assert main(["net", "check", "--net", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"INVALID: {bad}: 2 lots given, a network has at most one"]
 
 
 def test_calibration_loader_names_file_and_field(workdir, tmp_path, capsys):
@@ -177,6 +233,10 @@ def _huge_field(text):
         ("series.csv", _truncate_series, "'active'"),
         ("events.csv", _bad_vehicle_id, "'vehicle_id'"),
         ("metrics.json", _zero_network_length, "'summary.network_length'"),
+        ("metrics.json", _json_with(lambda d: d["summary"].pop("on_street_capacity")),
+         "missing field 'summary.on_street_capacity'"),
+        ("metrics.json", _json_with(lambda d: d["summary"].update(on_street_capacity="20")),
+         "field 'summary.on_street_capacity' must be a number"),
         # written with surrogateescape, "\udcff" is the non-UTF-8 byte 0xff
         ("series.csv", _set_active("\udcff"), "line 3: field 'active': bad value"),
         ("series.csv", _set_active("nan"), "line 3: field 'active' must be finite"),
@@ -194,6 +254,16 @@ def test_run_dir_loader_names_file_and_field(workdir, tmp_path, capsys, name, al
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and str(bad) in err[0] and field in err[0]
+
+
+def test_readme_scenario_block_loads(tmp_path):
+    """The scenario file README shows loads through the strict reader."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A scenario file is", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "scenario.json"
+    path.write_text(block)
+    sc = ScenarioConfig.load(path)
+    assert sc.parker_count == 400 and sc.guidance.compliance == 1.0
 
 
 def test_theory_sweep_outputs(workdir):

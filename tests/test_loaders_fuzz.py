@@ -1,9 +1,11 @@
 """Fuzz the file loaders: any JSON document, and any run directory, either
 loads or raises ValueError naming the file (which the CLI prints as one
-``error:`` line), never another exception type."""
+``error:`` line), never another exception type. What loads holds values of
+the annotated types only."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -58,6 +60,26 @@ def path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
+def _check_type(value, tp):
+    """``value`` is of annotation ``tp``, all the way down."""
+    if is_dataclass(tp):
+        assert type(value) is tp
+        hints = get_type_hints(tp)
+        for f in fields(tp):
+            _check_type(getattr(value, f.name), hints[f.name])
+    elif get_origin(tp) is tuple:
+        assert type(value) is tuple
+        for item in value:
+            _check_type(item, get_args(tp)[0])
+    elif get_origin(tp) is dict:
+        assert type(value) is dict
+        for key, item in value.items():
+            assert type(key) is str
+            _check_type(item, get_args(tp)[1])
+    else:
+        assert type(value) is tp, (value, tp)
+
+
 def _loads_or_value_error(load, path, doc):
     """The loaded object, or None after a ValueError naming the file."""
     path.write_text(json.dumps(doc))
@@ -72,14 +94,15 @@ def _loads_or_value_error(load, path, doc):
 def test_scenario_loader(path, doc):
     sc = _loads_or_value_error(ScenarioConfig.load, path, doc)
     if sc is not None:
-        assert isinstance(sc.duration, DurationDistribution)
-        assert isinstance(sc.guidance, GuidanceConfig)
+        _check_type(sc, ScenarioConfig)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_json | _calibration)
 def test_calibration_loader(path, doc):
-    _loads_or_value_error(CalibrationReport.load, path, doc)
+    report = _loads_or_value_error(CalibrationReport.load, path, doc)
+    if report is not None:
+        _check_type(report, CalibrationReport)
 
 
 _ids = st.integers(0, 3) | st.sampled_from(["a", "b"]) | st.floats(0.01, 1.0)
@@ -99,7 +122,14 @@ _network = _some_of(
 @settings(max_examples=300, deadline=None)
 @given(_json | _network)
 def test_network_loader(path, doc):
-    _loads_or_value_error(load_network, path, doc)
+    net = _loads_or_value_error(load_network, path, doc)
+    if net is not None:
+        for node in net.nodes.values():
+            _check_type(node, Node)
+        for link in net.links.values():
+            _check_type(link, Link)
+        _check_type(net.lots, tuple[OffStreetLot, ...])
+        _check_type(net.region_assignment, dict[str, int])
 
 
 _num = st.floats(allow_nan=True, allow_infinity=True).map(repr) | st.integers(-2, 2).map(str)
@@ -119,7 +149,9 @@ def _csv(columns, ints=()):
     return text | st.binary(max_size=24)
 
 
-_SUMMARY = {"seed": 0, "network_length": 1.0, "l_off": 0.3, "v_off_f": 15.0}
+_SUMMARY = {
+    "seed": 0, "network_length": 1.0, "l_off": 0.3, "v_off_f": 15.0, "on_street_capacity": 4,
+}
 _number = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-2, 5)
 _RUN_FILES = {
     "events.csv": (",".join(Event._fields).encode(), _csv(Event._fields, ints=("vehicle_id",))),

@@ -183,7 +183,6 @@ class TestStep:
         )
         passer.family = "iii"
         passer.route = ["0-1", "1-2"]
-        cruiser.target_link = "9-9"  # not this link: keep it cruising
         sim.free["0-1"] = 0  # nothing to grab mid-link
         for veh in (cruiser, passer):
             sim._admit(veh)

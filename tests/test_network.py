@@ -80,7 +80,7 @@ def test_roundtrip_covers_all_fields(tmp_path):
     again = load_network(path)
     assert again == net
     assert again.nodes[0].allows_u_turn
-    assert again.lots["garage"].circuit_length == 0.45
+    assert again.lot.id == "garage" and again.lot.circuit_length == 0.45
 
 
 def replace_link(ln, **kw):
