@@ -127,13 +127,41 @@ def _run_one_seed(net, sc, seed, out_dir, nfd_window):
     return res.summary
 
 
-def _read_csv(path, columns, types) -> list[tuple]:
-    """Rows of a CSV file with a header line, as tuples of ``types`` applied
-    to ``columns``. A missing column, a short row or a value that does not
-    convert (a byte that is not UTF-8 included) raises ValueError naming the
-    file, the line and the field; a line the csv module rejects raises one
-    naming the file and the line."""
-    # an undecodable byte becomes a lone surrogate, which float, int and _utf8 reject
+def _read_csv(path, columns, types) -> list[list]:
+    """The ``columns`` of a CSV file with a header line, each converted by its
+    entry in ``types``. A converter runs once per distinct text, and equal
+    texts share one converted object, so a value repeated across rows (a
+    family name, a link id, a time) is held once. On any fault the file is
+    read again row by row, and the first fault in file order (line, then
+    field) is raised as a ValueError naming the file, the line and the field;
+    a missing column names the file and the column."""
+    try:
+        # an undecodable byte becomes a lone surrogate, which float, int and _utf8 reject
+        with open(path, newline="", errors="surrogateescape") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            picks = [header.index(c) for c in columns]
+            rows = list(reader)
+        if any(len(row) < len(header) for row in rows):
+            raise ValueError(f"{path}: short row")
+        memos = {t: {} for t in types}
+        out = []
+        for i, t in zip(picks, types):
+            memo = memos[t]
+            for text in {row[i] for row in rows}.difference(memo):
+                memo[text] = t(text)
+            out.append([memo[row[i]] for row in rows])
+        return out
+    except (ValueError, csv.Error):
+        _raise_first_fault(path, columns, types)
+        raise  # reached only if the file changed between the two reads
+
+
+def _raise_first_fault(path, columns, types):
+    """Raise the ValueError for the first fault of a CSV file that
+    ``_read_csv`` rejected: a missing column, or else, scanning line by line,
+    a short row, a value that does not convert (a byte that is not UTF-8
+    included), or a line the csv module rejects (named by line alone)."""
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
@@ -142,21 +170,17 @@ def _read_csv(path, columns, types) -> list[tuple]:
             if missing:
                 raise ValueError(f"{path}: missing column {missing[0]!r}")
             picks = [(c, t, header.index(c)) for c, t in zip(columns, types)]
-            rows = []
             for line, row in enumerate(reader, start=2):
                 if len(row) < len(header):
                     raise ValueError(f"{path} line {line}: field {header[len(row)]!r} missing")
-                values = []
                 for c, t, i in picks:
                     try:
-                        values.append(t(row[i]))
+                        t(row[i])
                     except ValueError:
                         bad = f"{path} line {line}: field {c!r}: bad value {row[i]!r}"
                         raise ValueError(bad) from None
-                rows.append(tuple(values))
         except csv.Error as e:
             raise ValueError(f"{path} line {reader.line_num}: {e}") from None
-    return rows
 
 
 def _utf8(text: str) -> str:
@@ -170,7 +194,7 @@ def write_events_csv(path, events):
 
 def load_events_csv(path) -> list[microsim.Event]:
     types = (int, float, _utf8, _utf8, _utf8, float, float, float)
-    return [microsim.Event(*row) for row in _read_csv(path, microsim.Event._fields, types)]
+    return list(map(microsim.Event, *_read_csv(path, microsim.Event._fields, types)))
 
 
 def write_series_csv(path, res: microsim.RunResult):
@@ -178,18 +202,20 @@ def write_series_csv(path, res: microsim.RunResult):
     write_csv(path, list(microsim.SERIES_COLUMNS), rows)
 
 
-def load_run_dir(seed_dir) -> microsim.RunResult:
-    """Rebuild the pieces of a RunResult that calibration needs."""
+def load_run_dir(seed_dir, events=True) -> microsim.RunResult:
+    """Rebuild the pieces of a RunResult that calibration needs. With
+    ``events=False`` the event log is not read and ``events`` is empty."""
     seed_dir = Path(seed_dir)
-    events = load_events_csv(seed_dir / "events.csv")
+    log = load_events_csv(seed_dir / "events.csv") if events else []
     cols = microsim.SERIES_COLUMNS
     series_path = seed_dir / "series.csv"
-    data = np.array(_read_csv(series_path, cols, [float] * len(cols))).reshape(-1, len(cols))
-    bad = np.argwhere(~np.isfinite(data))
+    # one row per column, so each series is a contiguous row of one array
+    data = np.array(_read_csv(series_path, cols, [float] * len(cols)), dtype=float)
+    bad = np.argwhere(~np.isfinite(data.T))
     if len(bad):
         line, col = bad[0]
         raise ValueError(f"{series_path} line {line + 2}: field {cols[col]!r} must be finite")
-    series = dict(zip(cols, data.T.copy()))
+    series = dict(zip(cols, data))
     path = seed_dir / "metrics.json"
     with open(path) as fh:
         try:
@@ -213,7 +239,7 @@ def load_run_dir(seed_dir) -> microsim.RunResult:
     if dt <= 0:
         raise ValueError(f"{series_path}: field 't_s' must increase")
     return microsim.RunResult(
-        events=events,
+        events=log,
         series=series,
         vehicles=[],
         dt_sim=dt,
@@ -366,7 +392,8 @@ def cmd_calibrate(args):
 
 
 def cmd_validate(args):
-    results = [load_run_dir(d) for d in _seed_dirs(args.runs)]
+    # validation compares series only, so the event logs are not read
+    results = [load_run_dir(d, events=False) for d in _seed_dirs(args.runs)]
     micro = calibration.micro_series_on_macro_grid(results, args.dt_macro)
     metrics = calibration.validate(_baseline_macro_run(args), micro)
     write_json(args.out, metrics)

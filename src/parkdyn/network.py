@@ -490,7 +490,7 @@ def load_network(path) -> Network:
     try:
         f = from_json(_NetworkFile, raw)
         return Network(f.nodes, f.links, lots=f.lots, region_assignment=f.regions)
-    except (ValueError, OverflowError) as e:  # OverflowError: a count beyond the float range
+    except ValueError as e:
         raise NetworkFormatError(f"{path}: {e}") from e
 
 
@@ -499,10 +499,10 @@ def from_json(cls, obj):
 
     Every key must be a field of ``cls``, and every field without a default
     must be present. Each value must match its field's annotation: ``bool``
-    and ``str`` exactly, ``int`` an integer (not a boolean), ``float`` a
-    finite number (stored as float), ``tuple[X, ...]`` an array of X,
-    ``dict[str, X]`` an object of X, a bare ``dict`` any object, and a
-    dataclass an object read by these rules. A ValueError names the field
+    and ``str`` exactly, ``int`` an integer (not a boolean) within the float
+    range, ``float`` a finite number (stored as float), ``tuple[X, ...]`` an
+    array of X, ``dict[str, X]`` an object of X, a bare ``dict`` any object,
+    and a dataclass an object read by these rules. A ValueError names the field
     by its dotted path, as in ``unknown field 'links[3].lane'``.
     """
     return _reader(cls)(obj, "", None)
@@ -527,8 +527,7 @@ def _mismatch(parent: str, key, what: str) -> ValueError:
     return ValueError(f"{where} must be {what}")
 
 
-_EXACT = {int: "an integer", bool: "true or false", str: "a string", dict: "a JSON object",
-          list: "a JSON array"}
+_EXACT = {bool: "true or false", str: "a string", dict: "a JSON object", list: "a JSON array"}
 
 
 def _exact(kind):
@@ -550,12 +549,23 @@ def _read_float(value, parent, key):
     return float(value)
 
 
+def _read_int(value, parent, key):
+    if type(value) is not int:
+        raise _mismatch(parent, key, "an integer")
+    # a larger integer raises OverflowError wherever it meets a float
+    if not -_MAX_FLOAT <= value <= _MAX_FLOAT:
+        raise _mismatch(parent, key, "an integer within the float range")
+    return value
+
+
 @functools.cache
 def _reader(tp):
     """The reader for annotation ``tp``. It is built once per annotation, so
     a dataclass's fields and type hints are resolved once, not per record."""
     if tp is float:
         return _read_float
+    if tp is int:
+        return _read_int
     if tp in _EXACT:
         return _exact(tp)
     is_object = _exact(dict)

@@ -1,16 +1,19 @@
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import parkdyn
-from parkdyn import macromodel, mpc
-from parkdyn.cli import main
-from parkdyn.microsim import ScenarioConfig, Simulation
+from parkdyn import macromodel, mpc, scenarios
+from parkdyn.cli import FMT, _run_one_seed, load_run_dir, main
+from parkdyn.microsim import SERIES_COLUMNS, Event, ScenarioConfig, Simulation
 from parkdyn.network import DurationDistribution, load_network
 
 
@@ -135,6 +138,8 @@ def _json_with(alter):
         ("net.json", lambda d: d["links"][3].update(lanes=1.9),
          "field 'links[3].lanes' must be an integer"),
         ("net.json", lambda d: d["links"][0].update(lane=2), "unknown field 'links[0].lane'"),
+        ("net.json", lambda d: d["links"][0].update(parking_capacity=10**400),
+         "field 'links[0].parking_capacity' must be an integer within the float range"),
         ("calibration.json", lambda d: d.update(l_m_on="0.4"),
          "field 'l_m_on' must be a finite number"),
         ("calibration.json", lambda d: d["nfd"].update(k=1.0), "unknown field 'nfd.k'"),
@@ -167,6 +172,24 @@ def test_net_check_rejects_second_lot(workdir, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"INVALID: {bad}: 2 lots given, a network has at most one"]
+
+
+@pytest.mark.parametrize("command", ["net check", "micro run"])
+def test_integer_beyond_float_range_names_field(workdir, tmp_path, capsys, no_simulation, command):
+    bad = tmp_path / "net.json"
+    bad.write_text(_json_with(lambda d: d["links"][0].update(parking_capacity=10**400))(
+        (workdir / "net.json").read_text()))
+    argv = command.split() + ["--net", str(bad)]
+    if command == "micro run":
+        argv += ["--config", str(workdir / "scenario.json"), "--seeds", "0",
+                 "--out", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = "INVALID:" if command == "net check" else "error:"
+    assert err.splitlines() == [
+        f"{prefix} {bad}: field 'links[0].parking_capacity' must be an integer within the float range"
+    ]
 
 
 def test_calibration_loader_names_file_and_field(workdir, tmp_path, capsys):
@@ -254,6 +277,120 @@ def test_run_dir_loader_names_file_and_field(workdir, tmp_path, capsys, name, al
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and str(bad) in err[0] and field in err[0]
+
+
+def _series_line(line, fault):
+    """An alteration that puts ``fault`` on line ``line`` of series.csv: a
+    bad 'active' value, a row cut short after 't_s' and 'dist_km', or a
+    field the csv module rejects."""
+
+    def alter(text):
+        lines = text.splitlines()
+        cells = lines[line - 1].split(",")
+        if fault == "bad value":
+            cells[lines[0].split(",").index("active")] = "x"
+        elif fault == "short row":
+            cells = cells[:2]
+        else:
+            cells.append("9" * 131073)
+        lines[line - 1] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+
+    return alter
+
+
+_FAULT_MESSAGE = {
+    "bad value": "field 'active': bad value 'x'",
+    "short row": "field 'active' missing",
+    "csv error": "field larger than field limit (131072)",
+}
+
+
+@pytest.mark.parametrize("second", sorted(_FAULT_MESSAGE))
+@pytest.mark.parametrize("first", sorted(_FAULT_MESSAGE))
+def test_run_dir_loader_names_first_fault(workdir, tmp_path, capsys, first, second):
+    """With faults on lines 3 and 5, the error names the one on line 3."""
+    runs = tmp_path / "runs"
+    shutil.copytree(workdir / "runs" / "seed_0", runs / "seed_0")
+    bad = runs / "seed_0" / "series.csv"
+    bad.write_text(_series_line(5, second)(_series_line(3, first)(bad.read_text())))
+    rc = main(["calibrate", "--runs", str(runs), "--out", str(tmp_path / "calibration.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad} line 3: {_FAULT_MESSAGE[first]}"]
+
+
+@pytest.fixture(scope="module")
+def desk_seed_0(tmp_path_factory):
+    """Desk seed 0 simulated in memory, and its run directory written by
+    ``micro run``'s writer."""
+    net, sc = scenarios.desk_network(), scenarios.validation_scenario()
+    out = tmp_path_factory.mktemp("desk")
+    _run_one_seed(net, sc, 0, out, 60.0)
+    return Simulation(net, sc, 0).run(), out / "seed_0"
+
+
+def _as_written(x):
+    """``x`` as the CSV writer stores it and the loader reads it back."""
+    return float(FMT.format(x)) if isinstance(x, float) else x
+
+
+def test_run_dir_round_trip(desk_seed_0):
+    """The loaded run is the simulated one, with every float rounded as the
+    writer rounds it (10 significant digits) and bit-equal after that."""
+    res, seed_dir = desk_seed_0
+    loaded = load_run_dir(seed_dir)
+    assert loaded.events == [Event(*map(_as_written, e)) for e in res.events]
+    for col in SERIES_COLUMNS:
+        written = [_as_written(float(x)) for x in res.series[col]]
+        assert loaded.series[col].tobytes() == np.array(written).tobytes(), col
+    assert loaded.dt_sim == res.dt_sim
+    assert loaded.summary == json.loads(json.dumps(res.summary))
+
+
+def test_run_dir_loader_shares_repeated_values(desk_seed_0):
+    """Equal texts load as one object: a family name or a link id is held
+    once, however many events repeat it."""
+    events = load_run_dir(desk_seed_0[1]).events
+    families = [e.from_family for e in events], [e.to_family for e in events]
+    for column in families:
+        assert len({id(f) for f in column}) == len(set(column)) <= 7
+    both = families[0] + families[1]
+    assert len({id(f) for f in both}) == len(set(both))
+    links = [e.link_id for e in events]
+    assert len({id(x) for x in links}) == len(set(links))
+
+
+def test_run_dir_loader_memory_per_event(desk_seed_0):
+    seed_dir = desk_seed_0[1]
+    load_run_dir(seed_dir)  # imports and one-time caches are not the run's memory
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_run_dir(seed_dir)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 208 B per event when this bound was set; 434 B with a new object per CSV cell
+    assert held / len(loaded.events) <= 260
+
+
+def test_validate_reads_no_event_log(workdir, tmp_path):
+    def validate(runs, out):
+        argv = ["validate", "--net", str(workdir / "net.json"), "--config",
+                str(workdir / "scenario.json"), "--calibration",
+                str(workdir / "calibration.json"), "--runs", str(runs), "--out", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    runs = tmp_path / "runs"
+    shutil.copytree(workdir / "runs", runs)
+    for log in runs.glob("seed_*/events.csv"):
+        log.unlink()
+    assert validate(runs, tmp_path / "without.json") == validate(
+        workdir / "runs", tmp_path / "with.json")
 
 
 def test_readme_scenario_block_loads(tmp_path):
