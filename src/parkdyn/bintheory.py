@@ -128,37 +128,25 @@ def brute_force_envelope(
     return float(V.max()), float(V.min())
 
 
-def unstable_area(params: BinParams, cruising: bool = True, n_grid: int = 2001) -> float:
-    """Area between the envelopes over K in [0, k_j] (km/hr * veh/km)."""
-    Ks = np.linspace(0.0, params.k_j, n_grid)
+def unstable_area(params: BinParams, cruising: bool = True) -> float:
+    """Area between the envelopes over 2001 points K in [0, k_j] (km/hr * veh/km)."""
+    Ks = np.linspace(0.0, params.k_j, 2001)
     env = envelope_with_cruising if cruising else envelope_no_cruising
     gap = np.array([vmax - vmin for vmax, vmin in (env(K, params) for K in Ks)])
     return float(np.trapezoid(gap, Ks))
 
 
-def envelope_sweep(
-    params: BinParams,
-    K_grid,
-    cruising: bool = True,
-    brute_step: float | None = None,
-):
-    """Formula envelopes over a K grid, optionally with the brute-force check.
+def envelope_sweep(params: BinParams, K_grid, brute_step: float):
+    """The with-cruising envelopes over a K grid and their brute-force check.
 
-    Returns a dict of arrays: K, v_max, v_min and, when ``brute_step`` is
-    given, v_max_brute / v_min_brute.
+    Returns a dict of arrays: K, v_max, v_min, v_max_brute and v_min_brute.
     """
     K_grid = np.asarray(K_grid, dtype=float)
-    env = envelope_with_cruising if cruising else envelope_no_cruising
     vmax = np.empty_like(K_grid)
     vmin = np.empty_like(K_grid)
+    bmax = np.empty_like(K_grid)
+    bmin = np.empty_like(K_grid)
     for i, K in enumerate(K_grid):
-        vmax[i], vmin[i] = env(float(K), params)
-    out = {"K": K_grid, "v_max": vmax, "v_min": vmin}
-    if brute_step is not None:
-        bmax = np.empty_like(K_grid)
-        bmin = np.empty_like(K_grid)
-        for i, K in enumerate(K_grid):
-            bmax[i], bmin[i] = brute_force_envelope(float(K), params, cruising, brute_step)
-        out["v_max_brute"] = bmax
-        out["v_min_brute"] = bmin
-    return out
+        vmax[i], vmin[i] = envelope_with_cruising(float(K), params)
+        bmax[i], bmin[i] = brute_force_envelope(float(K), params, True, brute_step)
+    return {"K": K_grid, "v_max": vmax, "v_min": vmin, "v_max_brute": bmax, "v_min_brute": bmin}

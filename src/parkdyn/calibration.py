@@ -27,46 +27,41 @@ def nfd_samples(results: list[RunResult], window_s: float = 60.0) -> list[tuple[
     return samples
 
 
-def fit_nfd(
-    samples,
-    bin_width: float = 10.0,
-    n_restarts: int = 10,
-    seed: int = 0,
-    weight_floor: int = 10,
-) -> tuple[NfdModel, dict]:
+def fit_nfd(samples) -> tuple[NfdModel, dict]:
     """Weighted least-squares logistic fit of speed vs accumulation.
 
-    Weights are the inverse sample count of each accumulation bin so that the
-    dense free-flow region does not dominate the congested tail. The count is
-    floored at ``weight_floor`` and the loss is soft-L1 so that a handful of
-    outlier windows in a near-empty bin cannot steer the whole curve.
+    Weights are the inverse sample count of each 10-vehicle accumulation bin
+    so that the dense free-flow region does not dominate the congested tail.
+    The count is floored at 10 and the loss is soft-L1 so that a handful of
+    outlier windows in a near-empty bin cannot steer the whole curve. The fit
+    runs from the data-based start and 9 seeded random restarts.
     """
     pts = [(float(n), float(v)) for n, v in samples]
     if len(pts) < 50:
         raise FitDegenerateError("need at least 50 NFD samples")
     n = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
-    bins = np.floor(n / bin_width).astype(int)
+    bins = np.floor(n / 10.0).astype(int)
     uniq, counts = np.unique(bins, return_counts=True)
     if len(uniq) < 3:
         raise FitDegenerateError("NFD samples span fewer than 3 accumulation bins")
     count_of = dict(zip(uniq.tolist(), counts.tolist()))
-    wts = np.sqrt(np.array([1.0 / max(count_of[b], weight_floor) for b in bins.tolist()]))
+    wts = np.sqrt(np.array([1.0 / max(count_of[b], 10) for b in bins.tolist()]))
 
     def resid(p):
         v0, n0, w = p
         return wts * (v0 / (1.0 + np.exp(np.clip((n - n0) / w, -500, 500))) - v)
 
     iqr = float(np.subtract(*np.percentile(n, [75, 25])))
-    x0 = np.array([float(v.max()), float(np.median(n)), max(iqr, bin_width)])
+    x0 = np.array([float(v.max()), float(np.median(n)), max(iqr, 10.0)])
     lo = [1e-6, -1e6, 1e-6]
     hi = [10.0 * v.max() + 1.0, 1e6, 1e6]
     f_scale = 0.01 * max(float(v.max()), 1e-9)  # keeps the fit scale-equivariant
     from scipy.optimize import least_squares  # here: runs that fit nothing skip scipy
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = None
-    for trial in range(n_restarts):
+    for trial in range(10):
         start = x0 if trial == 0 else x0 * rng.uniform(0.5, 2.0, size=3)
         start = np.clip(start, lo, hi)
         sol = least_squares(resid, start, bounds=(lo, hi), loss="soft_l1", f_scale=f_scale)
@@ -166,14 +161,14 @@ def extract_occupancy_distance(
     return out
 
 
-def fit_distance_curve(
-    observations, bin_width: float = 0.01
-) -> tuple[DistanceModel, dict]:
-    """Exponential occupancy->distance fit on binned mean observations."""
+def fit_distance_curve(observations) -> tuple[DistanceModel, dict]:
+    """Exponential occupancy->distance fit on mean observations in occupancy
+    bins 0.01 wide."""
     if not observations:
         raise FitDegenerateError("no distance observations")
     O = np.array([o for o, _ in observations])
     d = np.array([x for _, x in observations])
+    bin_width = 0.01
     bins = np.floor(O / bin_width).astype(int)
     means = []
     for b in np.unique(bins):
@@ -220,7 +215,6 @@ class CalibrationReport:
 def calibrate(
     results: list[RunResult],
     nfd_window_s: float = 60.0,
-    nfd_bin_width: float = 10.0,
     trend: str = "increasing",
     occupancy_ref: str = "init",
 ) -> CalibrationReport:
@@ -228,7 +222,7 @@ def calibrate(
     if not results:
         raise ValueError("no runs to calibrate from")
     logs = [r.events for r in results]
-    nfd, nfd_diag = fit_nfd(nfd_samples(results, nfd_window_s), bin_width=nfd_bin_width)
+    nfd, nfd_diag = fit_nfd(nfd_samples(results, nfd_window_s))
     dists = estimate_moving_distances(logs)
     missing = [k for k in ("l_m_on", "l_m_off", "l_m_pass") if dists[k] is None]
     if missing:

@@ -289,7 +289,7 @@ def cmd_theory_sweep(args):
     rows = []
     for vc in vcs:
         p = bintheory.BinParams(args.vf, vc, args.kj)
-        sweep = bintheory.envelope_sweep(p, Ks, cruising=True, brute_step=args.brute_step)
+        sweep = bintheory.envelope_sweep(p, Ks, args.brute_step)
         for i, K in enumerate(sweep["K"]):
             rows.append(
                 (
@@ -404,8 +404,17 @@ def cmd_validate(args):
 # ------------------------------------------------------------------ mpc
 
 
-def _mpc_config(args) -> mpc.MpcConfig:
-    return mpc.MpcConfig(
+def _mpc_setup(args, priced: bool):
+    """The network, scenario, plant seeds, MPC settings and macro parameters
+    of ``mpc run`` and ``compare``, each input file read once. With ``priced``
+    an MPC time grid that does not tile the plant's run is rejected before
+    anything runs: the macro step must be whole micro steps and the control
+    interval must divide the scenario horizon."""
+    net = network.load_network(args.net)
+    sc = microsim.ScenarioConfig.load(args.config)
+    report = calibration.CalibrationReport.load(args.calibration)
+    seeds = _parse_seeds(args.seeds)
+    cfg = mpc.MpcConfig(
         control_interval=args.control_interval,
         n_intervals=args.intervals,
         dt_macro=args.dt_macro / 3600.0,
@@ -416,14 +425,11 @@ def _mpc_config(args) -> mpc.MpcConfig:
         tau_max=args.tau_max,
         tau_gap=args.tau_gap,
     )
-
-
-def _check_grid(sc, cfg: mpc.MpcConfig):
-    """Reject, before anything runs, an MPC time grid that does not tile the
-    plant's run: the macro step must be whole micro steps and the control
-    interval must divide the scenario horizon."""
-    microsim.whole_steps(cfg.dt_macro * 3600.0, sc.dt_sim, "macro step", "micro step")
-    cfg.intervals_in(sc.horizon)
+    if priced:
+        microsim.whole_steps(cfg.dt_macro * 3600.0, sc.dt_sim, "macro step", "micro step")
+        cfg.intervals_in(sc.horizon)
+    params = scenarios.macro_params_from_calibration(report, net, sc, cfg.dt_macro)
+    return net, sc, seeds, cfg, params
 
 
 MODES = ("no-price", "mpc", "full-dynamic", "full-static")
@@ -432,45 +438,37 @@ MODES = ("no-price", "mpc", "full-dynamic", "full-static")
 def run_mode(mode, net, sc, params, cfg, seed, schedule=None):
     """One plant replication under one pricing mode. Returns the four
     time-related metrics of the comparison and, in "mpc" mode, the loop's
-    log (else None). The full-horizon modes apply ``schedule``."""
+    iterations (else None). The full-horizon modes apply ``schedule``."""
     sim = microsim.Simulation(net, sc, seed)
-    log = None
+    iterations = None
     if mode == "no-price":
         sim.run()
     else:
         plant = mpc.MicroPlant(sim, params)
         if mode == "mpc":
             park, pas = scenarios.macro_demand(sc, cfg.dt_macro)
-            log = mpc.mpc_loop(plant, params, cfg, park, pas, horizon=sc.horizon,
-                               base_prices=(sc.tau_on, sc.tau_off))
+            iterations = mpc.mpc_loop(plant, params, cfg, park, pas, horizon=sc.horizon,
+                                      base_prices=(sc.tau_on, sc.tau_off))
         else:
             for tau_on, tau_off in schedule.prices:
                 plant.set_prices(tau_on, tau_off)
                 plant.advance(schedule.interval_hr)
-    return microsim.time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f), log
+    return microsim.time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f), iterations
 
 
 def cmd_mpc_run(args):
-    net = network.load_network(args.net)
-    sc = microsim.ScenarioConfig.load(args.config)
-    report = calibration.CalibrationReport.load(args.calibration)
-    seeds = _parse_seeds(args.seeds)
-    cfg = _mpc_config(args)
-    _check_grid(sc, cfg)
-    params = scenarios.macro_params_from_calibration(report, net, sc, cfg.dt_macro)
+    net, sc, seeds, cfg, params = _mpc_setup(args, priced=True)
     out = Path(args.out)
     log_rows, pred_rows = [], []
     for seed in seeds:
-        _, log = run_mode("mpc", net, sc, params, cfg, seed)
-        for it in log.iterations:
+        m, iterations = run_mode("mpc", net, sc, params, cfg, seed)
+        for it in iterations:
             log_rows.append(
                 (seed, it.t_hr, it.applied[0], it.applied[1], it.predicted_objective, it.evaluations)
             )
             for j, (p, r) in enumerate(zip(it.predicted_n_c, it.realized_n_c)):
                 pred_rows.append((seed, it.t_hr, j, p, r))
-        log_rows.append(
-            (seed, sc.horizon, "", "", log.plant_ineffective_cruising, "")
-        )
+        log_rows.append((seed, sc.horizon, "", "", m["ineffective_cruising_veh_hr"], ""))
     write_csv(
         out / "mpc_log.csv",
         ["seed", "t_hr", "tau_on", "tau_off", "objective", "evaluations"],
@@ -487,18 +485,11 @@ def cmd_mpc_run(args):
 
 
 def cmd_compare(args):
-    net = network.load_network(args.net)
-    sc = microsim.ScenarioConfig.load(args.config)
-    report = calibration.CalibrationReport.load(args.calibration)
-    seeds = _parse_seeds(args.seeds)
     modes = args.modes.split(",")
     bad = [m for m in modes if m not in MODES]
     if bad:
         raise ValueError(f"--modes: unknown mode {bad[0]!r}, expected one of {', '.join(MODES)}")
-    cfg = _mpc_config(args)
-    if any(m != "no-price" for m in modes):
-        _check_grid(sc, cfg)
-    params = scenarios.macro_params_from_calibration(report, net, sc, cfg.dt_macro)
+    net, sc, seeds, cfg, params = _mpc_setup(args, priced=any(m != "no-price" for m in modes))
     rows = []
     for mode in modes:
         schedule = None

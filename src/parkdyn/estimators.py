@@ -72,10 +72,10 @@ def evaluate(model: DistanceModel, occupancy: float) -> float:
     return p["d_np"] / (1.0 - O ** p["m"]) + p["d"] / (1.0 - O)
 
 
-def evaluate_clamped(model: DistanceModel, occupancy: float, clamp: float = 0.999) -> float:
-    """evaluate() with occupancy clamped below 1 for the singular kinds."""
+def evaluate_clamped(model: DistanceModel, occupancy: float) -> float:
+    """evaluate() with occupancy clamped to 0.999 for the singular kinds."""
     if model.is_singular:
-        occupancy = min(occupancy, clamp)
+        occupancy = min(occupancy, 0.999)
     return evaluate(model, min(occupancy, 1.0))
 
 

@@ -91,7 +91,7 @@ SERIES_COLUMNS = (
 )
 
 
-class TopologyError(RuntimeError):
+class TopologyError(ValueError):
     """The search reached a node it cannot leave."""
 
 
@@ -366,10 +366,7 @@ class Simulation:
         if scenario.parker_count and not self.supply_links and self.lot is None:
             raise ValueError("parkers scheduled but the network has no parking supply")
 
-        boundary = list(network.boundary_nodes())
-        if not boundary:
-            boundary = sorted(network.nodes)
-        self._build_demand(rng, boundary)
+        self._build_demand(rng, list(network.boundary_nodes()))
         self._block_spots(rng)
 
         self.link_order = sorted(network.links)

@@ -21,7 +21,7 @@ from .macromodel import (
     MacroTrajectories,
     simulate_macro,
 )
-from .microsim import Simulation, macro_blocks, time_metrics, whole_steps
+from .microsim import Simulation, macro_blocks, whole_steps
 
 FACILITIES = ("on", "off")
 
@@ -65,14 +65,14 @@ class MpcConfig:
     dt_macro: float = 10.0 / 3600.0  # hr
     # Multi-starts per solve. The anchor (last applied prices), tau_min and
     # tau_max starts always run, plus any extra starts the caller passes;
-    # random starts fill up to n_starts. So n_starts < 3 still runs three.
+    # random starts (seeded 0 in every solve) fill up to n_starts. So
+    # n_starts < 3 still runs three.
     n_starts: int = 8
     budget: int = 400  # objective evaluations per start
     controlled: tuple[str, ...] = ("on",)
     tau_min: float = 0.0
     tau_max: float = 10.0
     tau_gap: float = 3.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_intervals < 1:
@@ -141,8 +141,9 @@ def repair_schedule(
     return out
 
 
-def _pattern_search(f, x0: np.ndarray, repair, budget: int, init_step: float, min_step: float = 0.01):
-    """Coordinate pattern search with first-improvement polling.
+def _pattern_search(f, x0: np.ndarray, repair, budget: int, init_step: float):
+    """Coordinate pattern search with first-improvement polling, until the
+    budget is spent or the step falls below 0.01.
 
     Returns (best_x, best_f, history of best values, evaluations used)."""
     x = repair(x0)
@@ -151,7 +152,7 @@ def _pattern_search(f, x0: np.ndarray, repair, budget: int, init_step: float, mi
     history = [fx]
     step = init_step
     dims = x.size
-    while evals < budget and step >= min_step:
+    while evals < budget and step >= 0.01:
         improved = False
         for d in range(dims):
             for sign in (1.0, -1.0):
@@ -234,7 +235,7 @@ def solve_open_loop(
         return val
 
     dim = n_int * len(cols)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     anchor = prev if prev is not None else np.asarray(base, dtype=float)
     starts = [np.tile([anchor[c] for c in cols], n_int).astype(float)]
     starts.append(np.full(dim, config.tau_min, dtype=float))
@@ -396,12 +397,6 @@ class MicroPlant:
     def advance(self, interval_hr: float):
         self.sim.run_until(self.sim.t + interval_hr * 3600.0)
 
-    def ineffective_cruising(self) -> float:
-        sim = self.sim
-        return time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f)[
-            "ineffective_cruising_veh_hr"
-        ]
-
     def realized_n_c(self, lo: int, n: int) -> np.ndarray:
         return macro_blocks(self.sim.series()["n_iv"], self._bin)[lo : lo + n].mean(axis=1)
 
@@ -416,13 +411,6 @@ class MpcIteration:
     realized_n_c: np.ndarray
 
 
-@dataclass
-class MpcRunLog:
-    iterations: list[MpcIteration]
-    applied_schedule: PricingSchedule
-    plant_ineffective_cruising: float
-
-
 def mpc_loop(
     plant,
     params: MacroParams,
@@ -431,15 +419,16 @@ def mpc_loop(
     pass_forecast: np.ndarray,
     horizon: float,
     base_prices: tuple[float, float] = (0.0, 0.0),
-) -> MpcRunLog:
-    """Closed-loop rolling-horizon control of ``plant``.
+) -> list[MpcIteration]:
+    """Closed-loop rolling-horizon control of ``plant``; returns one record
+    per control interval.
 
-    The plant (``MacroPlant`` or ``MicroPlant``) provides ``read_state()``
-    (a macro state at the current control boundary), ``set_prices(tau_on,
-    tau_off)``, ``advance(interval_hr)``, ``realized_n_c(lo, n)`` (mean
-    cruisers over macro steps lo..lo+n-1) and ``ineffective_cruising()``
-    (veh-hr so far). Each solve and the prediction start from copies of the
-    state ``read_state()`` returns, so the loop never changes it.
+    The plant (``MacroPlant`` or ``MicroPlant``) provides four methods:
+    ``read_state()`` (a macro state at the current control boundary),
+    ``set_prices(tau_on, tau_off)``, ``advance(interval_hr)`` and
+    ``realized_n_c(lo, n)`` (mean cruisers over macro steps lo..lo+n-1).
+    Each solve and the prediction start from copies of the state
+    ``read_state()`` returns, so the loop never changes it.
 
     Every solve minimizes the predicted ineffective cruising
     (``objective_ineffective_cruising``) over the prediction horizon.
@@ -454,7 +443,6 @@ def mpc_loop(
     steps_per = config.steps_per_interval
     horizon_steps = config.horizon_steps
     n_controls = config.intervals_in(horizon)
-    applied: list[tuple[float, float]] = []
     iterations: list[MpcIteration] = []
     prior = base_prices
 
@@ -483,18 +471,5 @@ def mpc_loop(
                 realized_n_c=plant.realized_n_c(lo, steps_per),
             )
         )
-        applied.append((tau_on, tau_off))
         prior = (tau_on, tau_off)
-
-    schedule = PricingSchedule(
-        interval_hr=config.control_interval,
-        prices=tuple(applied),
-        tau_min=config.tau_min,
-        tau_max=config.tau_max,
-        tau_gap=config.tau_gap,
-    )
-    return MpcRunLog(
-        iterations=iterations,
-        applied_schedule=schedule,
-        plant_ineffective_cruising=plant.ineffective_cruising(),
-    )
+    return iterations

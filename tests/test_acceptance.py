@@ -19,6 +19,7 @@ from parkdyn.bintheory import (
     unstable_area,
 )
 from parkdyn.calibration import calibrate, micro_series_on_macro_grid, validate
+from parkdyn.cli import run_mode
 from parkdyn.estimators import DistanceModel, evaluate, monte_carlo_screening
 from parkdyn.macromodel import (
     MacroState,
@@ -35,7 +36,7 @@ from parkdyn.microsim import (
     measure_nfd,
     performance_metrics,
 )
-from parkdyn.mpc import MicroPlant, MpcConfig, mpc_loop, solve_full_horizon
+from parkdyn.mpc import MpcConfig, solve_full_horizon
 from parkdyn.network import DurationDistribution
 from parkdyn.scenarios import (
     baseline_macro_run,
@@ -399,15 +400,15 @@ def a10_runs():
     base_results = [Simulation(net, sc, s).run() for s in SEEDS]
     base_obj = np.array([r.ineffective_cruising_time() for r in base_results])
     cal = calibrate(base_results)
-    cfg = MpcConfig(n_starts=4, budget=80, seed=0)
+    cfg = MpcConfig(n_starts=4, budget=80)
     params = macro_params_from_calibration(cal, net, sc, cfg.dt_macro)
     park, pas = macro_demand(sc, cfg.dt_macro)
     mpc_obj, schedules = [], []
     for s in SEEDS:
-        plant = MicroPlant(Simulation(net, sc, s), params)
-        log = mpc_loop(plant, params, cfg, park, pas, horizon=1.0, base_prices=(0.0, 0.0))
-        mpc_obj.append(log.plant_ineffective_cruising)
-        schedules.append(log.applied_schedule)
+        # the driver of `compare`: the same demand, horizon (1 hr) and base prices (0, 0)
+        m, log = run_mode("mpc", net, sc, params, cfg, s)
+        mpc_obj.append(m["ineffective_cruising_veh_hr"])
+        schedules.append([it.applied for it in log])
     return base_obj, np.array(mpc_obj), schedules, params, park, pas, cfg
 
 
@@ -416,9 +417,9 @@ def test_a10_mpc_effectiveness(a10_runs):
     improved = int((mpc_obj < base_obj).sum())
     feasible = True
     for sch in schedules:
-        prices = [p for pair in sch.prices for p in pair]
+        prices = [p for pair in sch for p in pair]
         feasible = feasible and all(0.0 <= p <= 10.0 for p in prices)
-        for (a_on, a_off), (b_on, b_off) in zip(sch.prices, sch.prices[1:]):
+        for (a_on, a_off), (b_on, b_off) in zip(sch, sch[1:]):
             feasible = feasible and abs(b_on - a_on) <= 3.0 + 1e-9
             feasible = feasible and abs(b_off - a_off) <= 3.0 + 1e-9
     state0 = MacroState(n_on=130.0, cum_inflow=130.0)  # the scenario's captive spots

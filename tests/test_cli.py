@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,10 @@ import pytest
 
 import parkdyn
 from parkdyn import macromodel, mpc, scenarios
+from parkdyn.calibration import CalibrationReport
 from parkdyn.cli import FMT, _run_one_seed, load_run_dir, main
+from parkdyn.estimators import DistanceModel
+from parkdyn.macromodel import NfdModel
 from parkdyn.microsim import SERIES_COLUMNS, Event, ScenarioConfig, Simulation
 from parkdyn.network import DurationDistribution, load_network
 
@@ -460,16 +464,48 @@ def test_validate_command(workdir):
     assert set(metrics) == {"n_on", "n_off", "n_active", "v"}
 
 
-def test_mpc_run_command(workdir):
-    out = workdir / "mpc"
+# SHA-256 of the closed-loop outputs on the literal calibration below, with
+# both facilities priced (with on-street prices alone the loop applies 0
+# throughout on this input). The outputs come from the macro kernel and the
+# pricing solver, so a change that moves one is a behaviour change; do not
+# regenerate them to make a refactor pass.
+LOOP_DIGESTS = {
+    "mpc_log.csv": "250e944ea8b8d6b8a616babbb19e64e1bcfea1fe6dd7f8cef25e3ddeb48cbcc6",
+    "prediction_vs_plant.csv": "d0e4f46e7f1706a977d9323974df077c87341ef24bb96eeacac8e927c278bcc3",
+    "comparison.csv": "90b5bf16cacb3d14df8254dce7e6bd563891807b78966d06f797151e74e928aa",
+}
+
+
+def _literal_calibration(path):
+    """A calibration file of literal values (those of the macro golden
+    ``micro_pull``), so that the output digests below do not move with the
+    scipy version that would fit the fixture's runs."""
+    CalibrationReport(
+        nfd=NfdModel(64.6, 72.4, 49.2),
+        l_m_on=0.43,
+        l_m_off=0.49,
+        l_m_pass=0.47,
+        distance_model=DistanceModel("exp-distance", {"a": 6.6e-4, "b": 7.2}),
+    ).save(path)
+    return str(path)
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_mpc_run_command(workdir, tmp_path):
+    out = tmp_path / "mpc"
     rc = main(
         ["mpc", "run", "--net", str(workdir / "net.json"), "--config",
-         str(workdir / "scenario.json"), "--calibration", str(workdir / "calibration.json"),
-         "--seeds", "0", "--starts", "2", "--budget", "20", "--out", str(out)]
+         str(workdir / "scenario.json"), "--calibration",
+         _literal_calibration(tmp_path / "calibration.json"),
+         "--seeds", "0", "--starts", "2", "--budget", "20", "--controlled", "on,off",
+         "--out", str(out)]
     )
     assert rc == 0
-    assert (out / "mpc_log.csv").exists()
-    assert (out / "prediction_vs_plant.csv").exists()
+    for name in ("mpc_log.csv", "prediction_vs_plant.csv"):
+        assert _sha256(out / name) == LOOP_DIGESTS[name]
 
 
 def test_compare_requires_calibration(workdir, tmp_path):
@@ -481,25 +517,28 @@ def test_compare_requires_calibration(workdir, tmp_path):
     assert rc == 1
 
 
-def test_compare_emits_rows(workdir):
-    out = workdir / "cmp"
+def test_compare_emits_rows(workdir, tmp_path):
+    out = tmp_path / "cmp"
     rc = main(
-        ["compare", "--modes", "no-price,full-static", "--net", str(workdir / "net.json"),
-         "--config", str(workdir / "scenario.json"), "--calibration",
-         str(workdir / "calibration.json"), "--seeds", "0,1", "--starts", "2",
-         "--budget", "20", "--out", str(out)]
+        ["compare", "--modes", "no-price,mpc,full-dynamic,full-static", "--net",
+         str(workdir / "net.json"), "--config", str(workdir / "scenario.json"),
+         "--calibration", _literal_calibration(tmp_path / "calibration.json"),
+         "--seeds", "0,1", "--starts", "2", "--budget", "20", "--controlled", "on,off",
+         "--out", str(out)]
     )
     assert rc == 0
     lines = (out / "comparison.csv").read_text().splitlines()
-    assert len(lines) == 1 + 4  # header + 2 modes x 2 seeds
+    assert len(lines) == 1 + 8  # header + 4 modes x 2 seeds
     assert lines[0].startswith("mode,seed,deadweight_veh_hr")
+    assert _sha256(out / "comparison.csv") == LOOP_DIGESTS["comparison.csv"]
 
 
-def test_unknown_compare_mode_rejected(workdir, tmp_path, capsys):
+def test_unknown_compare_mode_rejected(tmp_path, capsys):
+    # --modes is checked before any input file is read
+    missing = str(tmp_path / "missing.json")
     rc = main(
-        ["compare", "--modes", "surge", "--net", str(workdir / "net.json"),
-         "--config", str(workdir / "scenario.json"), "--calibration",
-         str(workdir / "calibration.json"), "--seeds", "0", "--out", str(tmp_path / "x")]
+        ["compare", "--modes", "surge", "--net", missing, "--config", missing,
+         "--calibration", missing, "--seeds", "0", "--out", str(tmp_path / "x")]
     )
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
@@ -517,6 +556,27 @@ def test_bad_seeds_name_the_flag(workdir, tmp_path, capsys, seeds):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: --seeds")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dead_end_node_gives_one_error_line(tmp_path, capsys, seed):
+    # links a 0->1 (1 spot), b 1->0 and c 1->2 (1 spot): node 2 has no out-link.
+    # Seeds 4 and 6 reach it in the search; the others find no path or succeed.
+    def link(lid, a, b, spots):
+        return {"id": lid, "from_node": a, "to_node": b, "length": 0.1,
+                "free_flow_speed": 50.0, "jam_density": 100.0, "parking_capacity": spots}
+
+    net = {"nodes": [{"id": n, "x": 100.0 * n, "y": 0.0} for n in range(3)],
+           "links": [link("a", 0, 1, 1), link("b", 1, 0, 0), link("c", 1, 2, 1)]}
+    sc = {"parker_count": 1, "horizon": 0.25, "captive_spots": 1,
+          "duration": {"kind": "uniform", "lo": 0.5, "hi": 1.0}}
+    (tmp_path / "net.json").write_text(json.dumps(net))
+    (tmp_path / "scenario.json").write_text(json.dumps(sc))
+    rc = main(["micro", "run", "--net", str(tmp_path / "net.json"), "--config",
+               str(tmp_path / "scenario.json"), "--seeds", str(seed), "--out",
+               str(tmp_path / "runs")])
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, err) == (0, []) or (rc == 1 and len(err) == 1 and err[0].startswith("error:"))
 
 
 @pytest.fixture
