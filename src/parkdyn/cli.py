@@ -53,41 +53,29 @@ def write_meta(out_dir, argv):
     write_json(Path(out_dir) / "run_meta.json", {"argv": argv, "written_at": time.time()})
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind=int) -> list:
+    """The comma- or space-separated ``kind`` (int or float) values of ``flag``."""
     try:
-        seeds = [int(s) for s in text.replace(",", " ").split()]
+        values = [kind(s) for s in text.replace(",", " ").split()]
     except ValueError:
-        raise ValueError(f"--seeds: {text!r} is not a list of integers") from None
-    if not seeds:
-        raise ValueError("--seeds: no seeds given")
-    return seeds
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag}: {text!r} is not a list of {what}") from None
+    if not values:
+        raise ValueError(f"{flag}: no {flag[2:]} given")
+    return values
 
 
 # ------------------------------------------------------------------ net
 
 
 def cmd_net_build(args):
-    net = network.build_grid(
-        args.rows, args.cols, args.link_length, args.vf, args.kj, args.spots_per_link, args.spot_spacing
+    net = scenarios.desk_network(
+        args.rows, args.cols, args.link_length, args.vf, args.kj,
+        total_spots=args.total_spots, lot_capacity=args.lot_capacity,
+        lot_circuit=args.lot_circuit, lot_speed=args.lot_speed, upper_share=args.upper_share,
+        supply_fraction=args.supply_fraction, spots_per_link=args.spots_per_link,
+        spot_spacing=args.spot_spacing, lot_entry=args.lot_entry,
     )
-    if args.total_spots is not None:
-        shares = None
-        if args.upper_share is not None:
-            shares = {0: 1.0 - args.upper_share, 1: args.upper_share}
-        net = network.redistribute_parking(net, args.total_spots, shares, args.supply_fraction)
-    if args.lot_capacity:
-        upper = sorted(lid for lid, r in net.region_assignment.items() if r == 1)
-        entry = args.lot_entry or (upper[len(upper) // 2] if upper else sorted(net.links)[0])
-        net = network.add_lot(
-            net,
-            network.OffStreetLot(
-                "lot",
-                entry_link=entry,
-                capacity=args.lot_capacity,
-                circuit_length=args.lot_circuit,
-                internal_cruise_speed=args.lot_speed,
-            ),
-        )
     network.save_network(net, args.out)
     print(f"wrote {args.out}: {len(net.nodes)} nodes, {len(net.links)} links, "
           f"{net.total_parking_capacity} spots, {len(net.lots)} lots")
@@ -122,7 +110,8 @@ def _run_one_seed(net, sc, seed, out_dir, nfd_window):
     write_series_csv(seed_dir / "series.csv", res)
     metrics = microsim.performance_metrics(res)
     metrics["summary"] = res.summary
-    metrics["ineffective_cruising_veh_hr"] = res.ineffective_cruising_time()
+    times = microsim.time_metrics(res.series, res.dt_sim, res.l_off, res.v_off_f)
+    metrics["ineffective_cruising_veh_hr"] = times["ineffective_cruising_veh_hr"]
     write_json(seed_dir / "metrics.json", metrics)
     return res.summary
 
@@ -261,7 +250,7 @@ def _seed_dirs(runs) -> list[Path]:
 def cmd_micro_run(args):
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_list(args.seeds, "--seeds")
     # measure_nfd's window rule, checked before anything is simulated
     microsim.whole_steps(args.nfd_window, sc.dt_sim, "NFD window", "micro step")
     out = Path(args.out)
@@ -283,7 +272,9 @@ def cmd_micro_run(args):
 
 def cmd_theory_sweep(args):
     out = Path(args.out)
-    vcs = [float(x) for x in args.vc.replace(",", " ").split()]
+    vcs = _parse_list(args.vc, "--vc", float)
+    if not (math.isfinite(args.k_step) and args.k_step > 0):
+        raise ValueError(f"--k-step: must be > 0 and finite, got {args.k_step:g}")
     Ks = np.round(np.arange(0.0, args.kj + args.k_step / 2, args.k_step), 10)
     report = {}
     rows = []
@@ -407,13 +398,14 @@ def cmd_validate(args):
 def _mpc_setup(args, priced: bool):
     """The network, scenario, plant seeds, MPC settings and macro parameters
     of ``mpc run`` and ``compare``, each input file read once. With ``priced``
-    an MPC time grid that does not tile the plant's run is rejected before
-    anything runs: the macro step must be whole micro steps and the control
-    interval must divide the scenario horizon."""
+    an MPC time grid that does not tile the plant's run (the macro step must
+    be whole micro steps and the control interval must divide the scenario
+    horizon) is rejected before anything runs, and so is an uncontrolled
+    facility's scenario price outside the box, which the solver would keep."""
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_list(args.seeds, "--seeds")
     cfg = mpc.MpcConfig(
         control_interval=args.control_interval,
         n_intervals=args.intervals,
@@ -428,6 +420,12 @@ def _mpc_setup(args, priced: bool):
     if priced:
         microsim.whole_steps(cfg.dt_macro * 3600.0, sc.dt_sim, "macro step", "micro step")
         cfg.intervals_in(sc.horizon)
+        for fac in mpc.FACILITIES:
+            tau = getattr(sc, f"tau_{fac}")
+            if fac not in cfg.controlled and not cfg.tau_min - 1e-9 <= tau <= cfg.tau_max + 1e-9:
+                raise ValueError(f"scenario {args.config}: field 'tau_{fac}' {tau:g} is outside "
+                                 f"[--tau-min, --tau-max] = [{cfg.tau_min:g}, {cfg.tau_max:g}] "
+                                 f"of the uncontrolled facility {fac!r}")
     params = scenarios.macro_params_from_calibration(report, net, sc, cfg.dt_macro)
     return net, sc, seeds, cfg, params
 
@@ -435,10 +433,11 @@ def _mpc_setup(args, priced: bool):
 MODES = ("no-price", "mpc", "full-dynamic", "full-static")
 
 
-def run_mode(mode, net, sc, params, cfg, seed, schedule=None):
+def run_mode(mode, net, sc, params, cfg, seed, prices=None):
     """One plant replication under one pricing mode. Returns the four
     time-related metrics of the comparison and, in "mpc" mode, the loop's
-    iterations (else None). The full-horizon modes apply ``schedule``."""
+    iterations (else None). The full-horizon modes apply the (tau_on,
+    tau_off) rows of ``prices`` in turn, each for an equal share of the horizon."""
     sim = microsim.Simulation(net, sc, seed)
     iterations = None
     if mode == "no-price":
@@ -450,9 +449,9 @@ def run_mode(mode, net, sc, params, cfg, seed, schedule=None):
             iterations = mpc.mpc_loop(plant, params, cfg, park, pas, horizon=sc.horizon,
                                       base_prices=(sc.tau_on, sc.tau_off))
         else:
-            for tau_on, tau_off in schedule.prices:
+            for tau_on, tau_off in prices:
                 plant.set_prices(tau_on, tau_off)
-                plant.advance(schedule.interval_hr)
+                plant.advance(sc.horizon / len(prices))
     return microsim.time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f), iterations
 
 
@@ -492,17 +491,17 @@ def cmd_compare(args):
     net, sc, seeds, cfg, params = _mpc_setup(args, priced=any(m != "no-price" for m in modes))
     rows = []
     for mode in modes:
-        schedule = None
+        prices = None
         if mode.startswith("full-"):
             # the full-horizon problem does not depend on the plant seed
             park, pas = scenarios.macro_demand(sc, cfg.dt_macro)
-            schedule = mpc.solve_full_horizon(
+            prices = mpc.solve_full_horizon(
                 park, pas, params, cfg, sc.horizon, (sc.tau_on, sc.tau_off),
                 mode=mode.removeprefix("full-"),
                 initial_state=scenarios.macro_initial_state(sc),
-            ).schedule
+            ).prices
         for seed in seeds:
-            m, _ = run_mode(mode, net, sc, params, cfg, seed, schedule)
+            m, _ = run_mode(mode, net, sc, params, cfg, seed, prices)
             rows.append(
                 (
                     mode,
@@ -529,6 +528,11 @@ def cmd_compare(args):
 
 
 def _add_mpc_flags(p):
+    p.add_argument("--net", required=True)
+    p.add_argument("--config", required=True)
+    p.add_argument("--calibration", required=True)
+    p.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
+    p.add_argument("--out", required=True)
     p.add_argument("--control-interval", type=float, default=0.25, help="hr")
     p.add_argument("--intervals", type=int, default=2)
     p.add_argument("--dt-macro", type=float, default=10.0, help="s")
@@ -629,21 +633,11 @@ def build_parser() -> argparse.ArgumentParser:
     mp = sub.add_parser("mpc", help="closed-loop pricing")
     mp_sub = mp.add_subparsers(dest="subcommand", required=True)
     mpr = mp_sub.add_parser("run", help="MPC on the micro plant")
-    mpr.add_argument("--net", required=True)
-    mpr.add_argument("--config", required=True)
-    mpr.add_argument("--calibration", required=True)
-    mpr.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
-    mpr.add_argument("--out", required=True)
     _add_mpc_flags(mpr)
     mpr.set_defaults(func=cmd_mpc_run)
 
     co = sub.add_parser("compare", help="pricing-mode comparison on same seeds")
     co.add_argument("--modes", default="no-price,mpc,full-dynamic,full-static")
-    co.add_argument("--net", required=True)
-    co.add_argument("--config", required=True)
-    co.add_argument("--calibration", required=True)
-    co.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
-    co.add_argument("--out", required=True)
     _add_mpc_flags(co)
     co.set_defaults(func=cmd_compare)
 

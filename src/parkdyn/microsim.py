@@ -289,12 +289,6 @@ class RunResult:
     v_off_f: float
     summary: dict
 
-    def ineffective_cruising_time(self) -> float:
-        """veh-hr cruising on street plus full-lot circuit deadweight."""
-        return time_metrics(self.series, self.dt_sim, self.l_off, self.v_off_f)[
-            "ineffective_cruising_veh_hr"
-        ]
-
 
 def time_metrics(series: dict, dt_sim: float, l_off: float, v_off_f: float) -> dict[str, float]:
     """The veh-hr accounts of a micro series: full-lot circuit deadweight,
@@ -629,10 +623,7 @@ class Simulation:
         veh.parked_link = lid
         veh.ever_parked = True
         self._series["parked_on"][self.step_i] += 1
-        self._seq += 1
-        heapq.heappush(
-            self.parked_heap, (self.t + veh.trip.parking_duration * 3600.0, self._seq, veh)
-        )
+        self._push(self.parked_heap, self.t + veh.trip.parking_duration * 3600.0, veh)
 
     def _arrive_lot(self, veh: _Vehicle):
         lot = self.lot
@@ -641,24 +632,25 @@ class Simulation:
             self._log(veh, "vi", lot.id)
             veh.ever_parked = True
             self._series["parked_off"][self.step_i] += 1
-            self._seq += 1
-            heapq.heappush(
-                self.parked_heap, (self.t + veh.trip.parking_duration * 3600.0, self._seq, veh)
-            )
+            self._push(self.parked_heap, self.t + veh.trip.parking_duration * 3600.0, veh)
         else:
             veh.circuits += 1
             self._series["overflow"][self.step_i] += 1
-            self._seq += 1
-            heapq.heappush(self.circuit_heap, (self.t + lot.circuit_time * 3600.0, self._seq, veh))
+            self._push(self.circuit_heap, self.t + lot.circuit_time * 3600.0, veh)
 
-    def _route_to_exit(self, veh: _Vehicle, from_node: int):
-        dest = veh.trip.destination
-        if from_node == dest:
+    def _push(self, heap: list, t_s: float, veh: _Vehicle):
+        """Schedule ``veh`` on ``heap`` at ``t_s``; equal times pop in push order."""
+        self._seq += 1
+        heapq.heappush(heap, (t_s, self._seq, veh))
+
+    def _drive(self, veh: _Vehicle, route: list[str]):
+        """Start ``veh`` on ``route``; with no route it is at its destination and exits."""
+        if not route:
             self._log(veh, "exited", "")
             return
-        veh.route = self.net.path_links(from_node, dest)
+        veh.route = route
         veh.route_i = 0
-        self._enter_link(veh, veh.route[0])
+        self._enter_link(veh, route[0])
 
     def _arrival(self, veh: _Vehicle, lid: str):
         """Vehicle reached the end of ``lid``; route or search onwards."""
@@ -685,9 +677,7 @@ class Simulation:
             self._admit(veh)
             if trip.purpose == "pass":
                 self._log(veh, "iii", "")
-                veh.route = self.net.path_links(trip.origin, trip.destination)
-                veh.route_i = 0
-                self._enter_link(veh, veh.route[0])
+                self._drive(veh, self.net.path_links(trip.origin, trip.destination))
                 continue
             fees = [self.tau_on]
             attr = [self.sc.alpha_on]
@@ -699,19 +689,15 @@ class Simulation:
                 pick = 0 if self.supply_links else 1
             if pick == 0:
                 veh.purpose = "park-on"
-                target = self.rng_choice.choice(self.supply_links)
-                veh.target_link = target
-                self._log(veh, "i", target)
-                head = self.net.path_links(trip.origin, self.net.links[target].from_node)
-                veh.route = head + [target]
+                goal = self.rng_choice.choice(self.supply_links)
+                veh.target_link = goal
+                self._log(veh, "i", goal)
             else:
                 veh.purpose = "park-off"
-                entry = self.lot.entry_link
-                self._log(veh, "ii", entry)
-                head = self.net.path_links(trip.origin, self.net.links[entry].from_node)
-                veh.route = head + [entry]
-            veh.route_i = 0
-            self._enter_link(veh, veh.route[0])
+                goal = self.lot.entry_link
+                self._log(veh, "ii", goal)
+            head = self.net.path_links(trip.origin, self.net.links[goal].from_node)
+            self._drive(veh, head + [goal])
 
     def _circuit_exits(self):
         while self.circuit_heap and self.circuit_heap[0][0] <= self.t:
@@ -728,10 +714,12 @@ class Simulation:
             if veh.family == "v":
                 self._free_spot(veh.parked_link)
                 self._log(veh, "iii", veh.parked_link)
-                self._route_to_exit(veh, self.net.links[veh.parked_link].to_node)
+                from_link = veh.parked_link
             else:
                 self._log(veh, "iii", self.lot.id)
-                self._route_to_exit(veh, self.net.links[self.lot.entry_link].to_node)
+                from_link = self.lot.entry_link
+            from_node = self.net.links[from_link].to_node
+            self._drive(veh, self.net.path_links(from_node, veh.trip.destination))
 
     def _vacate_due(self):
         while self.vacate_schedule and self.vacate_schedule[-1][0] <= self.t:

@@ -27,35 +27,6 @@ FACILITIES = ("on", "off")
 
 
 @dataclass(frozen=True)
-class PricingSchedule:
-    """Per-interval (tau_on, tau_off) prices with bound and smoothing limits."""
-
-    interval_hr: float
-    prices: tuple[tuple[float, float], ...]
-    tau_min: float = 0.0
-    tau_max: float = 10.0
-    tau_gap: float = 3.0
-
-    def __post_init__(self):
-        if self.interval_hr <= 0:
-            raise ValueError("interval must be > 0")
-        if self.tau_gap < 0 or self.tau_max < self.tau_min:
-            raise ValueError("infeasible price constraint box")
-        for tau_on, tau_off in self.prices:
-            for tau in (tau_on, tau_off):
-                if not (self.tau_min - 1e-9 <= tau <= self.tau_max + 1e-9):
-                    raise ValueError(f"price {tau} outside [{self.tau_min}, {self.tau_max}]")
-        for (a_on, a_off), (b_on, b_off) in zip(self.prices, self.prices[1:]):
-            if abs(b_on - a_on) > self.tau_gap + 1e-9 or abs(b_off - a_off) > self.tau_gap + 1e-9:
-                raise ValueError("consecutive prices violate the smoothing gap")
-
-    def per_step(self, dt_hr: float) -> np.ndarray:
-        """One (tau_on, tau_off) row per step of ``dt_hr`` hr."""
-        steps = whole_steps(self.interval_hr * 3600.0, dt_hr * 3600.0, "price interval", "step")
-        return np.repeat(np.array(self.prices), steps, axis=0)
-
-
-@dataclass(frozen=True)
 class MpcConfig:
     """Pricing-loop settings. The prediction horizon is ``n_intervals``
     control intervals, each a whole number of macro steps."""
@@ -179,7 +150,7 @@ def _pattern_search(f, x0: np.ndarray, repair, budget: int, init_step: float):
 
 @dataclass
 class OpenLoopSolution:
-    schedule: PricingSchedule
+    prices: np.ndarray  # (n_intervals, 2): one (tau_on, tau_off) row per interval
     objective: float
     evaluations: int
     indifferent: bool
@@ -193,7 +164,7 @@ def solve_open_loop(
     params: MacroParams,
     config: MpcConfig,
     prior_prices: tuple[float, float] | None,
-    base_prices: tuple[float, float] | None = None,
+    base_prices: tuple[float, float],
     extra_starts: list[np.ndarray] | None = None,
 ) -> OpenLoopSolution:
     """Multi-start pattern search over the interval prices of the horizon.
@@ -201,18 +172,15 @@ def solve_open_loop(
     ``prior_prices`` anchor the smoothing gap to the last applied interval
     (None for one-shot full-horizon problems, whose first interval is only
     box-bounded). Uncontrolled facilities stay at ``base_prices``. Global
-    optimality is not guaranteed; feasibility of the returned schedule is.
+    optimality is not guaranteed; feasibility of the controlled prices is.
     """
     n_int = config.n_intervals
-    base = prior_prices if base_prices is None else base_prices
-    if base is None:
-        raise ValueError("need base prices when no prior prices are given")
     steps_per = config.steps_per_interval
     cols = [FACILITIES.index(fac) for fac in config.controlled]
     prev = None if prior_prices is None else np.array(prior_prices, dtype=float)
 
     def full_matrix(x: np.ndarray) -> np.ndarray:
-        mat = np.tile(np.asarray(base, dtype=float), (n_int, 1))
+        mat = np.tile(np.asarray(base_prices, dtype=float), (n_int, 1))
         mat[:, cols] = x.reshape(n_int, len(cols))
         return mat
 
@@ -236,7 +204,7 @@ def solve_open_loop(
 
     dim = n_int * len(cols)
     rng = np.random.default_rng(0)
-    anchor = prev if prev is not None else np.asarray(base, dtype=float)
+    anchor = prev if prev is not None else np.asarray(base_prices, dtype=float)
     starts = [np.tile([anchor[c] for c in cols], n_int).astype(float)]
     starts.append(np.full(dim, config.tau_min, dtype=float))
     starts.append(np.full(dim, config.tau_max, dtype=float))
@@ -257,14 +225,7 @@ def solve_open_loop(
 
     values = list(cache.values())
     indifferent = (max(values) - min(values)) <= 1e-9 * max(1.0, abs(best_f))
-    schedule = PricingSchedule(
-        interval_hr=config.control_interval,
-        prices=tuple(tuple(row) for row in full_matrix(best_x)),
-        tau_min=config.tau_min,
-        tau_max=config.tau_max,
-        tau_gap=config.tau_gap,
-    )
-    return OpenLoopSolution(schedule, best_f, evals_total, indifferent, history)
+    return OpenLoopSolution(full_matrix(best_x), best_f, evals_total, indifferent, history)
 
 
 def solve_full_horizon(
@@ -294,7 +255,7 @@ def solve_full_horizon(
         return static
     dyn_cfg = replace(config, n_intervals=n_int_dyn)
     seed_start = np.tile(
-        [static.schedule.prices[0][FACILITIES.index(f)] for f in config.controlled], n_int_dyn
+        [static.prices[0][FACILITIES.index(f)] for f in config.controlled], n_int_dyn
     )
     return solve_open_loop(
         state,
@@ -456,8 +417,8 @@ def mpc_loop(
             pazz = np.concatenate([pazz, np.zeros(pad)])
         state = plant.read_state()
         sol = solve_open_loop(state, park, pazz, params, config, prior, base_prices)
-        tau_on, tau_off = sol.schedule.prices[0]
-        rows = sol.schedule.per_step(config.dt_macro)
+        tau_on, tau_off = sol.prices[0]
+        rows = np.repeat(sol.prices, steps_per, axis=0)
         pred = simulate_macro(park, pazz, rows, params, initial_state=state)
         plant.set_prices(tau_on, tau_off)
         plant.advance(config.control_interval)

@@ -35,6 +35,7 @@ from parkdyn.microsim import (
     mean_network_speed,
     measure_nfd,
     performance_metrics,
+    time_metrics,
 )
 from parkdyn.mpc import MpcConfig, solve_full_horizon
 from parkdyn.network import DurationDistribution
@@ -398,7 +399,10 @@ def a10_runs():
     net = desk_network(lot_capacity=100)  # doubled off-street capacity
     sc = validation_scenario(parker_count=450)
     base_results = [Simulation(net, sc, s).run() for s in SEEDS]
-    base_obj = np.array([r.ineffective_cruising_time() for r in base_results])
+    base_obj = np.array([
+        time_metrics(r.series, r.dt_sim, r.l_off, r.v_off_f)["ineffective_cruising_veh_hr"]
+        for r in base_results
+    ])
     cal = calibrate(base_results)
     cfg = MpcConfig(n_starts=4, budget=80)
     params = macro_params_from_calibration(cal, net, sc, cfg.dt_macro)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -18,7 +19,7 @@ from parkdyn.cli import FMT, _run_one_seed, load_run_dir, main
 from parkdyn.estimators import DistanceModel
 from parkdyn.macromodel import NfdModel
 from parkdyn.microsim import SERIES_COLUMNS, Event, ScenarioConfig, Simulation
-from parkdyn.network import DurationDistribution, load_network
+from parkdyn.network import DurationDistribution, load_network, save_network
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,45 @@ def test_net_build_and_check(workdir):
     net = load_network(workdir / "net.json")
     assert net.total_parking_capacity == 80
     assert main(["net", "check", "--net", str(workdir / "net.json")]) == 0
+
+
+def test_net_build_writes_the_desk_network(tmp_path):
+    """The README's quick-start network is the one the tests and the benchmark build."""
+    out = tmp_path / "net.json"
+    assert main(["net", "build", "--total-spots", "300", "--lot-capacity", "50",
+                 "--out", str(out)]) == 0
+    save_network(scenarios.desk_network(), tmp_path / "desk.json")
+    assert out.read_bytes() == (tmp_path / "desk.json").read_bytes()
+
+
+# SHA-256 of the `net build` file for fixed flags. Do not regenerate them to
+# make a refactor pass: a moved digest is a different network.
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        pytest.param(
+            "--rows 4 --cols 5 --spots-per-link 3 --spot-spacing 0.01 --lot-capacity 20 "
+            "--lot-entry 5-6",
+            "f741117678661cb3a564ec35c0d9599e3c8ef7c0261b17e92c0785daf79474a2",
+            id="per-link-spots",
+        ),
+        pytest.param(
+            "--total-spots 200 --upper-share 0.3 --supply-fraction 0.5 --lot-capacity 40",
+            "948b73b595b8b52467cb7efdf7dc15ad8f670ce7259daf1d8feb61c12de83fde",
+            id="skewed-supply",
+        ),
+        pytest.param(
+            "--rows 3 --cols 7 --link-length 0.2 --vf 40 --kj 120 --total-spots 90 "
+            "--lot-capacity 15 --lot-circuit 0.5 --lot-speed 10",
+            "48860da1ae91fdbe33705666093b524e27cf744b44ea049fc95dbdaff742d203",
+            id="grid-and-lot",
+        ),
+    ],
+)
+def test_net_build_file_digest(tmp_path, flags, digest):
+    out = tmp_path / "net.json"
+    assert main(["net", "build", *flags.split(), "--out", str(out)]) == 0
+    assert _sha256(out) == digest
 
 
 def test_net_check_rejects_malformed(tmp_path):
@@ -579,6 +619,37 @@ def test_dead_end_node_gives_one_error_line(tmp_path, capsys, seed):
     assert (rc, err) == (0, []) or (rc == 1 and len(err) == 1 and err[0].startswith("error:"))
 
 
+def test_one_boundary_node_passers_exit_on_entry(tmp_path):
+    # nodes 0-2, strongly connected, and node 2 the only boundary node:
+    # every trip starts and ends there, so a passer is at its destination
+    def link(lid, a, b, spots=0):
+        return {"id": lid, "from_node": a, "to_node": b, "length": 0.1,
+                "free_flow_speed": 50.0, "jam_density": 100.0, "parking_capacity": spots}
+
+    net = {"nodes": [{"id": n, "x": 100.0 * n, "y": 0.0} for n in range(3)],
+           "links": [link("a", 0, 1, 2), link("b", 0, 2), link("c", 1, 0), link("d", 1, 2),
+                     link("e", 2, 0)]}
+    (tmp_path / "net.json").write_text(json.dumps(net))
+    (tmp_path / "scenario.json").write_text(
+        json.dumps({"parker_count": 2, "passer_count": 3, "horizon": 0.25}))
+    assert main(["micro", "run", "--net", str(tmp_path / "net.json"), "--config",
+                 str(tmp_path / "scenario.json"), "--seeds", "0", "--out",
+                 str(tmp_path / "runs")]) == 0
+
+    sim = Simulation(load_network(tmp_path / "net.json"),
+                     ScenarioConfig.load(tmp_path / "scenario.json"), 0)
+    assert list(sim.net.boundary_nodes()) == [2]
+    while sim.step_i < sim.n_steps:
+        sim.step()
+        assert sim.check_conservation()
+    passers = {v.vid: v.trip.entry_time for v in sim.vehicles if v.purpose == "pass"}
+    assert len(passers) == 3
+    for vid, entry in passers.items():
+        trail = [(e.from_family, e.to_family, e.t_s) for e in sim.events if e.vehicle_id == vid]
+        t = math.ceil(entry)  # injected at the first step at or after its entry time
+        assert trail == [("new", "iii", t), ("iii", "exited", t)]
+
+
 @pytest.fixture
 def no_simulation(monkeypatch):
     """Fail the test if anything runs the micro or the macro model."""
@@ -692,3 +763,45 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _scenario_with(workdir, tmp_path, **fields):
+    sc = json.loads((workdir / "scenario.json").read_text())
+    sc.update(fields)
+    path = tmp_path / "priced.json"
+    path.write_text(json.dumps(sc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["mpc run", "compare --modes mpc"])
+def test_uncontrolled_price_outside_box_rejected_up_front(
+    workdir, tmp_path, capsys, no_simulation, command
+):
+    # the solver keeps an uncontrolled facility at its scenario price
+    argv = _priced_argv(workdir, tmp_path, command)
+    argv[argv.index("--config") + 1] = str(_scenario_with(workdir, tmp_path, tau_off=20.0))
+    assert main(argv + ["--controlled", "on"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "'tau_off' 20 is outside" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_unpriced_compare_ignores_the_price_box(workdir, tmp_path):
+    argv = _priced_argv(workdir, tmp_path, "compare --modes no-price")
+    argv[argv.index("--config") + 1] = str(_scenario_with(workdir, tmp_path, tau_off=20.0))
+    assert main(argv + ["--controlled", "on"]) == 0
+    assert len((tmp_path / "out" / "comparison.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--k-step", "0"), ("--k-step", "-1"), ("--k-step", "nan"), ("--vc", "10,abc")],
+)
+def test_bad_theory_sweep_flags_name_the_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "theory"
+    assert main(["theory", "sweep", f"{flag}={value}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {flag}:")
+    assert not out.exists()

@@ -28,7 +28,7 @@ GOLDEN = {
     # one hour at dt 10 s (k_off = 7) and at dt 200 s (k_off = 0); the lot overflows
     "simulate_dt10": "039602837d2ccc48260bfa5a7a4ad48969f46710dca3440397428a54f37ff457",
     "simulate_dt200": "beb5db10dc2ec1cdb68630d1acc31636a44f93e325d4113cd24e60154965ed69",
-    # schedule, objective, evaluations and best_history of one solve
+    # prices, objective, evaluations and best_history of one solve
     "solve_open_loop": "da6f3705ffe6e1ccee4a58a1cd9f74885e8ba19dd0be6e54aa7ef17e53fc3b56",
     # the closed loop on the macro model as its own plant
     "mpc_loop_macro_plant": "049ae4598fc0c3c8d503006b4bd724ad03b9da75a1834d06ebdfe2d2cf121104",
@@ -103,8 +103,8 @@ def digest_simulate_dt200():
 def digest_solve_open_loop():
     p = _params()
     park, pas = uniform_profile(500, 180), uniform_profile(1500, 180)
-    sol = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0))
-    return _digest(sol.schedule.prices, [sol.objective, sol.evaluations], sol.best_history)
+    sol = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0), (0.0, 0.0))
+    return _digest(sol.prices, [sol.objective, sol.evaluations], sol.best_history)
 
 
 def digest_mpc_loop_macro_plant():

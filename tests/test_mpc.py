@@ -17,7 +17,6 @@ from parkdyn.mpc import (
     MacroPlant,
     MicroPlant,
     MpcConfig,
-    PricingSchedule,
     mpc_loop,
     objective_ineffective_cruising,
     repair_schedule,
@@ -60,25 +59,11 @@ SMALL = MpcConfig(n_starts=3, budget=40)
 
 
 class TestPricingSchedule:
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            PricingSchedule(0.25, ((11.0, 0.0),), tau_max=10.0)
-
-    def test_gap_enforced(self):
-        with pytest.raises(ValueError):
-            PricingSchedule(0.25, ((0.0, 0.0), (4.0, 0.0)), tau_gap=3.0)
+    """The price box and smoothing gap that every solved schedule keeps."""
 
     def test_infeasible_box_rejected(self):
         with pytest.raises(ValueError):
-            PricingSchedule(0.25, ((0.0, 0.0),), tau_gap=-1.0)
-        with pytest.raises(ValueError):
             MpcConfig(tau_gap=-0.5)
-
-    def test_per_step_expansion(self):
-        s = PricingSchedule(0.25, ((1.0, 0.0), (2.0, 0.0)))
-        rows = s.per_step(DT)
-        assert rows.shape == (180, 2)
-        assert rows[0, 0] == 1.0 and rows[90, 0] == 2.0 and rows[-1, 0] == 2.0
 
 
 class TestRepair:
@@ -127,7 +112,7 @@ class TestSolveOpenLoop:
     def test_zero_demand_indifferent(self):
         p = make_params()
         sol = solve_open_loop(
-            MacroState(), np.zeros(180), np.zeros(180), p, SMALL, (0.0, 0.0)
+            MacroState(), np.zeros(180), np.zeros(180), p, SMALL, (0.0, 0.0), (0.0, 0.0)
         )
         assert sol.objective == 0.0
         assert sol.indifferent
@@ -137,36 +122,36 @@ class TestSolveOpenLoop:
         # the no-pricing baseline of zero
         p = make_params()
         park, pas = pressure_demand(180)
-        sol = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0))
-        assert sol.schedule.prices[0][0] > 0.0
+        sol = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0), (0.0, 0.0))
+        assert sol.prices[0][0] > 0.0
         assert not sol.indifferent
 
     def test_schedule_always_feasible(self):
         p = make_params()
         park, pas = pressure_demand(180)
         for prior in ((0.0, 0.0), (8.0, 0.0), (5.0, 5.0)):
-            sol = solve_open_loop(MacroState(), park, pas, p, SMALL, prior)
-            for (a_on, a_off), (b_on, b_off) in zip(sol.schedule.prices, sol.schedule.prices[1:]):
+            sol = solve_open_loop(MacroState(), park, pas, p, SMALL, prior, prior)
+            for (a_on, a_off), (b_on, b_off) in zip(sol.prices, sol.prices[1:]):
                 assert abs(b_on - a_on) <= 3.0 + 1e-9
-            assert abs(sol.schedule.prices[0][0] - prior[0]) <= 3.0 + 1e-9
-            for tau_on, tau_off in sol.schedule.prices:
+            assert abs(sol.prices[0][0] - prior[0]) <= 3.0 + 1e-9
+            for tau_on, tau_off in sol.prices:
                 assert 0.0 - 1e-12 <= tau_on <= 10.0 + 1e-12
                 assert 0.0 - 1e-12 <= tau_off <= 10.0 + 1e-12
 
     def test_monotone_best_so_far(self):
         p = make_params()
         park, pas = pressure_demand(180)
-        sol = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0))
+        sol = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0), (0.0, 0.0))
         hist = sol.best_history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     def test_objective_deterministic(self):
         p = make_params()
         park, pas = pressure_demand(180)
-        a = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0))
-        b = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0))
+        a = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0), (0.0, 0.0))
+        b = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0), (0.0, 0.0))
         assert a.objective == b.objective
-        assert a.schedule.prices == b.schedule.prices
+        assert np.array_equal(a.prices, b.prices)
 
 
 class TestFullHorizon:
@@ -174,7 +159,7 @@ class TestFullHorizon:
         p = make_params()
         park, pas = pressure_demand()
         sol = solve_full_horizon(park, pas, p, SMALL, 1.0, (0.0, 0.0), "static")
-        assert len(sol.schedule.prices) == 1
+        assert len(sol.prices) == 1
 
     def test_dynamic_never_worse_than_static(self):
         p = make_params()
