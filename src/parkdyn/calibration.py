@@ -8,6 +8,7 @@ quantifies macro-vs-micro consistency on aligned time grids.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from .microsim import Event, RunResult, macro_blocks, measure_nfd, whole_steps
 from .network import from_json
 
 
-def nfd_samples(results: list[RunResult], window_s: float = 60.0) -> list[tuple[float, float]]:
+def nfd_samples(results: Iterable[RunResult], window_s: float = 60.0) -> list[tuple[float, float]]:
     """(accumulation, speed) pairs from Edie windows of each replication."""
     samples = []
     for res in results:
@@ -88,23 +89,27 @@ _MOVING_END = {
 }
 
 
-def estimate_moving_distances(event_logs: list[list[Event]]) -> dict:
-    """Mean moving distance per family i-iii, averaged across replications.
+def replication_moving_distances(events: list[Event]) -> dict[str, float]:
+    """Mean moving distance per family i-iii within one replication. A
+    vehicle's travel distance is segmented by family; the cruising segment
+    (family iv) is excluded here. A family with no completed segment is
+    left out."""
+    sums = {"i": [], "ii": [], "iii": []}
+    for ev in events:
+        ends = _MOVING_END.get(ev.from_family)
+        if ends and ev.to_family in ends:
+            sums[ev.from_family].append(ev.dist_km)
+    return {fam: float(np.mean(vals)) for fam, vals in sums.items() if vals}
 
-    A vehicle's travel distance is segmented by family; the cruising segment
-    (family iv) is excluded here. Families with no completed segment in any
-    replication are reported as None.
-    """
+
+def moving_distance_stats(replication_means: Iterable[dict[str, float]]) -> dict:
+    """Mean and standard deviation across replications of the
+    ``replication_moving_distances`` of each; a family absent from every
+    replication is reported as None."""
     per_rep = {"i": [], "ii": [], "iii": []}
-    for events in event_logs:
-        sums = {"i": [], "ii": [], "iii": []}
-        for ev in events:
-            ends = _MOVING_END.get(ev.from_family)
-            if ends and ev.to_family in ends:
-                sums[ev.from_family].append(ev.dist_km)
-        for fam, vals in sums.items():
-            if vals:
-                per_rep[fam].append(float(np.mean(vals)))
+    for means in replication_means:
+        for fam, mean in means.items():
+            per_rep[fam].append(mean)
 
     def agg(fam):
         vals = per_rep[fam]
@@ -124,8 +129,13 @@ def estimate_moving_distances(event_logs: list[list[Event]]) -> dict:
     }
 
 
+def estimate_moving_distances(event_logs: Iterable[list[Event]]) -> dict:
+    """Mean moving distance per family i-iii, averaged across replications."""
+    return moving_distance_stats(map(replication_moving_distances, event_logs))
+
+
 def extract_occupancy_distance(
-    event_logs: list[list[Event]],
+    event_logs: Iterable[list[Event]],
     trend: str = "increasing",
     occupancy_ref: str = "init",
 ) -> list[tuple[float, float]]:
@@ -135,7 +145,8 @@ def extract_occupancy_distance(
     the mean of search start and park ("avg"); the trend filter keeps vehicles
     whose average occupancy rose ("increasing"), fell ("decreasing"), or
     either ("both") during the search. Vehicles still cruising at the end of
-    the run never produce a park event and are therefore excluded.
+    the run never produce a park event and are therefore excluded. The logs
+    may be any iterable, read one at a time.
     """
     if trend not in ("increasing", "decreasing", "both"):
         raise ValueError(f"unknown trend filter {trend!r}")
@@ -158,6 +169,7 @@ def extract_occupancy_distance(
                 o = o_start if occupancy_ref == "init" else 0.5 * (o_start + o_park)
                 d = ev.dist_km if ev.from_family == "iv" else 0.0
                 out.append((o, d))
+        del events  # a log read lazily is released before the next one is read
     return out
 
 
@@ -213,21 +225,28 @@ class CalibrationReport:
 
 
 def calibrate(
-    results: list[RunResult],
+    results: Iterable[RunResult],
     nfd_window_s: float = 60.0,
     trend: str = "increasing",
     occupancy_ref: str = "init",
 ) -> CalibrationReport:
-    """Full calibration pipeline over a set of replications."""
-    if not results:
+    """Full calibration pipeline over a set of replications. ``results`` may
+    be any iterable: each replication is folded into the NFD samples, its
+    mean moving distances and its occupancy-distance observations, and
+    released before the next one is read; the fits run after the last."""
+    samples, moving, obs = [], [], []
+    for res in results:
+        samples += nfd_samples([res], nfd_window_s)
+        moving.append(replication_moving_distances(res.events))
+        obs += extract_occupancy_distance([res.events], trend, occupancy_ref)
+        del res  # not held while the next replication is read
+    if not moving:
         raise ValueError("no runs to calibrate from")
-    logs = [r.events for r in results]
-    nfd, nfd_diag = fit_nfd(nfd_samples(results, nfd_window_s))
-    dists = estimate_moving_distances(logs)
+    nfd, nfd_diag = fit_nfd(samples)
+    dists = moving_distance_stats(moving)
     missing = [k for k in ("l_m_on", "l_m_off", "l_m_pass") if dists[k] is None]
     if missing:
         raise FitDegenerateError(f"no moving-distance observations for {missing}")
-    obs = extract_occupancy_distance(logs, trend=trend, occupancy_ref=occupancy_ref)
     dmodel, ddiag = fit_distance_curve(obs)
     return CalibrationReport(
         nfd=nfd,
@@ -242,25 +261,54 @@ def calibrate(
     )
 
 
-def micro_series_on_macro_grid(results: list[RunResult], dt_macro_s: float) -> dict:
+class MicroStepMismatch(ValueError):
+    """A replication's micro step differs from the first replication's;
+    ``index`` is its position in the run set."""
+
+    def __init__(self, index: int, dt_sim: float, first_dt_sim: float):
+        super().__init__(f"micro step {dt_sim:g} s differs from the first replication's "
+                         f"{first_dt_sim:g} s")
+        self.index = index
+
+
+def micro_series_on_macro_grid(results: Iterable[RunResult], dt_macro_s: float) -> dict:
     """Block-mean micro series per replication on the macro step grid.
 
     Returns arrays of shape (n_seeds, n_macro_steps) for n_on (occupied
     spots), n_off, n_active, and the Edie speed v (NaN where no vehicle time).
+    ``results`` may be any iterable: each replication is binned and released
+    before the next one is read. A replication whose micro step differs from
+    the first one's raises MicroStepMismatch.
     """
-    steps = whole_steps(dt_macro_s, results[0].dt_sim, "macro step", "micro step")
     out = {"n_on": [], "n_off": [], "n_active": [], "v": []}
-    for res in results:
-        s = res.series
-        n_on = s["occ_on"] * res.summary["on_street_capacity"]  # occ_on = n_on / capacity
-        out["n_on"].append(macro_blocks(n_on, steps).mean(axis=1))
-        out["n_off"].append(macro_blocks(s["n_off"], steps).mean(axis=1))
-        out["n_active"].append(macro_blocks(s["active"], steps).mean(axis=1))
-        dist = macro_blocks(s["dist_km"], steps).sum(axis=1)
-        time_vh = macro_blocks(s["active"], steps).sum(axis=1) * res.dt_sim / 3600.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out["v"].append(np.where(time_vh > 0, dist / time_vh, np.nan))
+    steps = None
+    for res in results:  # not enumerate(), whose cached tuple holds the last one
+        if steps is None:
+            dt_sim = res.dt_sim
+            steps = whole_steps(dt_macro_s, dt_sim, "macro step", "micro step")
+        elif res.dt_sim != dt_sim:
+            raise MicroStepMismatch(len(out["v"]), res.dt_sim, dt_sim)
+        for k, v in _macro_grid_means(res, steps).items():
+            out[k].append(v)
+        del res  # not held while the next replication is read
     return {k: np.array(v) for k, v in out.items()}
+
+
+def _macro_grid_means(res: RunResult, steps: int) -> dict:
+    """One replication's series as means (v: Edie speed) over blocks of
+    ``steps`` micro steps."""
+    s = res.series
+    n_on = s["occ_on"] * res.summary["on_street_capacity"]  # occ_on = n_on / capacity
+    dist = macro_blocks(s["dist_km"], steps).sum(axis=1)
+    time_vh = macro_blocks(s["active"], steps).sum(axis=1) * res.dt_sim / 3600.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v = np.where(time_vh > 0, dist / time_vh, np.nan)
+    return {
+        "n_on": macro_blocks(n_on, steps).mean(axis=1),
+        "n_off": macro_blocks(s["n_off"], steps).mean(axis=1),
+        "n_active": macro_blocks(s["active"], steps).mean(axis=1),
+        "v": v,
+    }
 
 
 def validate(macro: MacroTrajectories, micro: dict) -> dict:

@@ -69,11 +69,20 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
 
 
 def cmd_net_build(args):
+    for flag, value in (("--upper-share", args.upper_share),
+                        ("--supply-fraction", args.supply_fraction)):
+        if value is not None and args.total_spots is None:
+            raise ValueError(f"{flag}: applies only with --total-spots")
+    if args.upper_share is not None and not 0 <= args.upper_share <= 1:
+        raise ValueError(f"--upper-share: must lie in [0, 1], got {args.upper_share:g}")
+    supply = 1.0 if args.supply_fraction is None else args.supply_fraction
+    if not 0 < supply <= 1:
+        raise ValueError(f"--supply-fraction: must lie in (0, 1], got {supply:g}")
     net = scenarios.desk_network(
         args.rows, args.cols, args.link_length, args.vf, args.kj,
         total_spots=args.total_spots, lot_capacity=args.lot_capacity,
         lot_circuit=args.lot_circuit, lot_speed=args.lot_speed, upper_share=args.upper_share,
-        supply_fraction=args.supply_fraction, spots_per_link=args.spots_per_link,
+        supply_fraction=supply, spots_per_link=args.spots_per_link,
         spot_spacing=args.spot_spacing, lot_entry=args.lot_entry,
     )
     network.save_network(net, args.out)
@@ -273,8 +282,13 @@ def cmd_micro_run(args):
 def cmd_theory_sweep(args):
     out = Path(args.out)
     vcs = _parse_list(args.vc, "--vc", float)
-    if not (math.isfinite(args.k_step) and args.k_step > 0):
-        raise ValueError(f"--k-step: must be > 0 and finite, got {args.k_step:g}")
+    for flag, value in (("--vf", args.vf), ("--kj", args.kj), ("--k-step", args.k_step),
+                        ("--brute-step", args.brute_step)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag}: must be > 0 and finite, got {value:g}")
+    bad = [vc for vc in vcs if not 0 < vc <= args.vf]
+    if bad:
+        raise ValueError(f"--vc: {bad[0]:g} is outside (0, --vf] = (0, {args.vf:g}]")
     Ks = np.round(np.arange(0.0, args.kj + args.k_step / 2, args.k_step), 10)
     report = {}
     rows = []
@@ -324,7 +338,7 @@ def cmd_theory_sweep(args):
 
 
 def cmd_estimators_fit(args):
-    logs = [load_events_csv(d / "events.csv") for d in _seed_dirs(args.runs)]
+    logs = (load_events_csv(d / "events.csv") for d in _seed_dirs(args.runs))
     obs = calibration.extract_occupancy_distance(logs, trend=args.trend, occupancy_ref=args.ref)
     if args.kind == "exp-distance":
         model, diag = calibration.fit_distance_curve(obs)
@@ -366,7 +380,7 @@ def cmd_macro_run(args):
 
 
 def cmd_calibrate(args):
-    results = [load_run_dir(d) for d in _seed_dirs(args.runs)]
+    results = (load_run_dir(d) for d in _seed_dirs(args.runs))
     report = calibration.calibrate(
         results, nfd_window_s=args.nfd_window, trend=args.trend, occupancy_ref=args.ref
     )
@@ -384,8 +398,12 @@ def cmd_calibrate(args):
 
 def cmd_validate(args):
     # validation compares series only, so the event logs are not read
-    results = [load_run_dir(d, events=False) for d in _seed_dirs(args.runs)]
-    micro = calibration.micro_series_on_macro_grid(results, args.dt_macro)
+    dirs = _seed_dirs(args.runs)
+    results = (load_run_dir(d, events=False) for d in dirs)
+    try:
+        micro = calibration.micro_series_on_macro_grid(results, args.dt_macro)
+    except calibration.MicroStepMismatch as e:
+        raise ValueError(f"{dirs[e.index]}: {e} ({dirs[0]})") from None
     metrics = calibration.validate(_baseline_macro_run(args), micro)
     write_json(args.out, metrics)
     print(json.dumps(metrics, indent=1, sort_keys=True))
@@ -560,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--spot-spacing", type=float, default=0.0)
     b.add_argument("--total-spots", type=int, default=None)
     b.add_argument("--upper-share", type=float, default=None)
-    b.add_argument("--supply-fraction", type=float, default=1.0)
+    b.add_argument("--supply-fraction", type=float, default=None)
     b.add_argument("--lot-entry", default=None)
     b.add_argument("--lot-capacity", type=int, default=0)
     b.add_argument("--lot-circuit", type=float, default=0.3)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from parkdyn.calibration import (
     extract_occupancy_distance,
     fit_distance_curve,
     fit_nfd,
+    MicroStepMismatch,
     micro_series_on_macro_grid,
     nfd_samples,
     validate,
@@ -224,3 +227,65 @@ class TestSegmentedDistancesAndPipeline:
         n_steps = len(runs[0].series["t_s"]) // 10
         for key in ("n_on", "n_off", "n_active", "v"):
             assert grid[key].shape == (4, n_steps)
+
+
+class _Log(list):
+    """An event log that can be weakly referenced."""
+
+
+def _owned(item):
+    """A replication (or an event log) and the objects that hold its memory."""
+    if isinstance(item, list):
+        return [item]
+    return [item, item.events, next(iter(item.series.values())).base]
+
+
+def one_at_a_time(make, n):
+    """Yield ``make(0) … make(n - 1)``; before each item is made, assert that
+    nothing holds an earlier one."""
+    refs = []
+    for i in range(n):
+        assert all(r() is None for r in refs), f"item {i - 1} still held when item {i} is read"
+        item = make(i)
+        refs = [weakref.ref(x) for x in _owned(item)]
+        yield item
+        del item
+
+
+def fresh_copy(res):
+    """A copy of a replication that owns its event log and series memory."""
+    series = np.array([res.series[c] for c in res.series])
+    return dataclasses.replace(res, events=_Log(res.events), series=dict(zip(res.series, series)))
+
+
+class TestOneReplicationAtATime:
+    def test_calibrate_from_an_iterator_equals_from_a_list(self, runs):
+        from_list, from_iter = calibrate(runs), calibrate(iter(runs))
+        for f in dataclasses.fields(CalibrationReport):
+            assert getattr(from_iter, f.name) == getattr(from_list, f.name), f.name
+
+    def test_calibrate_releases_each_replication(self, runs):
+        gen = one_at_a_time(lambda i: fresh_copy(runs[i]), len(runs))
+        assert calibrate(gen) == calibrate(runs)
+
+    def test_macro_grid_releases_each_replication(self, runs):
+        gen = one_at_a_time(lambda i: fresh_copy(runs[i]), len(runs))
+        grid, expected = micro_series_on_macro_grid(gen, 10.0), micro_series_on_macro_grid(runs, 10.0)
+        for key, arr in expected.items():
+            assert grid[key].tobytes() == arr.tobytes(), key
+
+    def test_occupancy_distance_releases_each_log(self, runs):
+        gen = one_at_a_time(lambda i: _Log(runs[i].events), len(runs))
+        assert extract_occupancy_distance(gen) == extract_occupancy_distance([r.events for r in runs])
+
+    @pytest.mark.parametrize("empty", [[], iter([])], ids=["list", "iterator"])
+    def test_empty_run_set_rejected(self, empty):
+        with pytest.raises(ValueError, match="no runs to calibrate from"):
+            calibrate(empty)
+
+    def test_mixed_micro_steps_name_the_replication(self, runs):
+        slow = dataclasses.replace(runs[1], dt_sim=2.0 * runs[1].dt_sim)
+        with pytest.raises(MicroStepMismatch) as info:
+            micro_series_on_macro_grid([runs[0], runs[0], slow, runs[0]], 10.0)
+        assert info.value.index == 2
+        assert "micro step 2 s differs from the first replication's 1 s" in str(info.value)

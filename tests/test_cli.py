@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -7,13 +8,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import parkdyn
-from parkdyn import macromodel, mpc, scenarios
+from parkdyn import cli, macromodel, mpc, scenarios
 from parkdyn.calibration import CalibrationReport
 from parkdyn.cli import FMT, _run_one_seed, load_run_dir, main
 from parkdyn.estimators import DistanceModel
@@ -101,6 +103,23 @@ def test_net_build_file_digest(tmp_path, flags, digest):
     out = tmp_path / "net.json"
     assert main(["net", "build", *flags.split(), "--out", str(out)]) == 0
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--total-spots 100 --upper-share 1.5", "--upper-share: must lie in [0, 1], got 1.5"),
+        ("--total-spots 100 --upper-share -0.1", "--upper-share: must lie in [0, 1], got -0.1"),
+        ("--total-spots 100 --supply-fraction 0", "--supply-fraction: must lie in (0, 1], got 0"),
+        ("--upper-share 0.3", "--upper-share: applies only with --total-spots"),
+        ("--supply-fraction 0.5", "--supply-fraction: applies only with --total-spots"),
+    ],
+)
+def test_net_build_share_flags_name_the_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "net.json"
+    assert main(["net", "build", *flags.split(), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 def test_net_check_rejects_malformed(tmp_path):
@@ -435,6 +454,56 @@ def test_validate_reads_no_event_log(workdir, tmp_path):
         log.unlink()
     assert validate(runs, tmp_path / "without.json") == validate(
         workdir / "runs", tmp_path / "with.json")
+
+
+class _Log(list):
+    """An event log that can be weakly referenced."""
+
+
+@pytest.mark.parametrize("command", ["calibrate", "validate", "estimators fit"])
+def test_run_set_is_read_one_replication_at_a_time(workdir, tmp_path, monkeypatch, command):
+    """Each replication is released before the next one is read."""
+    loader = "load_events_csv" if command == "estimators fit" else "load_run_dir"
+    load, refs, reads = getattr(cli, loader), [], []
+
+    def tracked(*args, **kwargs):
+        assert all(r() is None for r in refs), f"replication {len(reads) - 1} is still held"
+        reads.append(args[0])
+        item = load(*args, **kwargs)
+        if loader == "load_events_csv":
+            item = _Log(item)
+            refs[:] = [weakref.ref(item)]
+        else:
+            item = dataclasses.replace(item, events=_Log(item.events))
+            refs[:] = [weakref.ref(x) for x in (item, item.events, item.series["t_s"].base)]
+        return item
+
+    monkeypatch.setattr(cli, loader, tracked)
+    argv = [*command.split(), "--runs", str(workdir / "runs"), "--out", str(tmp_path / "out.json")]
+    if command == "validate":
+        argv += ["--net", str(workdir / "net.json"), "--config", str(workdir / "scenario.json"),
+                 "--calibration", str(workdir / "calibration.json")]
+    assert main(argv) == 0
+    assert len(reads) == 5
+
+
+def test_validate_names_the_replication_with_another_micro_step(workdir, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    for seed in (0, 1):
+        shutil.copytree(workdir / "runs" / f"seed_{seed}", runs / f"seed_{seed}")
+    slow = _scenario_with(workdir, tmp_path, dt_sim=2.0)
+    assert main(["micro", "run", "--net", str(workdir / "net.json"), "--config", str(slow),
+                 "--seeds", "2", "--out", str(runs)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "validation.json"
+    assert main(["validate", "--net", str(workdir / "net.json"), "--config",
+                 str(workdir / "scenario.json"), "--calibration", str(workdir / "calibration.json"),
+                 "--runs", str(runs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {runs / 'seed_2'}: micro step 2 s differs from the first replication's 1 s "
+        f"({runs / 'seed_0'})"
+    ]
+    assert not out.exists()
 
 
 def test_readme_scenario_block_loads(tmp_path):
@@ -796,7 +865,8 @@ def test_unpriced_compare_ignores_the_price_box(workdir, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--k-step", "0"), ("--k-step", "-1"), ("--k-step", "nan"), ("--vc", "10,abc")],
+    [("--k-step", "0"), ("--k-step", "-1"), ("--k-step", "nan"), ("--vc", "10,abc"),
+     ("--brute-step", "0"), ("--vc", "0"), ("--vc", "60"), ("--vf", "nan"), ("--kj", "0")],
 )
 def test_bad_theory_sweep_flags_name_the_flag(tmp_path, capsys, flag, value):
     out = tmp_path / "theory"
