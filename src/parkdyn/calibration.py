@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import DistanceModel, FitDegenerateError, fit as fit_estimator
+from .estimators import DISTANCE_KINDS, DistanceModel, FitDegenerateError, fit as fit_estimator
 from .macromodel import MacroTrajectories, NfdModel
 from .microsim import Event, RunResult, macro_blocks, measure_nfd, whole_steps
 from .network import from_json
@@ -211,6 +211,12 @@ class CalibrationReport:
     moving_distance_std: dict = field(default_factory=dict)
     scenario_filter: str = "increasing+init"
 
+    def __post_init__(self):
+        kind = self.distance_model.kind
+        if kind not in DISTANCE_KINDS:
+            raise ValueError(f"field 'distance_model.kind' must be a distance kind "
+                             f"({', '.join(DISTANCE_KINDS)}), not {kind!r}")
+
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(asdict(self), fh, indent=1, sort_keys=True)
@@ -261,13 +267,13 @@ def calibrate(
     )
 
 
-class MicroStepMismatch(ValueError):
-    """A replication's micro step differs from the first replication's;
-    ``index`` is its position in the run set."""
+class ReplicationMismatch(ValueError):
+    """A replication's micro step or macro-grid length differs from the
+    first replication's; ``index`` is its position in the run set."""
 
-    def __init__(self, index: int, dt_sim: float, first_dt_sim: float):
-        super().__init__(f"micro step {dt_sim:g} s differs from the first replication's "
-                         f"{first_dt_sim:g} s")
+    def __init__(self, index: int, what: str, value: float, first: float, unit: str):
+        super().__init__(f"{what} {value:g} {unit} differs from the first replication's "
+                         f"{first:g} {unit}")
         self.index = index
 
 
@@ -277,19 +283,24 @@ def micro_series_on_macro_grid(results: Iterable[RunResult], dt_macro_s: float) 
     Returns arrays of shape (n_seeds, n_macro_steps) for n_on (occupied
     spots), n_off, n_active, and the Edie speed v (NaN where no vehicle time).
     ``results`` may be any iterable: each replication is binned and released
-    before the next one is read. A replication whose micro step differs from
-    the first one's raises MicroStepMismatch.
+    before the next one is read. A replication whose micro step or number of
+    macro steps differs from the first one's raises ReplicationMismatch.
     """
     out = {"n_on": [], "n_off": [], "n_active": [], "v": []}
     steps = None
     for res in results:  # not enumerate(), whose cached tuple holds the last one
+        index = len(out["v"])
         if steps is None:
             dt_sim = res.dt_sim
             steps = whole_steps(dt_macro_s, dt_sim, "macro step", "micro step")
         elif res.dt_sim != dt_sim:
-            raise MicroStepMismatch(len(out["v"]), res.dt_sim, dt_sim)
+            raise ReplicationMismatch(index, "micro step", res.dt_sim, dt_sim, "s")
         for k, v in _macro_grid_means(res, steps).items():
             out[k].append(v)
+        if len(out["v"][-1]) != len(out["v"][0]):
+            raise ReplicationMismatch(
+                index, "macro-grid length", len(out["v"][-1]), len(out["v"][0]), "steps"
+            )
         del res  # not held while the next replication is read
     return {k: np.array(v) for k, v in out.items()}
 

@@ -18,9 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bintheory, calibration, macromodel, mpc, network, microsim, scenarios
-
-DISTANCE_KINDS = ("exp-distance", "geometric", "modified-geometric")
+from . import bintheory, calibration, estimators, macromodel, mpc, network, microsim, scenarios
 
 FMT = "{:.10g}"
 
@@ -402,7 +400,7 @@ def cmd_validate(args):
     results = (load_run_dir(d, events=False) for d in dirs)
     try:
         micro = calibration.micro_series_on_macro_grid(results, args.dt_macro)
-    except calibration.MicroStepMismatch as e:
+    except calibration.ReplicationMismatch as e:
         raise ValueError(f"{dirs[e.index]}: {e} ({dirs[0]})") from None
     metrics = calibration.validate(_baseline_macro_run(args), micro)
     write_json(args.out, metrics)
@@ -419,15 +417,20 @@ def _mpc_setup(args, priced: bool):
     an MPC time grid that does not tile the plant's run (the macro step must
     be whole micro steps and the control interval must divide the scenario
     horizon) is rejected before anything runs, and so is an uncontrolled
-    facility's scenario price outside the box, which the solver would keep."""
+    facility's scenario price outside the box, which the solver would keep.
+    A price-box flag that is not finite is rejected before any file is read."""
+    for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max),
+                        ("--tau-gap", args.tau_gap)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag}: must be finite, got {value:g}")
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)
     seeds = _parse_list(args.seeds, "--seeds")
+    dt = args.dt_macro / 3600.0
     cfg = mpc.MpcConfig(
         control_interval=args.control_interval,
         n_intervals=args.intervals,
-        dt_macro=args.dt_macro / 3600.0,
         n_starts=args.starts,
         budget=args.budget,
         controlled=tuple(args.controlled.split(",")),
@@ -435,8 +438,9 @@ def _mpc_setup(args, priced: bool):
         tau_max=args.tau_max,
         tau_gap=args.tau_gap,
     )
+    cfg.steps_per_interval(dt)  # raises unless the macro step divides the control interval
     if priced:
-        microsim.whole_steps(cfg.dt_macro * 3600.0, sc.dt_sim, "macro step", "micro step")
+        microsim.whole_steps(dt * 3600.0, sc.dt_sim, "macro step", "micro step")
         cfg.intervals_in(sc.horizon)
         for fac in mpc.FACILITIES:
             tau = getattr(sc, f"tau_{fac}")
@@ -444,7 +448,7 @@ def _mpc_setup(args, priced: bool):
                 raise ValueError(f"scenario {args.config}: field 'tau_{fac}' {tau:g} is outside "
                                  f"[--tau-min, --tau-max] = [{cfg.tau_min:g}, {cfg.tau_max:g}] "
                                  f"of the uncontrolled facility {fac!r}")
-    params = scenarios.macro_params_from_calibration(report, net, sc, cfg.dt_macro)
+    params = scenarios.macro_params_from_calibration(report, net, sc, dt)
     return net, sc, seeds, cfg, params
 
 
@@ -463,9 +467,8 @@ def run_mode(mode, net, sc, params, cfg, seed, prices=None):
     else:
         plant = mpc.MicroPlant(sim, params)
         if mode == "mpc":
-            park, pas = scenarios.macro_demand(sc, cfg.dt_macro)
-            iterations = mpc.mpc_loop(plant, params, cfg, park, pas, horizon=sc.horizon,
-                                      base_prices=(sc.tau_on, sc.tau_off))
+            park, pas = scenarios.macro_demand(sc, params.dt)
+            iterations = mpc.mpc_loop(plant, params, cfg, park, pas, (sc.tau_on, sc.tau_off))
         else:
             for tau_on, tau_off in prices:
                 plant.set_prices(tau_on, tau_off)
@@ -512,11 +515,11 @@ def cmd_compare(args):
         prices = None
         if mode.startswith("full-"):
             # the full-horizon problem does not depend on the plant seed
-            park, pas = scenarios.macro_demand(sc, cfg.dt_macro)
+            park, pas = scenarios.macro_demand(sc, params.dt)
             prices = mpc.solve_full_horizon(
-                park, pas, params, cfg, sc.horizon, (sc.tau_on, sc.tau_off),
+                park, pas, params, cfg, (sc.tau_on, sc.tau_off),
                 mode=mode.removeprefix("full-"),
-                initial_state=scenarios.macro_initial_state(sc),
+                initial_state=scenarios.macro_initial_state(sc, params.N_on),
             ).prices
         for seed in seeds:
             m, _ = run_mode(mode, net, sc, params, cfg, seed, prices)
@@ -615,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     e_sub = e.add_subparsers(dest="subcommand", required=True)
     f = e_sub.add_parser("fit", help="fit an estimator to run output")
     f.add_argument("--runs", required=True, help="directory with seed_* runs")
-    f.add_argument("--kind", default="exp-distance", choices=list(DISTANCE_KINDS))
+    f.add_argument("--kind", default="exp-distance", choices=list(estimators.DISTANCE_KINDS))
     f.add_argument("--trend", default="increasing", choices=["increasing", "decreasing", "both"])
     f.add_argument("--ref", default="init", choices=["init", "avg"])
     f.add_argument("--out", required=True)

@@ -25,6 +25,8 @@ _PARAM_NAMES = {
     "exp-distance": {"a", "b"},
 }
 KINDS = tuple(_PARAM_NAMES)
+# the kinds in km, which the macro model reads as a cruising distance
+DISTANCE_KINDS = ("exp-distance", "geometric", "modified-geometric")
 _SINGULAR = ("hyperbolic-time", "geometric", "modified-geometric")
 
 

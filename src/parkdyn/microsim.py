@@ -153,6 +153,17 @@ class ScenarioConfig:
         """Micro steps in the horizon."""
         return whole_steps(self.horizon * 3600.0, self.dt_sim, "horizon", "dt_sim")
 
+    def blocked_spots(self, capacity: int) -> int:
+        """Captive plus pre-occupied spots, the on-street spots taken before
+        the run starts; raises ValueError unless they fit the ``capacity``
+        on-street spots of the network."""
+        need = self.captive_spots + self.preoccupied_spots
+        if need > capacity:
+            raise ValueError(
+                f"captive + preoccupied spots exceed on-street capacity ({need} > {capacity})"
+            )
+        return need
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -432,9 +443,7 @@ class Simulation:
 
     def _block_spots(self, rng):
         sc = self.sc
-        need = sc.captive_spots + sc.preoccupied_spots
-        if need > self.capacity:
-            raise ValueError("captive + preoccupied spots exceed on-street capacity")
+        need = sc.blocked_spots(self.capacity)
         slots: list[str] = []
         if need:
             pool = [

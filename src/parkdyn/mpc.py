@@ -29,42 +29,37 @@ FACILITIES = ("on", "off")
 @dataclass(frozen=True)
 class MpcConfig:
     """Pricing-loop settings. The prediction horizon is ``n_intervals``
-    control intervals, each a whole number of macro steps."""
+    control intervals, each a whole number of macro steps (``MacroParams.dt``)."""
 
-    control_interval: float = 0.25  # hr
-    n_intervals: int = 2  # pricing intervals optimized simultaneously
-    dt_macro: float = 10.0 / 3600.0  # hr
+    control_interval: float  # hr
+    n_intervals: int  # pricing intervals optimized simultaneously
     # Multi-starts per solve. The anchor (last applied prices), tau_min and
     # tau_max starts always run, plus any extra starts the caller passes;
     # random starts (seeded 0 in every solve) fill up to n_starts. So
     # n_starts < 3 still runs three.
-    n_starts: int = 8
-    budget: int = 400  # objective evaluations per start
-    controlled: tuple[str, ...] = ("on",)
-    tau_min: float = 0.0
-    tau_max: float = 10.0
-    tau_gap: float = 3.0
+    n_starts: int
+    budget: int  # objective evaluations per start
+    controlled: tuple[str, ...]
+    tau_min: float
+    tau_max: float
+    tau_gap: float
 
     def __post_init__(self):
         if self.n_intervals < 1:
             raise ValueError(f"prediction intervals must be >= 1, got {self.n_intervals}")
-        self.steps_per_interval  # raises unless the macro step divides the control interval
+        box = (self.tau_min, self.tau_max, self.tau_gap)
+        if not all(map(math.isfinite, box)):
+            raise ValueError(f"price box bounds must be finite, got {box}")
         if self.tau_gap < 0 or self.tau_max < self.tau_min:
             raise ValueError("infeasible price constraint box")
         if not self.controlled or any(f not in FACILITIES for f in self.controlled):
             raise ValueError("controlled facilities must be a non-empty subset of on/off")
 
-    @property
-    def steps_per_interval(self) -> int:
-        """Macro steps in one control interval."""
+    def steps_per_interval(self, dt: float) -> int:
+        """Macro steps of ``dt`` hr in one control interval."""
         return whole_steps(
-            self.control_interval * 3600.0, self.dt_macro * 3600.0, "control interval", "macro step"
+            self.control_interval * 3600.0, dt * 3600.0, "control interval", "macro step"
         )
-
-    @property
-    def horizon_steps(self) -> int:
-        """Macro steps in the prediction horizon."""
-        return self.n_intervals * self.steps_per_interval
 
     def intervals_in(self, horizon: float) -> int:
         """Control intervals in a run of ``horizon`` hr."""
@@ -175,7 +170,7 @@ def solve_open_loop(
     optimality is not guaranteed; feasibility of the controlled prices is.
     """
     n_int = config.n_intervals
-    steps_per = config.steps_per_interval
+    steps_per = config.steps_per_interval(params.dt)
     cols = [FACILITIES.index(fac) for fac in config.controlled]
     prev = None if prior_prices is None else np.array(prior_prices, dtype=float)
 
@@ -233,23 +228,22 @@ def solve_full_horizon(
     pass_profile: np.ndarray,
     params: MacroParams,
     config: MpcConfig,
-    horizon: float,
     base_prices: tuple[float, float],
-    mode: str = "dynamic",
-    initial_state: MacroState | None = None,
+    mode: str,
+    initial_state: MacroState,
 ) -> OpenLoopSolution:
-    """One optimization over the whole horizon: time-varying prices in
-    "dynamic" mode, a single constant price in "static" mode.
+    """One optimization over the whole horizon of the demand profiles:
+    time-varying prices in "dynamic" mode, a single constant price in "static" mode.
 
     The dynamic solve is seeded with the static optimum, so its objective can
     never exceed the static one."""
     if mode not in ("dynamic", "static"):
         raise ValueError(f"unknown mode {mode!r}")
-    state = initial_state if initial_state is not None else MacroState()
+    horizon = len(park_profile) * params.dt
     n_int_dyn = config.intervals_in(horizon)
     static_cfg = replace(config, n_intervals=1, control_interval=horizon)
     static = solve_open_loop(
-        state, park_profile, pass_profile, params, static_cfg, None, base_prices
+        initial_state, park_profile, pass_profile, params, static_cfg, None, base_prices
     )
     if mode == "static":
         return static
@@ -258,7 +252,7 @@ def solve_full_horizon(
         [static.prices[0][FACILITIES.index(f)] for f in config.controlled], n_int_dyn
     )
     return solve_open_loop(
-        state,
+        initial_state,
         park_profile,
         pass_profile,
         params,
@@ -378,8 +372,7 @@ def mpc_loop(
     config: MpcConfig,
     park_forecast: np.ndarray,
     pass_forecast: np.ndarray,
-    horizon: float,
-    base_prices: tuple[float, float] = (0.0, 0.0),
+    base_prices: tuple[float, float],
 ) -> list[MpcIteration]:
     """Closed-loop rolling-horizon control of ``plant``; returns one record
     per control interval.
@@ -395,15 +388,17 @@ def mpc_loop(
     (``objective_ineffective_cruising``) over the prediction horizon.
 
     ``park_forecast``/``pass_forecast`` are per-macro-step expected inflows
-    over the full horizon (the known-demand assumption); the forecast beyond
-    the horizon is zero-padded. The first optimized interval is applied at
-    every control boundary.
+    over the full horizon (the known-demand assumption), so the run lasts
+    ``len(park_forecast) * params.dt`` hr; the forecast beyond the horizon is
+    zero-padded. The first optimized interval is applied at every control
+    boundary. ``base_prices`` are the prices in force before the first
+    boundary, and uncontrolled facilities keep them throughout.
     """
     park_forecast = np.asarray(park_forecast, dtype=float)
     pass_forecast = np.asarray(pass_forecast, dtype=float)
-    steps_per = config.steps_per_interval
-    horizon_steps = config.horizon_steps
-    n_controls = config.intervals_in(horizon)
+    steps_per = config.steps_per_interval(params.dt)
+    horizon_steps = config.n_intervals * steps_per
+    n_controls = config.intervals_in(len(park_forecast) * params.dt)
     iterations: list[MpcIteration] = []
     prior = base_prices
 

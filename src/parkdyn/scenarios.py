@@ -93,7 +93,7 @@ def macro_params_from_calibration(
     report: CalibrationReport,
     network: Network,
     scenario: ScenarioConfig,
-    dt: float = 10.0 / 3600.0,
+    dt: float,
 ) -> MacroParams:
     """MacroParams with calibrated curves and the scenario's known constants."""
     lot = network.lot  # without one, placeholders: MacroParams needs l_off, v_off_f > 0
@@ -116,14 +116,15 @@ def macro_params_from_calibration(
     )
 
 
-def macro_initial_state(scenario: ScenarioConfig) -> MacroState:
+def macro_initial_state(scenario: ScenarioConfig, capacity: int) -> MacroState:
     """Captive (and any pre-occupied) spots enter as initially parked mass
-    with no re-departure cohorts behind them."""
-    blocked = float(scenario.captive_spots + scenario.preoccupied_spots)
+    with no re-departure cohorts behind them; they must fit the ``capacity``
+    on-street spots, as in the micro simulation."""
+    blocked = float(scenario.blocked_spots(capacity))
     return MacroState(n_on=blocked, cum_inflow=blocked)
 
 
-def macro_demand(scenario: ScenarioConfig, dt: float = 10.0 / 3600.0):
+def macro_demand(scenario: ScenarioConfig, dt: float):
     """Expected per-step (park, pass) inflows matching the micro demand; the
     macro step ``dt`` (hr) must divide the scenario horizon."""
     n_steps = whole_steps(
@@ -147,7 +148,7 @@ def baseline_macro_run(
     report: CalibrationReport,
     network: Network,
     scenario: ScenarioConfig,
-    dt: float = 10.0 / 3600.0,
+    dt: float,
 ) -> MacroTrajectories:
     """The calibrated macro model over the scenario's expected demand at its
     base prices, from the captive initial state."""
@@ -156,5 +157,5 @@ def baseline_macro_run(
     prices = np.tile((scenario.tau_on, scenario.tau_off), (len(park), 1))
     # through the module, so that a replaced macromodel.simulate_macro sees the run
     return macromodel.simulate_macro(
-        park, pas, prices, params, initial_state=macro_initial_state(scenario)
+        park, pas, prices, params, initial_state=macro_initial_state(scenario, params.N_on)
     )

@@ -404,9 +404,18 @@ def a10_runs():
         for r in base_results
     ])
     cal = calibrate(base_results)
-    cfg = MpcConfig(n_starts=4, budget=80)
-    params = macro_params_from_calibration(cal, net, sc, cfg.dt_macro)
-    park, pas = macro_demand(sc, cfg.dt_macro)
+    cfg = MpcConfig(
+        control_interval=0.25,
+        n_intervals=2,
+        n_starts=4,
+        budget=80,
+        controlled=("on",),
+        tau_min=0.0,
+        tau_max=10.0,
+        tau_gap=3.0,
+    )
+    params = macro_params_from_calibration(cal, net, sc, 10.0 / 3600.0)
+    park, pas = macro_demand(sc, params.dt)
     mpc_obj, schedules = [], []
     for s in SEEDS:
         # the driver of `compare`: the same demand, horizon (1 hr) and base prices (0, 0)
@@ -427,8 +436,8 @@ def test_a10_mpc_effectiveness(a10_runs):
             feasible = feasible and abs(b_on - a_on) <= 3.0 + 1e-9
             feasible = feasible and abs(b_off - a_off) <= 3.0 + 1e-9
     state0 = MacroState(n_on=130.0, cum_inflow=130.0)  # the scenario's captive spots
-    dyn = solve_full_horizon(park, pas, params, cfg, 1.0, (0.0, 0.0), "dynamic", state0)
-    sta = solve_full_horizon(park, pas, params, cfg, 1.0, (0.0, 0.0), "static", state0)
+    dyn = solve_full_horizon(park, pas, params, cfg, (0.0, 0.0), "dynamic", state0)
+    sta = solve_full_horizon(park, pas, params, cfg, (0.0, 0.0), "static", state0)
     nested = dyn.objective <= sta.objective + 1e-9
     ok = (
         mpc_obj.mean() <= base_obj.mean()

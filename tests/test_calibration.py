@@ -12,9 +12,9 @@ from parkdyn.calibration import (
     extract_occupancy_distance,
     fit_distance_curve,
     fit_nfd,
-    MicroStepMismatch,
     micro_series_on_macro_grid,
     nfd_samples,
+    ReplicationMismatch,
     validate,
 )
 from parkdyn.estimators import FitDegenerateError
@@ -285,7 +285,17 @@ class TestOneReplicationAtATime:
 
     def test_mixed_micro_steps_name_the_replication(self, runs):
         slow = dataclasses.replace(runs[1], dt_sim=2.0 * runs[1].dt_sim)
-        with pytest.raises(MicroStepMismatch) as info:
+        with pytest.raises(ReplicationMismatch) as info:
             micro_series_on_macro_grid([runs[0], runs[0], slow, runs[0]], 10.0)
         assert info.value.index == 2
         assert "micro step 2 s differs from the first replication's 1 s" in str(info.value)
+
+    def test_mixed_horizons_name_the_replication(self, runs):
+        n = len(runs[1].series["t_s"]) // 2
+        short = dataclasses.replace(runs[1], series={k: v[:n] for k, v in runs[1].series.items()})
+        with pytest.raises(ReplicationMismatch) as info:
+            micro_series_on_macro_grid([runs[0], short, runs[0]], 10.0)
+        assert info.value.index == 1
+        steps = len(runs[0].series["t_s"]) // 10
+        assert (f"macro-grid length {steps // 2} steps differs from the first replication's "
+                f"{steps} steps") in str(info.value)

@@ -875,3 +875,78 @@ def test_bad_theory_sweep_flags_name_the_flag(tmp_path, capsys, flag, value):
     assert len(err) == 1
     assert err[0].startswith(f"error: {flag}:")
     assert not out.exists()
+
+
+def test_validate_names_the_replication_with_another_horizon(workdir, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    for seed in (0, 1):
+        shutil.copytree(workdir / "runs" / f"seed_{seed}", runs / f"seed_{seed}")
+    short = _scenario_with(workdir, tmp_path, horizon=0.25)
+    assert main(["micro", "run", "--net", str(workdir / "net.json"), "--config", str(short),
+                 "--seeds", "2", "--out", str(runs)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "validation.json"
+    assert main(["validate", "--net", str(workdir / "net.json"), "--config",
+                 str(workdir / "scenario.json"), "--calibration", str(workdir / "calibration.json"),
+                 "--runs", str(runs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {runs / 'seed_2'}: macro-grid length 90 steps differs from the first "
+        f"replication's 180 steps ({runs / 'seed_0'})"
+    ]
+    assert not out.exists()
+
+
+# The test network has 80 on-street spots.
+@pytest.mark.parametrize(
+    "command", ["micro run", "macro run", "validate", "compare --modes full-dynamic",
+                "compare --modes full-static"],
+)
+def test_captive_spots_beyond_capacity_rejected_before_running(
+    workdir, tmp_path, capsys, no_simulation, command
+):
+    crowded = _scenario_with(workdir, tmp_path, captive_spots=70, preoccupied_spots=11)
+    argv = command.split() + ["--net", str(workdir / "net.json"), "--config", str(crowded),
+                              "--out", str(tmp_path / "out")]
+    if command != "micro run":
+        argv += ["--calibration", str(workdir / "calibration.json")]
+    if command == "validate":
+        argv += ["--runs", str(workdir / "runs")]
+    elif command != "macro run":
+        argv += ["--seeds", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: captive + preoccupied spots exceed on-street capacity (81 > 80)"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"kind": "exp-time", "params": {"a": 1.0, "b": 2.0}},
+     {"kind": "hyperbolic-time", "params": {"c": 1.5}}],
+    ids=["exp-time", "hyperbolic-time"],
+)
+def test_time_to_park_calibration_rejected(workdir, tmp_path, capsys, no_simulation, model):
+    bad = tmp_path / "calibration.json"
+    bad.write_text(_json_with(lambda d: d.update(distance_model=model))(
+        (workdir / "calibration.json").read_text()))
+    assert main(["macro", "run", "--net", str(workdir / "net.json"), "--config",
+                 str(workdir / "scenario.json"), "--calibration", str(bad),
+                 "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: calibration file {bad}: field 'distance_model.kind' ")
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tau-gap", "nan"), ("--tau-max", "inf"), ("--tau-max", "nan"), ("--tau-min", "-inf")],
+)
+@pytest.mark.parametrize("command", ["mpc run", "compare --modes no-price,mpc"])
+def test_non_finite_price_box_rejected_before_simulating(
+    workdir, tmp_path, capsys, no_simulation, command, flag, value
+):
+    assert main(_priced_argv(workdir, tmp_path, command) + [f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag}: must be finite, got {value}"]
+    assert not (tmp_path / "out").exists()

@@ -36,7 +36,16 @@ GOLDEN = {
     "micro_pull": "86c8a147325f44f226e3f5cb590cf6e2c841b112faf839bd63fa296c409079dd",
 }
 
-SMALL = MpcConfig(n_starts=3, budget=40)
+SMALL = MpcConfig(
+    control_interval=0.25,
+    n_intervals=2,
+    n_starts=3,
+    budget=40,
+    controlled=("on",),
+    tau_min=0.0,
+    tau_max=10.0,
+    tau_gap=3.0,
+)
 
 
 def _params(**kw):
@@ -111,7 +120,7 @@ def digest_mpc_loop_macro_plant():
     p = _params()
     park, pas = uniform_profile(500, 360), uniform_profile(1500, 360)
     plant = MacroPlant(p, park, pas, (0.0, 0.0))
-    log = mpc_loop(plant, p, SMALL, park, pas, horizon=1.0)
+    log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
     parts = [[it.applied for it in log], [plant.ineffective_cruising()]]
     for it in log:
         parts += [[it.t_hr, it.predicted_objective, it.evaluations], it.applied,
@@ -132,7 +141,7 @@ def digest_micro_pull():
         distance_model=DistanceModel("exp-distance", {"a": 6.6e-4, "b": 7.2}),
         distance_diag={},
     )
-    p = macro_params_from_calibration(report, net, sc)
+    p = macro_params_from_calibration(report, net, sc, 10.0 / 3600.0)
     sim = Simulation(net, sc, 1)
     plant = MicroPlant(sim, p)
     plant.advance(0.5)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,16 @@ def pressure_demand(n_steps=360):
     return uniform_profile(500, n_steps), uniform_profile(1500, n_steps)
 
 
-SMALL = MpcConfig(n_starts=3, budget=40)
+SMALL = MpcConfig(
+    control_interval=0.25,
+    n_intervals=2,
+    n_starts=3,
+    budget=40,
+    controlled=("on",),
+    tau_min=0.0,
+    tau_max=10.0,
+    tau_gap=3.0,
+)
 
 
 class TestPricingSchedule:
@@ -63,7 +73,15 @@ class TestPricingSchedule:
 
     def test_infeasible_box_rejected(self):
         with pytest.raises(ValueError):
-            MpcConfig(tau_gap=-0.5)
+            replace(SMALL, tau_gap=-0.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tau_gap", math.nan), ("tau_max", math.inf), ("tau_max", math.nan), ("tau_min", -math.inf)],
+    )
+    def test_non_finite_box_rejected(self, field, value):
+        with pytest.raises(ValueError, match="price box bounds must be finite"):
+            replace(SMALL, **{field: value})
 
 
 class TestRepair:
@@ -158,20 +176,20 @@ class TestFullHorizon:
     def test_static_is_constant(self):
         p = make_params()
         park, pas = pressure_demand()
-        sol = solve_full_horizon(park, pas, p, SMALL, 1.0, (0.0, 0.0), "static")
+        sol = solve_full_horizon(park, pas, p, SMALL, (0.0, 0.0), "static", MacroState())
         assert len(sol.prices) == 1
 
     def test_dynamic_never_worse_than_static(self):
         p = make_params()
         park, pas = pressure_demand()
-        dyn = solve_full_horizon(park, pas, p, SMALL, 1.0, (0.0, 0.0), "dynamic")
-        sta = solve_full_horizon(park, pas, p, SMALL, 1.0, (0.0, 0.0), "static")
+        dyn = solve_full_horizon(park, pas, p, SMALL, (0.0, 0.0), "dynamic", MacroState())
+        sta = solve_full_horizon(park, pas, p, SMALL, (0.0, 0.0), "static", MacroState())
         assert dyn.objective <= sta.objective + 1e-9
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             solve_full_horizon(
-                np.zeros(36), np.zeros(36), make_params(), SMALL, 0.1, (0, 0), "wavy"
+                np.zeros(36), np.zeros(36), make_params(), SMALL, (0, 0), "wavy", MacroState()
             )
 
 
@@ -189,9 +207,9 @@ class TestMpcLoopMacroPlant:
     def test_runs_on_the_four_method_protocol(self):
         p = make_params()
         park, pas = pressure_demand()
-        direct = mpc_loop(MacroPlant(p, park, pas, (0.0, 0.0)), p, SMALL, park, pas, horizon=1.0)
+        direct = mpc_loop(MacroPlant(p, park, pas, (0.0, 0.0)), p, SMALL, park, pas, (0.0, 0.0))
         plant = ProtocolPlant(MacroPlant(p, park, pas, (0.0, 0.0)))
-        log = mpc_loop(plant, p, SMALL, park, pas, horizon=1.0)
+        log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
         assert len(log) == len(direct) == 4
         for it, ref in zip(log, direct):
             assert (it.t_hr, it.applied, it.predicted_objective, it.evaluations) == (
@@ -200,11 +218,17 @@ class TestMpcLoopMacroPlant:
             assert np.array_equal(it.predicted_n_c, ref.predicted_n_c)
             assert np.array_equal(it.realized_n_c, ref.realized_n_c)
 
+    def test_horizon_is_the_forecast_length(self):
+        p = make_params()
+        park, pas = pressure_demand(216)  # 0.6 hr, not a whole number of 0.25-hr intervals
+        with pytest.raises(ValueError, match="horizon 0.6 hr is not a whole"):
+            mpc_loop(MacroPlant(p, park, pas, (0.0, 0.0)), p, SMALL, park, pas, (0.0, 0.0))
+
     def test_four_solves_per_hour(self):
         p = make_params()
         park, pas = pressure_demand()
         plant = MacroPlant(p, park, pas, (0.0, 0.0))
-        log = mpc_loop(plant, p, SMALL, park, pas, horizon=1.0)
+        log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
         assert len(log) == 4
 
     def test_closed_loop_replay_identity(self):
@@ -213,8 +237,8 @@ class TestMpcLoopMacroPlant:
         p = make_params()
         park, pas = pressure_demand()
         plant = MacroPlant(p, park, pas, (0.0, 0.0))
-        log = mpc_loop(plant, p, SMALL, park, pas, horizon=1.0)
-        rows = np.repeat([it.applied for it in log], SMALL.steps_per_interval, axis=0)
+        log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
+        rows = np.repeat([it.applied for it in log], SMALL.steps_per_interval(p.dt), axis=0)
         traj = simulate_macro(park, pas, rows, p)
         assert objective_ineffective_cruising(traj, p) == pytest.approx(
             plant.ineffective_cruising(), abs=1e-9
@@ -226,14 +250,14 @@ class TestMpcLoopMacroPlant:
         base = MacroPlant(p, park, pas, (0.0, 0.0))
         base.advance(1.0)
         plant = MacroPlant(p, park, pas, (0.0, 0.0))
-        mpc_loop(plant, p, SMALL, park, pas, horizon=1.0)
+        mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
         assert plant.ineffective_cruising() <= base.ineffective_cruising() + 1e-9
 
     def test_prediction_matches_realization_on_macro_plant(self):
         p = make_params()
         park, pas = pressure_demand()
         plant = MacroPlant(p, park, pas, (0.0, 0.0))
-        log = mpc_loop(plant, p, SMALL, park, pas, horizon=1.0)
+        log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
         for it in log:
             assert it.realized_n_c == pytest.approx(it.predicted_n_c, abs=1e-9)
 
@@ -246,7 +270,7 @@ def setup():
 
     runs = [Simulation(net, sc, s).run() for s in range(3)]
     report = calibrate(runs)
-    params = macro_params_from_calibration(report, net, sc)
+    params = macro_params_from_calibration(report, net, sc, DT)
     return net, sc, params
 
 
@@ -284,7 +308,7 @@ class TestMicroPlant:
         park, pas = macro_demand(sc, params.dt)
         sim = Simulation(net, sc, 2)
         plant = MicroPlant(sim, params)
-        log = mpc_loop(plant, params, SMALL, park, pas, horizon=sc.horizon)
+        log = mpc_loop(plant, params, SMALL, park, pas, (0.0, 0.0))
         assert len(log) == 4
         metrics = time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f)
         assert metrics["ineffective_cruising_veh_hr"] >= 0.0
