@@ -36,7 +36,8 @@ def main(argv=None):
                     cruise_speed=vc,
                 )
                 res = Simulation(net, sc, seed).run()
-                for t, K, Q, V in measure_nfd(res.series, res.network_length, 60.0, res.dt_sim):
+                length = res.summary.network_length
+                for t, K, Q, V in measure_nfd(res.series, length, 60.0, res.dt_sim):
                     nfd_rows.append((passers, vc, seed, t, K, Q, V))
                 m = performance_metrics(res)
                 speeds.append(mean_network_speed(res))

@@ -23,8 +23,9 @@ def nfd_samples(results: Iterable[RunResult], window_s: float = 60.0) -> list[tu
     """(accumulation, speed) pairs from Edie windows of each replication."""
     samples = []
     for res in results:
-        for _, K, _, V in measure_nfd(res.series, res.network_length, window_s, res.dt_sim):
-            samples.append((K * res.network_length, V))
+        length = res.summary.network_length
+        for _, K, _, V in measure_nfd(res.series, length, window_s, res.dt_sim):
+            samples.append((K * length, V))
     return samples
 
 
@@ -309,7 +310,7 @@ def _macro_grid_means(res: RunResult, steps: int) -> dict:
     """One replication's series as means (v: Edie speed) over blocks of
     ``steps`` micro steps."""
     s = res.series
-    n_on = s["occ_on"] * res.summary["on_street_capacity"]  # occ_on = n_on / capacity
+    n_on = s["occ_on"] * res.summary.on_street_capacity  # occ_on = n_on / capacity
     dist = macro_blocks(s["dist_km"], steps).sum(axis=1)
     time_vh = macro_blocks(s["active"], steps).sum(axis=1) * res.dt_sim / 3600.0
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,17 +111,17 @@ def cmd_net_check(args):
 
 def _run_one_seed(net, sc, seed, out_dir, nfd_window):
     res = microsim.Simulation(net, sc, seed).run()
+    summary, cols = res.summary, microsim.SERIES_COLUMNS
     seed_dir = Path(out_dir) / f"seed_{seed}"
-    write_events_csv(seed_dir / "events.csv", res.events)
-    rows = microsim.measure_nfd(res.series, res.network_length, nfd_window, res.dt_sim)
+    write_csv(seed_dir / "events.csv", microsim.Event._fields, res.events)
+    rows = microsim.measure_nfd(res.series, summary.network_length, nfd_window, res.dt_sim)
     write_csv(seed_dir / "nfd.csv", ["t_s", "K", "Q", "V"], rows)
-    write_series_csv(seed_dir / "series.csv", res)
+    write_csv(seed_dir / "series.csv", list(cols), zip(*(res.series[c] for c in cols)))
     metrics = microsim.performance_metrics(res)
-    metrics["summary"] = res.summary
-    times = microsim.time_metrics(res.series, res.dt_sim, res.l_off, res.v_off_f)
+    metrics["summary"] = asdict(summary)
+    times = microsim.time_metrics(res.series, res.dt_sim, summary.l_off, summary.v_off_f)
     metrics["ineffective_cruising_veh_hr"] = times["ineffective_cruising_veh_hr"]
     write_json(seed_dir / "metrics.json", metrics)
-    return res.summary
 
 
 def _read_csv(path, columns, types) -> list[list]:
@@ -184,18 +185,16 @@ def _utf8(text: str) -> str:
     return text
 
 
-def write_events_csv(path, events):
-    write_csv(path, microsim.Event._fields, events)
-
-
 def load_events_csv(path) -> list[microsim.Event]:
     types = (int, float, _utf8, _utf8, _utf8, float, float, float)
     return list(map(microsim.Event, *_read_csv(path, microsim.Event._fields, types)))
 
 
-def write_series_csv(path, res: microsim.RunResult):
-    rows = zip(*(res.series[c] for c in microsim.SERIES_COLUMNS))
-    write_csv(path, list(microsim.SERIES_COLUMNS), rows)
+@dataclass(frozen=True)
+class _RunMetrics:
+    """The part of a run's metrics.json that is read back."""
+
+    summary: microsim.RunSummary
 
 
 def load_run_dir(seed_dir, events=True) -> microsim.RunResult:
@@ -216,34 +215,15 @@ def load_run_dir(seed_dir, events=True) -> microsim.RunResult:
     with open(path) as fh:
         try:
             metrics = json.load(fh)
+            if isinstance(metrics, dict):  # the other keys are a report, not read back
+                metrics = {k: v for k, v in metrics.items() if k == "summary"}
+            summary = network.from_json(_RunMetrics, metrics).summary
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-    summary = metrics.get("summary") if isinstance(metrics, dict) else None
-    if not isinstance(summary, dict):
-        raise ValueError(f"{path}: missing field 'summary'")
-    for key in ("seed", "network_length", "l_off", "v_off_f", "on_street_capacity"):
-        if key not in summary:
-            raise ValueError(f"{path}: missing field 'summary.{key}'")
-        if isinstance(summary[key], bool) or not isinstance(summary[key], (int, float)):
-            raise ValueError(f"{path}: field 'summary.{key}' must be a number")
-    for key in ("network_length", "v_off_f"):
-        if not 0 < summary[key] < math.inf:
-            raise ValueError(f"{path}: field 'summary.{key}' must be > 0 and finite")
-    if type(summary["on_street_capacity"]) is not int or summary["on_street_capacity"] < 0:
-        raise ValueError(f"{path}: field 'summary.on_street_capacity' must be an integer >= 0")
     dt = float(series["t_s"][1] - series["t_s"][0]) if len(series["t_s"]) > 1 else 1.0
     if dt <= 0:
         raise ValueError(f"{series_path}: field 't_s' must increase")
-    return microsim.RunResult(
-        events=log,
-        series=series,
-        vehicles=[],
-        dt_sim=dt,
-        network_length=summary["network_length"],
-        l_off=summary["l_off"],
-        v_off_f=summary["v_off_f"],
-        summary=summary,
-    )
+    return microsim.RunResult(events=log, series=series, vehicles=[], dt_sim=dt, summary=summary)
 
 
 def _seed_dirs(runs) -> list[Path]:
@@ -255,6 +235,8 @@ def _seed_dirs(runs) -> list[Path]:
 
 
 def cmd_micro_run(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs: must be >= 1, got {args.jobs}")
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     seeds = _parse_list(args.seeds, "--seeds")
@@ -356,17 +338,17 @@ MACRO_RUN_COLUMNS = ("t", "n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off
                      *macromodel.StepFlows._fields)
 
 
-def _baseline_macro_run(args) -> macromodel.MacroTrajectories:
+def _baseline_macro_run(args, sc) -> macromodel.MacroTrajectories:
     return scenarios.baseline_macro_run(
         calibration.CalibrationReport.load(args.calibration),
         network.load_network(args.net),
-        microsim.ScenarioConfig.load(args.config),
+        sc,
         args.dt_macro / 3600.0,
     )
 
 
 def cmd_macro_run(args):
-    traj = _baseline_macro_run(args)
+    traj = _baseline_macro_run(args, microsim.ScenarioConfig.load(args.config))
     # accumulation series start with the t=0 value, flow series with step 1
     series = [getattr(traj, name) for name in MACRO_RUN_COLUMNS]
     write_csv(args.out, MACRO_RUN_COLUMNS, zip(*(x[len(x) - traj.n_steps :] for x in series)))
@@ -402,7 +384,14 @@ def cmd_validate(args):
         micro = calibration.micro_series_on_macro_grid(results, args.dt_macro)
     except calibration.ReplicationMismatch as e:
         raise ValueError(f"{dirs[e.index]}: {e} ({dirs[0]})") from None
-    metrics = calibration.validate(_baseline_macro_run(args), micro)
+    sc = microsim.ScenarioConfig.load(args.config)
+    # macro_demand's step count, checked before the macro model runs
+    steps = microsim.whole_steps(sc.horizon * 3600.0, args.dt_macro, "scenario horizon",
+                                 "macro step")
+    if steps != micro["v"].shape[1]:
+        raise ValueError(f"scenario {args.config}: field 'horizon' {sc.horizon:g} hr is {steps} "
+                         f"macro steps, but the runs in {dirs[0]} have {micro['v'].shape[1]}")
+    metrics = calibration.validate(_baseline_macro_run(args, sc), micro)
     write_json(args.out, metrics)
     print(json.dumps(metrics, indent=1, sort_keys=True))
     return 0
@@ -636,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ca = sub.add_parser("calibrate", help="fit macro inputs from micro runs")
     ca.add_argument("--runs", required=True)
-    ca.add_argument("--nfd-window", type=float, default=60.0)
+    ca.add_argument("--nfd-window", type=float, default=60.0, help="s")
     ca.add_argument("--trend", default="increasing", choices=["increasing", "decreasing", "both"])
     ca.add_argument("--ref", default="init", choices=["init", "avg"])
     ca.add_argument("--out", required=True)
@@ -647,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--config", required=True)
     va.add_argument("--calibration", required=True)
     va.add_argument("--runs", required=True)
-    va.add_argument("--dt-macro", type=float, default=10.0)
+    va.add_argument("--dt-macro", type=float, default=10.0, help="s")
     va.add_argument("--out", required=True)
     va.set_defaults(func=cmd_validate)
 

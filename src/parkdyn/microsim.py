@@ -287,6 +287,32 @@ _SLOT_ARRAYS = {
 _SEQ_BITS = 40
 
 
+@dataclass(frozen=True)
+class RunSummary:
+    """The totals and network constants of one run: the ``summary`` object
+    of its ``metrics.json``, which ``cli.load_run_dir`` reads back with
+    ``from_json``."""
+
+    seed: int
+    injected: int
+    exited: int
+    parked_on_total: int  # parking events over the run
+    parked_off_total: int
+    gridlock: bool
+    on_street_capacity: int
+    lot_capacity: int
+    network_length: float  # km
+    l_off: float  # km of one lot circuit
+    v_off_f: float  # km/hr in the lot
+
+    def __post_init__(self):
+        for name in ("network_length", "v_off_f"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"field 'summary.{name}' must be > 0 and finite")
+        if self.on_street_capacity < 0:
+            raise ValueError("field 'summary.on_street_capacity' must be >= 0")
+
+
 @dataclass
 class RunResult:
     """Event log, per-step series, vehicle table, and summary of one run."""
@@ -295,10 +321,7 @@ class RunResult:
     series: dict[str, np.ndarray]
     vehicles: list[VehicleRecord]
     dt_sim: float
-    network_length: float
-    l_off: float
-    v_off_f: float
-    summary: dict
+    summary: RunSummary
 
 
 def time_metrics(series: dict, dt_sim: float, l_off: float, v_off_f: float) -> dict[str, float]:
@@ -887,27 +910,21 @@ class Simulation:
             for v in self.vehicles
         ]
         trimmed = {k: v.copy() for k, v in self.series().items()}
-        summary = {
-            "seed": self.seed,
-            "injected": self.injected,
-            "exited": self.exited,
-            "parked_on_total": int(trimmed["parked_on"].sum()),
-            "parked_off_total": int(trimmed["parked_off"].sum()),
-            "gridlock": self.gridlock,
-            "on_street_capacity": self.capacity,
-            "lot_capacity": self.lot.capacity if self.lot else 0,
-            "network_length": self.net.total_length,
-            "l_off": self.l_off,
-            "v_off_f": self.v_off_f,
-        }
-        return RunResult(
-            events=list(self.events),
-            series=trimmed,
-            vehicles=records,
-            dt_sim=self.dt,
+        summary = RunSummary(
+            seed=self.seed,
+            injected=self.injected,
+            exited=self.exited,
+            parked_on_total=int(trimmed["parked_on"].sum()),
+            parked_off_total=int(trimmed["parked_off"].sum()),
+            gridlock=self.gridlock,
+            on_street_capacity=self.capacity,
+            lot_capacity=self.lot.capacity if self.lot else 0,
             network_length=self.net.total_length,
             l_off=self.l_off,
             v_off_f=self.v_off_f,
+        )
+        return RunResult(
+            events=list(self.events), series=trimmed, vehicles=records, dt_sim=self.dt,
             summary=summary,
         )
 
@@ -957,7 +974,7 @@ def performance_metrics(result: RunResult) -> dict:
             n_parkers += 1
             if rec.parked:
                 n_parked += 1
-                dtp.append(rec.dist_iv + rec.circuits * result.l_off)
+                dtp.append(rec.dist_iv + rec.circuits * result.summary.l_off)
         if rec.family_end == "exited":
             travel.append(rec.drive_time_s)
             delay.append(rec.drive_time_s - rec.freeflow_time_s)

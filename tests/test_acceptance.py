@@ -300,7 +300,7 @@ def _a8_nfd_shift(passer_levels):
                     parker_count=400, passer_count=passers, captive_spots=0, cruise_speed=v_c
                 )
                 res = Simulation(net, sc, seed).run()
-                rows.extend(measure_nfd(res.series, res.network_length, 60.0, res.dt_sim))
+                rows.extend(measure_nfd(res.series, res.summary.network_length, 60.0, res.dt_sim))
         clouds[v_c] = np.array([(K, V) for _, K, _, V in rows])
 
     edges = np.arange(0.0, max(c[:, 0].max() for c in clouds.values()) + 0.5, 0.5)
@@ -400,7 +400,9 @@ def a10_runs():
     sc = validation_scenario(parker_count=450)
     base_results = [Simulation(net, sc, s).run() for s in SEEDS]
     base_obj = np.array([
-        time_metrics(r.series, r.dt_sim, r.l_off, r.v_off_f)["ineffective_cruising_veh_hr"]
+        time_metrics(r.series, r.dt_sim, r.summary.l_off, r.summary.v_off_f)[
+            "ineffective_cruising_veh_hr"
+        ]
         for r in base_results
     ])
     cal = calibrate(base_results)

@@ -204,7 +204,7 @@ class TestSegmentedDistancesAndPipeline:
             by_vehicle[e.vehicle_id] += e.dist_km
         for rec in res.vehicles:
             if rec.family_end == "exited":
-                logged = by_vehicle.get(rec.vehicle_id, 0.0) + rec.circuits * res.l_off
+                logged = by_vehicle.get(rec.vehicle_id, 0.0) + rec.circuits * res.summary.l_off
                 assert logged == pytest.approx(rec.dist_total, abs=1e-9)
 
     def test_full_calibration_report_roundtrip(self, runs, tmp_path):

@@ -322,7 +322,13 @@ def _huge_field(text):
         ("metrics.json", _json_with(lambda d: d["summary"].pop("on_street_capacity")),
          "missing field 'summary.on_street_capacity'"),
         ("metrics.json", _json_with(lambda d: d["summary"].update(on_street_capacity="20")),
-         "field 'summary.on_street_capacity' must be a number"),
+         "field 'summary.on_street_capacity' must be an integer"),
+        ("metrics.json", _json_with(lambda d: d["summary"].update(lanes=2)),
+         "unknown field 'summary.lanes'"),
+        ("metrics.json", _json_with(lambda d: d["summary"].update(gridlock="false")),
+         "field 'summary.gridlock' must be true or false"),
+        ("metrics.json", _json_with(lambda d: d["summary"].update(seed=1.5)),
+         "field 'summary.seed' must be an integer"),
         # written with surrogateescape, "\udcff" is the non-UTF-8 byte 0xff
         ("series.csv", _set_active("\udcff"), "line 3: field 'active': bad value"),
         ("series.csv", _set_active("nan"), "line 3: field 'active' must be finite"),
@@ -408,7 +414,7 @@ def test_run_dir_round_trip(desk_seed_0):
         written = [_as_written(float(x)) for x in res.series[col]]
         assert loaded.series[col].tobytes() == np.array(written).tobytes(), col
     assert loaded.dt_sim == res.dt_sim
-    assert loaded.summary == json.loads(json.dumps(res.summary))
+    assert loaded.summary == res.summary
 
 
 def test_run_dir_loader_shares_repeated_values(desk_seed_0):
@@ -667,6 +673,16 @@ def test_bad_seeds_name_the_flag(workdir, tmp_path, capsys, seeds):
     assert err[0].startswith("error: --seeds")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_rejected_before_reading(tmp_path, capsys, jobs):
+    missing = str(tmp_path / "missing.json")
+    rc = main(["micro", "run", "--net", missing, "--config", missing, "--jobs", jobs,
+               "--out", str(tmp_path / "runs")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --jobs: must be >= 1, got {jobs}"]
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_dead_end_node_gives_one_error_line(tmp_path, capsys, seed):
     # links a 0->1 (1 spot), b 1->0 and c 1->2 (1 spot): node 2 has no out-link.
@@ -874,6 +890,23 @@ def test_bad_theory_sweep_flags_name_the_flag(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {flag}:")
+    assert not out.exists()
+
+
+def test_validate_names_the_scenario_horizon_the_runs_differ_from(
+    workdir, tmp_path, capsys, no_simulation
+):
+    """A scenario of another horizon than the runs' is named before the macro model runs."""
+    short = _scenario_with(workdir, tmp_path, horizon=0.25)
+    out = tmp_path / "validation.json"
+    runs = workdir / "runs"
+    assert main(["validate", "--net", str(workdir / "net.json"), "--config", str(short),
+                 "--calibration", str(workdir / "calibration.json"),
+                 "--runs", str(runs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: scenario {short}: field 'horizon' 0.25 hr is 90 macro steps, but the runs in "
+        f"{runs / 'seed_0'} have 180"
+    ]
     assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from parkdyn.calibration import CalibrationReport
 from parkdyn.cli import load_run_dir
 from parkdyn.estimators import KINDS, DistanceModel
 from parkdyn.macromodel import NfdModel
-from parkdyn.microsim import SERIES_COLUMNS, Event, GuidanceConfig, ScenarioConfig
+from parkdyn.microsim import SERIES_COLUMNS, Event, GuidanceConfig, RunSummary, ScenarioConfig
 from parkdyn.network import DurationDistribution, Link, Node, OffStreetLot, load_network
 
 _scalars = (
@@ -150,9 +150,13 @@ def _csv(columns, ints=()):
 
 
 _SUMMARY = {
-    "seed": 0, "network_length": 1.0, "l_off": 0.3, "v_off_f": 15.0, "on_street_capacity": 4,
+    "seed": 0, "injected": 9, "exited": 5, "parked_on_total": 3, "parked_off_total": 1,
+    "gridlock": False, "on_street_capacity": 4, "lot_capacity": 2, "network_length": 1.0,
+    "l_off": 0.3, "v_off_f": 15.0,
 }
 _number = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-2, 5)
+# a value of each field's own type, so that a whole summary loads now and then
+_of_type = {bool: st.booleans(), int: st.integers(-2, 5), float: _number}
 _RUN_FILES = {
     "events.csv": (",".join(Event._fields).encode(), _csv(Event._fields, ints=("vehicle_id",))),
     "series.csv": (
@@ -163,7 +167,8 @@ _RUN_FILES = {
     "metrics.json": (
         json.dumps({"summary": _SUMMARY}).encode(),
         (_json | st.fixed_dictionaries(
-            {"summary": st.fixed_dictionaries({k: _number for k in _SUMMARY}) | _some_of(_SUMMARY)}
+            {"summary": st.fixed_dictionaries({k: _of_type[type(v)] for k, v in _SUMMARY.items()})
+             | _some_of(_SUMMARY)}
         )).map(lambda doc: json.dumps(doc).encode())
         | st.binary(max_size=24),
     ),
@@ -188,5 +193,7 @@ def test_run_dir_loader(seed_dir, fuzzed):
     except ValueError as e:
         assert str(seed_dir / name) in str(e)
     else:
-        assert res.dt_sim > 0 and res.network_length > 0 and res.v_off_f > 0
+        _check_type(res.summary, RunSummary)
+        assert res.summary.network_length > 0 and res.summary.v_off_f > 0
+        assert res.dt_sim > 0 and res.summary.on_street_capacity >= 0
         assert all(np.isfinite(col).all() for col in res.series.values())

@@ -273,9 +273,9 @@ class TestStep:
     def test_prices_shift_parker_choices(self):
         net = small_net(lot_capacity=40)
         sc = small_scenario(parker_count=100, beta=0.5, alpha_off=0.0)
-        off_free = Simulation(net, sc, 4).run().summary["parked_off_total"]
+        off_free = Simulation(net, sc, 4).run().summary.parked_off_total
         sc_priced = small_scenario(parker_count=100, beta=0.5, alpha_off=0.0, tau_on=8.0)
-        off_priced = Simulation(net, sc_priced, 4).run().summary["parked_off_total"]
+        off_priced = Simulation(net, sc_priced, 4).run().summary.parked_off_total
         assert off_priced > off_free
 
 
@@ -402,4 +402,4 @@ def test_gridlock_flagged_not_fatal():
     net = Network(nodes, links)
     sc = ScenarioConfig(parker_count=0, passer_count=40, horizon=0.1, gridlock_steps=30)
     res = Simulation(net, sc, 0).run()
-    assert res.summary["injected"] > 0  # run completed despite congestion
+    assert res.summary.injected > 0  # run completed despite congestion
