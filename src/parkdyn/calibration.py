@@ -130,11 +130,6 @@ def moving_distance_stats(replication_means: Iterable[dict[str, float]]) -> dict
     }
 
 
-def estimate_moving_distances(event_logs: Iterable[list[Event]]) -> dict:
-    """Mean moving distance per family i-iii, averaged across replications."""
-    return moving_distance_stats(map(replication_moving_distances, event_logs))
-
-
 def extract_occupancy_distance(
     event_logs: Iterable[list[Event]],
     trend: str = "increasing",

@@ -128,37 +128,12 @@ def _read_csv(path, columns, types) -> list[list]:
     """The ``columns`` of a CSV file with a header line, each converted by its
     entry in ``types``. A converter runs once per distinct text, and equal
     texts share one converted object, so a value repeated across rows (a
-    family name, a link id, a time) is held once. On any fault the file is
-    read again row by row, and the first fault in file order (line, then
-    field) is raised as a ValueError naming the file, the line and the field;
-    a missing column names the file and the column."""
-    try:
-        # an undecodable byte becomes a lone surrogate, which float, int and _utf8 reject
-        with open(path, newline="", errors="surrogateescape") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            picks = [header.index(c) for c in columns]
-            rows = list(reader)
-        if any(len(row) < len(header) for row in rows):
-            raise ValueError(f"{path}: short row")
-        memos = {t: {} for t in types}
-        out = []
-        for i, t in zip(picks, types):
-            memo = memos[t]
-            for text in {row[i] for row in rows}.difference(memo):
-                memo[text] = t(text)
-            out.append([memo[row[i]] for row in rows])
-        return out
-    except (ValueError, csv.Error):
-        _raise_first_fault(path, columns, types)
-        raise  # reached only if the file changed between the two reads
-
-
-def _raise_first_fault(path, columns, types):
-    """Raise the ValueError for the first fault of a CSV file that
-    ``_read_csv`` rejected: a missing column, or else, scanning line by line,
-    a short row, a value that does not convert (a byte that is not UTF-8
-    included), or a line the csv module rejects (named by line alone)."""
+    family name, a link id, a time) is held once. The file is read once, row
+    by row; its first fault (line, then field in ``columns`` order) raises a
+    ValueError naming the file, the line and the field: a short row, a value
+    its converter rejects (a non-UTF-8 byte included) or a line the csv module
+    rejects (named by line alone). A missing column is named instead."""
+    # an undecodable byte becomes a lone surrogate, which float, int and _utf8 reject
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
@@ -166,23 +141,42 @@ def _raise_first_fault(path, columns, types):
             missing = [c for c in columns if c not in header]
             if missing:
                 raise ValueError(f"{path}: missing column {missing[0]!r}")
-            picks = [(c, t, header.index(c)) for c, t in zip(columns, types)]
+            memos = {t: {} for t in types}
+            picks = [(c, header.index(c), t, memos[t], []) for c, t in zip(columns, types)]
             for line, row in enumerate(reader, start=2):
                 if len(row) < len(header):
                     raise ValueError(f"{path} line {line}: field {header[len(row)]!r} missing")
-                for c, t, i in picks:
-                    try:
-                        t(row[i])
-                    except ValueError:
-                        bad = f"{path} line {line}: field {c!r}: bad value {row[i]!r}"
-                        raise ValueError(bad) from None
+                try:
+                    for c, i, t, memo, col in picks:
+                        text = row[i]
+                        value = memo.get(text)  # no converter returns None
+                        if value is None:
+                            value = memo[text] = t(text)
+                        col.append(value)
+                except _Rule as e:
+                    raise ValueError(f"{path} line {line}: field {c!r} {e}") from None
+                except ValueError:
+                    bad = f"{path} line {line}: field {c!r}: bad value {text!r}"
+                    raise ValueError(bad) from None
         except csv.Error as e:
             raise ValueError(f"{path} line {reader.line_num}: {e}") from None
+    return [col for *_, col in picks]
+
+
+class _Rule(ValueError):
+    """A converter's rule that a well-formed value breaks, such as "must be finite"."""
 
 
 def _utf8(text: str) -> str:
     text.encode()  # UnicodeEncodeError, a ValueError, on an escaped non-UTF-8 byte
     return text
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _Rule("must be finite")
+    return value
 
 
 def load_events_csv(path) -> list[microsim.Event]:
@@ -205,11 +199,7 @@ def load_run_dir(seed_dir, events=True) -> microsim.RunResult:
     cols = microsim.SERIES_COLUMNS
     series_path = seed_dir / "series.csv"
     # one row per column, so each series is a contiguous row of one array
-    data = np.array(_read_csv(series_path, cols, [float] * len(cols)), dtype=float)
-    bad = np.argwhere(~np.isfinite(data.T))
-    if len(bad):
-        line, col = bad[0]
-        raise ValueError(f"{series_path} line {line + 2}: field {cols[col]!r} must be finite")
+    data = np.array(_read_csv(series_path, cols, [_finite] * len(cols)), dtype=float)
     series = dict(zip(cols, data))
     path = seed_dir / "metrics.json"
     with open(path) as fh:
@@ -347,8 +337,19 @@ def _baseline_macro_run(args, sc) -> macromodel.MacroTrajectories:
     )
 
 
+def _horizon_steps(args, sc) -> int:
+    """The scenario horizon in ``--dt-macro`` steps, as ``macro_demand`` counts them."""
+    try:
+        return microsim.whole_steps(sc.horizon * 3600.0, args.dt_macro, "scenario horizon",
+                                    "macro step")
+    except ValueError as e:
+        raise ValueError(f"scenario {args.config}: field 'horizon': {e}") from None
+
+
 def cmd_macro_run(args):
-    traj = _baseline_macro_run(args, microsim.ScenarioConfig.load(args.config))
+    sc = microsim.ScenarioConfig.load(args.config)
+    _horizon_steps(args, sc)
+    traj = _baseline_macro_run(args, sc)
     # accumulation series start with the t=0 value, flow series with step 1
     series = [getattr(traj, name) for name in MACRO_RUN_COLUMNS]
     write_csv(args.out, MACRO_RUN_COLUMNS, zip(*(x[len(x) - traj.n_steps :] for x in series)))
@@ -385,9 +386,7 @@ def cmd_validate(args):
     except calibration.ReplicationMismatch as e:
         raise ValueError(f"{dirs[e.index]}: {e} ({dirs[0]})") from None
     sc = microsim.ScenarioConfig.load(args.config)
-    # macro_demand's step count, checked before the macro model runs
-    steps = microsim.whole_steps(sc.horizon * 3600.0, args.dt_macro, "scenario horizon",
-                                 "macro step")
+    steps = _horizon_steps(args, sc)
     if steps != micro["v"].shape[1]:
         raise ValueError(f"scenario {args.config}: field 'horizon' {sc.horizon:g} hr is {steps} "
                          f"macro steps, but the runs in {dirs[0]} have {micro['v'].shape[1]}")

@@ -292,12 +292,6 @@ class DurationDistribution:
                 return f0 + (f1 - f0) * (x - x0) / (x1 - x0)
         return 1.0
 
-    def mean(self) -> float:
-        if self.kind == "uniform":
-            return 0.5 * (self.lo + self.hi)
-        xs, fs = self.xs, self.cdf_values
-        return sum(0.5 * (x0 + x1) * (f1 - f0) for x0, x1, f0, f1 in zip(xs, xs[1:], fs, fs[1:]))
-
     def sample(self, rng) -> float:
         u = rng.random()
         if self.kind == "uniform":

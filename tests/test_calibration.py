@@ -8,12 +8,13 @@ import pytest
 from parkdyn.calibration import (
     CalibrationReport,
     calibrate,
-    estimate_moving_distances,
     extract_occupancy_distance,
     fit_distance_curve,
     fit_nfd,
     micro_series_on_macro_grid,
+    moving_distance_stats,
     nfd_samples,
+    replication_moving_distances,
     ReplicationMismatch,
     validate,
 )
@@ -75,22 +76,22 @@ class TestMovingDistances:
         # 1.2 km to the target, then 0.4 km cruising: family i gets 1.2,
         # the cruising segment is excluded here
         log = [ev(1, 10.0, "i", "iv", 1.2), ev(1, 60.0, "iv", "v", 0.4)]
-        d = estimate_moving_distances([log])
+        d = moving_distance_stats([replication_moving_distances(log)])
         assert d["l_m_on"] == pytest.approx(1.2)
         assert d["l_m_off"] is None
 
     def test_direct_park_counts_for_family_i(self):
-        d = estimate_moving_distances([[ev(1, 5.0, "i", "v", 0.9)]])
+        d = moving_distance_stats([replication_moving_distances([ev(1, 5.0, "i", "v", 0.9)])])
         assert d["l_m_on"] == pytest.approx(0.9)
 
     def test_replication_averaging(self):
         logs = [[ev(1, 5.0, "iii", "exited", 1.0)], [ev(2, 5.0, "iii", "exited", 2.0)]]
-        d = estimate_moving_distances(logs)
+        d = moving_distance_stats(map(replication_moving_distances, logs))
         assert d["l_m_pass"] == pytest.approx(1.5)
         assert d["std"]["l_m_pass"] == pytest.approx(0.5)
 
     def test_empty_log_all_absent(self):
-        d = estimate_moving_distances([[]])
+        d = moving_distance_stats([replication_moving_distances([])])
         assert d["l_m_on"] is None and d["l_m_off"] is None and d["l_m_pass"] is None
 
 
@@ -218,7 +219,7 @@ class TestSegmentedDistancesAndPipeline:
         assert again == report
 
     def test_low_cross_replication_variance(self, runs):
-        d = estimate_moving_distances([r.events for r in runs])
+        d = moving_distance_stats(replication_moving_distances(r.events) for r in runs)
         for key in ("l_m_on", "l_m_off", "l_m_pass"):
             assert d["std"][key] < 0.5 * d[key]  # variations are low
 

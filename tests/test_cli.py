@@ -350,14 +350,14 @@ def test_run_dir_loader_names_file_and_field(workdir, tmp_path, capsys, name, al
 
 def _series_line(line, fault):
     """An alteration that puts ``fault`` on line ``line`` of series.csv: a
-    bad 'active' value, a row cut short after 't_s' and 'dist_km', or a
-    field the csv module rejects."""
+    bad or a non-finite 'active' value, a row cut short after 't_s' and
+    'dist_km', or a field the csv module rejects."""
 
     def alter(text):
         lines = text.splitlines()
         cells = lines[line - 1].split(",")
-        if fault == "bad value":
-            cells[lines[0].split(",").index("active")] = "x"
+        if fault in ("bad value", "non-finite"):
+            cells[lines[0].split(",").index("active")] = "x" if fault == "bad value" else "nan"
         elif fault == "short row":
             cells = cells[:2]
         else:
@@ -370,6 +370,7 @@ def _series_line(line, fault):
 
 _FAULT_MESSAGE = {
     "bad value": "field 'active': bad value 'x'",
+    "non-finite": "field 'active' must be finite",
     "short row": "field 'active' missing",
     "csv error": "field larger than field limit (131072)",
 }
@@ -787,6 +788,8 @@ def test_macro_step_must_be_whole_micro_steps(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and message in err[0]
+    if message.startswith("scenario horizon"):
+        assert f"scenario {workdir / 'scenario.json'}: field 'horizon'" in err[0]
 
 
 @pytest.mark.parametrize("command", ["micro run", "calibrate"])

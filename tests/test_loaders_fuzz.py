@@ -133,20 +133,28 @@ def test_network_loader(path, doc):
 
 
 _num = st.floats(allow_nan=True, allow_infinity=True).map(repr) | st.integers(-2, 2).map(str)
+_finite = st.floats(-1e3, 1e3).map(repr) | st.integers(-2, 2).map(str)
 
 
 def _csv(columns, ints=()):
     """CSV bytes: the right header or a jumble of names, rows of numbers of
-    the right kind, perhaps an odd row, or no CSV at all."""
+    the right kind, perhaps an odd row, or no CSV at all; or a well-formed
+    file, finite numbers in rows that increase in their first column."""
     header = st.just(list(columns)) | st.lists(
         st.sampled_from(columns) | st.text(max_size=3), max_size=len(columns) + 1
     )
     typed = st.tuples(*(st.integers(-2, 2).map(str) if c in ints else _num for c in columns))
     odd = st.lists(_num | st.text(max_size=3), max_size=len(columns) + 1)
     text = st.tuples(header, st.lists(typed, max_size=3), st.lists(odd, max_size=1)).map(
-        lambda p: "\r\n".join(",".join(cells) for cells in [p[0], *p[1], *p[2]]).encode()
+        lambda p: [p[0], *p[1], *p[2]]
     )
-    return text | st.binary(max_size=24)
+    finite = st.tuples(*(st.integers(-2, 2).map(str) if c in ints else _finite for c in columns))
+    well_formed = st.lists(finite, max_size=3, unique_by=lambda row: float(row[0])).map(
+        lambda rows: [columns, *sorted(rows, key=lambda row: float(row[0]))]
+    )
+    return (text | well_formed).map(
+        lambda lines: "\r\n".join(",".join(cells) for cells in lines).encode()
+    ) | st.binary(max_size=24)
 
 
 _SUMMARY = {
@@ -155,8 +163,16 @@ _SUMMARY = {
     "l_off": 0.3, "v_off_f": 15.0,
 }
 _number = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-2, 5)
-# a value of each field's own type, so that a whole summary loads now and then
-_of_type = {bool: st.booleans(), int: st.integers(-2, 5), float: _number}
+# a value of each field's own type, mostly in its valid range (a count >= 0, a
+# quantity finite and > 0), so that a whole summary often loads
+_of_type = {bool: st.booleans(), int: st.integers(-1, 5), float: st.floats(0.01, 1e3) | _number}
+_summary = st.fixed_dictionaries({k: _of_type[type(v)] for k, v in _SUMMARY.items()})
+
+
+def _json_bytes(doc):
+    return json.dumps(doc).encode()
+
+
 _RUN_FILES = {
     "events.csv": (",".join(Event._fields).encode(), _csv(Event._fields, ints=("vehicle_id",))),
     "series.csv": (
@@ -165,11 +181,9 @@ _RUN_FILES = {
         _csv(SERIES_COLUMNS),
     ),
     "metrics.json": (
-        json.dumps({"summary": _SUMMARY}).encode(),
-        (_json | st.fixed_dictionaries(
-            {"summary": st.fixed_dictionaries({k: _of_type[type(v)] for k, v in _SUMMARY.items()})
-             | _some_of(_SUMMARY)}
-        )).map(lambda doc: json.dumps(doc).encode())
+        _json_bytes({"summary": _SUMMARY}),
+        st.fixed_dictionaries({"summary": _summary}).map(_json_bytes)
+        | (_json | st.fixed_dictionaries({"summary": _some_of(_SUMMARY)})).map(_json_bytes)
         | st.binary(max_size=24),
     ),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -25,7 +26,7 @@ from parkdyn.network import (
     add_lot,
     build_grid,
 )
-from parkdyn.scenarios import desk_network, validation_scenario
+from parkdyn.scenarios import desk_network, macro_demand, validation_scenario
 
 
 def small_net(lot_capacity=5, spots=2):
@@ -403,3 +404,24 @@ def test_gridlock_flagged_not_fatal():
     sc = ScenarioConfig(parker_count=0, passer_count=40, horizon=0.1, gridlock_steps=30)
     res = Simulation(net, sc, 0).run()
     assert res.summary.injected > 0  # run completed despite congestion
+
+
+@pytest.mark.parametrize(
+    "profile, first_half", [("ramp-up", 0.25), ("uniform", 0.5), ("ramp-down", 0.75)]
+)
+def test_demand_profiles_share_of_first_half(profile, first_half):
+    """Micro arrivals and the macro demand put the share F(1/2) of each
+    flow in the first half of the horizon: F(x) = x² rising, x uniform,
+    1 - (1 - x)² falling."""
+    sc = validation_scenario(parker_count=2000)
+    sc = dataclasses.replace(sc, parker_profile=profile, passer_profile=profile)
+    half_s = sc.horizon * 3600.0 / 2
+    sim = Simulation(desk_network(), sc, 0)
+    for purpose, n in (("park-on", sc.parker_count), ("pass", sc.passer_count)):
+        times = [v.trip.entry_time for v in sim.pending if v.trip.purpose == purpose]
+        assert len(times) == n
+        share = sum(t < half_s for t in times) / n
+        assert abs(share - first_half) <= 4 * math.sqrt(first_half * (1 - first_half) / n)
+    for demand in macro_demand(sc, 10.0 / 3600.0):
+        share = demand[: len(demand) // 2].sum() / demand.sum()
+        assert share == pytest.approx(first_half, abs=1e-12)

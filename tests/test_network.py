@@ -173,7 +173,6 @@ class TestDurationDistribution:
         assert d.cdf(0.0) == 0.0
         assert d.cdf(0.25) == 0.25
         assert d.cdf(2.0) == 1.0
-        assert math.isclose(d.mean(), 0.5)
 
     def test_table_cdf_interpolates(self):
         d = DurationDistribution("table", xs=(0.0, 0.5, 1.0), cdf_values=(0.0, 0.8, 1.0))
