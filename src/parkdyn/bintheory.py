@@ -96,6 +96,19 @@ def envelope_with_cruising(K: float, params: BinParams) -> tuple[float, float]:
     return v_max, v_min
 
 
+def branch_discontinuity(params: BinParams) -> float:
+    """The largest jump of either with-cruising envelope across its six
+    branch points, each stepped 1e-11 to either side within [0, k_j]."""
+    k_c, k_j = critical_density(params), params.k_j
+    d = 1e-11
+    jumps = []
+    for x in (k_c / 4, 3 * k_c / 4, k_c, k_c / 2, k_j / 2, (k_c + k_j) / 2):
+        a = envelope_with_cruising(max(0.0, x - d), params)
+        b = envelope_with_cruising(min(k_j, x + d), params)
+        jumps.append(max(abs(a[0] - b[0]), abs(a[1] - b[1])))
+    return max(jumps)
+
+
 def brute_force_envelope(
     K: float, params: BinParams, cruising: bool, grid_step: float = 0.01
 ) -> tuple[float, float]:

@@ -126,7 +126,6 @@ def moving_distance_stats(replication_means: Iterable[dict[str, float]]) -> dict
         "l_m_off": l_off,
         "l_m_pass": l_pass,
         "std": {"l_m_on": s_on, "l_m_off": s_off, "l_m_pass": s_pass},
-        "per_replication": per_rep,
     }
 
 

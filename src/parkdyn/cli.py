@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,6 +65,28 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
     return values
 
 
+class _Domain(NamedTuple):
+    rule: str
+    holds: Callable[[float], bool]
+
+
+_FINITE = _Domain("must be finite", math.isfinite)
+_POSITIVE = _Domain("must be > 0 and finite", lambda x: 0 < x < math.inf)
+
+# The domain of every float flag and of --jobs, keyed by argparse dest. main
+# checks each given value before the command reads or writes anything; rules
+# between flags, or between a flag and a file, stay in the commands.
+FLAG_DOMAINS = {
+    **dict.fromkeys(("link_length", "vf", "kj", "lot_circuit", "lot_speed", "k_step",
+                     "brute_step", "nfd_window", "dt_macro", "control_interval"), _POSITIVE),
+    "spot_spacing": _Domain("must be >= 0 and finite", lambda x: 0 <= x < math.inf),
+    **dict.fromkeys(("tau_min", "tau_max", "tau_gap"), _FINITE),
+    "upper_share": _Domain("must lie in [0, 1]", lambda x: 0 <= x <= 1),
+    "supply_fraction": _Domain("must lie in (0, 1]", lambda x: 0 < x <= 1),
+    "jobs": _Domain("must be >= 1", lambda x: x >= 1),
+}
+
+
 # ------------------------------------------------------------------ net
 
 
@@ -72,11 +95,7 @@ def cmd_net_build(args):
                         ("--supply-fraction", args.supply_fraction)):
         if value is not None and args.total_spots is None:
             raise ValueError(f"{flag}: applies only with --total-spots")
-    if args.upper_share is not None and not 0 <= args.upper_share <= 1:
-        raise ValueError(f"--upper-share: must lie in [0, 1], got {args.upper_share:g}")
     supply = 1.0 if args.supply_fraction is None else args.supply_fraction
-    if not 0 < supply <= 1:
-        raise ValueError(f"--supply-fraction: must lie in (0, 1], got {supply:g}")
     net = scenarios.desk_network(
         args.rows, args.cols, args.link_length, args.vf, args.kj,
         total_spots=args.total_spots, lot_capacity=args.lot_capacity,
@@ -164,7 +183,7 @@ def _read_csv(path, columns, types) -> list[list]:
 
 
 class _Rule(ValueError):
-    """A converter's rule that a well-formed value breaks, such as "must be finite"."""
+    """A converter's rule that a well-formed value breaks, such as finiteness."""
 
 
 def _utf8(text: str) -> str:
@@ -174,8 +193,8 @@ def _utf8(text: str) -> str:
 
 def _finite(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):
-        raise _Rule("must be finite")
+    if not _FINITE.holds(value):
+        raise _Rule(_FINITE.rule)
     return value
 
 
@@ -225,8 +244,6 @@ def _seed_dirs(runs) -> list[Path]:
 
 
 def cmd_micro_run(args):
-    if args.jobs < 1:
-        raise ValueError(f"--jobs: must be >= 1, got {args.jobs}")
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     seeds = _parse_list(args.seeds, "--seeds")
@@ -252,45 +269,25 @@ def cmd_micro_run(args):
 def cmd_theory_sweep(args):
     out = Path(args.out)
     vcs = _parse_list(args.vc, "--vc", float)
-    for flag, value in (("--vf", args.vf), ("--kj", args.kj), ("--k-step", args.k_step),
-                        ("--brute-step", args.brute_step)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{flag}: must be > 0 and finite, got {value:g}")
     bad = [vc for vc in vcs if not 0 < vc <= args.vf]
     if bad:
         raise ValueError(f"--vc: {bad[0]:g} is outside (0, --vf] = (0, {args.vf:g}]")
     Ks = np.round(np.arange(0.0, args.kj + args.k_step / 2, args.k_step), 10)
     report = {}
     rows = []
+    cols = ("K", "v_max", "v_min", "v_max_brute", "v_min_brute")
     for vc in vcs:
         p = bintheory.BinParams(args.vf, vc, args.kj)
         sweep = bintheory.envelope_sweep(p, Ks, args.brute_step)
-        for i, K in enumerate(sweep["K"]):
-            rows.append(
-                (
-                    vc,
-                    K,
-                    sweep["v_max"][i],
-                    sweep["v_min"][i],
-                    sweep["v_max_brute"][i],
-                    sweep["v_min_brute"][i],
-                )
-            )
-        kc = bintheory.critical_density(p)
+        rows += ((vc, *row) for row in zip(*(sweep[c] for c in cols)))
         dev = max(
             float(np.abs(sweep["v_max"] - sweep["v_max_brute"]).max()),
             float(np.abs(sweep["v_min"] - sweep["v_min_brute"]).max()),
         )
-        cont = []
-        for x in (kc / 4, 3 * kc / 4, kc, kc / 2, args.kj / 2, (kc + args.kj) / 2):
-            d = 1e-11
-            a = bintheory.envelope_with_cruising(max(0.0, x - d), p)
-            b = bintheory.envelope_with_cruising(min(args.kj, x + d), p)
-            cont.append(max(abs(a[0] - b[0]), abs(a[1] - b[1])))
         report[str(vc)] = {
-            "critical_density": kc,
+            "critical_density": bintheory.critical_density(p),
             "max_abs_dev_vs_brute": dev,
-            "max_branch_discontinuity": max(cont),
+            "max_branch_discontinuity": bintheory.branch_discontinuity(p),
             "unstable_area": bintheory.unstable_area(p, True),
         }
     write_csv(
@@ -405,12 +402,7 @@ def _mpc_setup(args, priced: bool):
     an MPC time grid that does not tile the plant's run (the macro step must
     be whole micro steps and the control interval must divide the scenario
     horizon) is rejected before anything runs, and so is an uncontrolled
-    facility's scenario price outside the box, which the solver would keep.
-    A price-box flag that is not finite is rejected before any file is read."""
-    for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max),
-                        ("--tau-gap", args.tau_gap)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag}: must be finite, got {value:g}")
+    facility's scenario price outside the box, which the solver would keep."""
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)
@@ -656,6 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, (rule, holds) in FLAG_DOMAINS.items():
+            value = getattr(args, dest, None)
+            if value is not None and not holds(value):
+                raise ValueError(f"--{dest.replace('_', '-')}: {rule}, got {value:g}")
         return args.func(args)
     except (ValueError, OSError, macromodel.ConservationError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -324,14 +324,23 @@ class RunResult:
     summary: RunSummary
 
 
-def time_metrics(series: dict, dt_sim: float, l_off: float, v_off_f: float) -> dict[str, float]:
-    """The veh-hr accounts of a micro series: full-lot circuit deadweight,
-    on-street cruising, their sum (ineffective cruising), and time on road.
+def cruising_veh_hr(counts, overflows, step, per_hr, l_off, v_off_f) -> tuple[float, float]:
+    """The on-street cruising and the full-lot circuit deadweight, in veh-hr,
+    of per-step cruiser ``counts`` and full-lot ``overflows``. A step lasts
+    ``step`` units, ``per_hr`` of them to the hour (3600.0 for seconds, 1.0
+    for hours); each overflow costs one circuit of ``l_off`` km at ``v_off_f``."""
+    on_street = float(np.sum(counts)) * step / per_hr
+    deadweight = float(np.sum(overflows)) * l_off / v_off_f
+    return on_street, deadweight
 
-    Each full-lot arrival costs one circuit of ``l_off`` km at ``v_off_f``.
-    """
-    deadweight = float(series["overflow"].sum()) * l_off / v_off_f
-    on_street = float(series["n_iv"].sum()) * dt_sim / 3600.0
+
+def time_metrics(series: dict, dt_sim: float, l_off: float, v_off_f: float) -> dict[str, float]:
+    """The veh-hr accounts of a micro series (``dt_sim`` in s): full-lot circuit
+    deadweight, on-street cruising, their sum (ineffective cruising), and time
+    on road."""
+    on_street, deadweight = cruising_veh_hr(
+        series["n_iv"], series["overflow"], dt_sim, 3600.0, l_off, v_off_f
+    )
     return {
         "deadweight_veh_hr": deadweight,
         "on_street_cruising_veh_hr": on_street,

@@ -21,7 +21,7 @@ from .macromodel import (
     MacroTrajectories,
     simulate_macro,
 )
-from .microsim import Simulation, macro_blocks, whole_steps
+from .microsim import Simulation, cruising_veh_hr, macro_blocks, whole_steps
 
 FACILITIES = ("on", "off")
 
@@ -66,19 +66,14 @@ class MpcConfig:
         return whole_steps(horizon, self.control_interval, "horizon", "control interval", "hr")
 
 
-def veh_hr_with_deadweight(counts, q_off_on, params: MacroParams) -> float:
-    """veh-hr of the per-step accumulations ``counts`` plus the circuit
-    deadweight loss of the full-lot overflows ``q_off_on``."""
-    held = float(np.sum(counts)) * params.dt
-    deadweight = float(np.sum(q_off_on)) * params.l_off / params.v_off_f
-    return held + deadweight
-
-
 def objective_ineffective_cruising(traj: MacroTrajectories, params: MacroParams) -> float:
     """veh-hr of on-street cruising plus the full-lot circuit deadweight loss.
 
     Cruising of vehicles that manage to park off street is not counted."""
-    return veh_hr_with_deadweight(traj.n_c[:-1], traj.q_off_on, params)
+    on_street, deadweight = cruising_veh_hr(
+        traj.n_c[:-1], traj.q_off_on, params.dt, 1.0, params.l_off, params.v_off_f
+    )
+    return on_street + deadweight
 
 
 def repair_schedule(
@@ -276,7 +271,6 @@ class MacroPlant:
         self.pazz = np.asarray(pass_profile, dtype=float)
         self.prices = tuple(base_prices)
         self.state = MacroState()
-        self.t_hr = 0.0
         self.step = 0
         self.n_c_steps: list[float] = []
 
@@ -296,10 +290,13 @@ class MacroPlant:
         self.n_c_steps.extend(traj.n_c[:-1].tolist())
         self.state = traj.final_state
         self.step = hi
-        self.t_hr = hi * self.params.dt
 
     def ineffective_cruising(self) -> float:
-        return veh_hr_with_deadweight(self.n_c_steps, self.state.q_off_on_hist[1:], self.params)
+        p = self.params
+        on_street, deadweight = cruising_veh_hr(
+            self.n_c_steps, self.state.q_off_on_hist[1:], p.dt, 1.0, p.l_off, p.v_off_f
+        )
+        return on_street + deadweight
 
     def realized_n_c(self, lo: int, n: int) -> np.ndarray:
         return np.asarray(self.n_c_steps[lo : lo + n])

@@ -12,8 +12,8 @@ import pytest
 
 from parkdyn.bintheory import (
     BinParams,
+    branch_discontinuity,
     brute_force_envelope,
-    critical_density,
     envelope_no_cruising,
     envelope_with_cruising,
     unstable_area,
@@ -67,12 +67,7 @@ def test_a1_envelopes_match_brute_force():
             fmax, fmin = envelope_with_cruising(float(K), p)
             bmax, bmin = brute_force_envelope(float(K), p, cruising=True, grid_step=0.01)
             worst = max(worst, abs(fmax - bmax), abs(fmin - bmin))
-        k_c = critical_density(p)
-        d = 1e-11
-        for x in (k_c / 4, 3 * k_c / 4, k_c, k_c / 2, 50.0, (k_c + 100.0) / 2):
-            a = envelope_with_cruising(max(0.0, x - d), p)
-            b = envelope_with_cruising(min(100.0, x + d), p)
-            worst_cont = max(worst_cont, abs(a[0] - b[0]), abs(a[1] - b[1]))
+        worst_cont = max(worst_cont, branch_discontinuity(p))
     elapsed = time.time() - t0
     ok = worst <= 0.05 and worst_cont <= 1e-9 and elapsed < 5.0
     report(

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from parkdyn.bintheory import (
     BinParams,
+    branch_discontinuity,
     brute_force_envelope,
     critical_density,
     envelope_no_cruising,
@@ -93,14 +94,7 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("v_c", [10.0, 20.0, 30.0, 40.0])
     def test_continuity_at_branch_points(self, v_c):
-        p = BinParams(50.0, v_c, 100.0)
-        k_c = critical_density(p)
-        d = 1e-11
-        for x in (k_c / 4, 3 * k_c / 4, k_c, k_c / 2, 50.0, (k_c + 100.0) / 2):
-            a = envelope_with_cruising(max(0.0, x - d), p)
-            b = envelope_with_cruising(min(100.0, x + d), p)
-            assert abs(a[0] - b[0]) <= 1e-9
-            assert abs(a[1] - b[1]) <= 1e-9
+        assert branch_discontinuity(BinParams(50.0, v_c, 100.0)) <= 1e-9
 
 
 class TestBruteForceOracle:

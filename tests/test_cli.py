@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import gc
 import hashlib
@@ -684,6 +685,61 @@ def test_jobs_below_one_rejected_before_reading(tmp_path, capsys, jobs):
     assert not (tmp_path / "runs").exists()
 
 
+def _commands(parser, words=()):
+    """(command words, parser) of every leaf command under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(words, parser)]
+    return [c for name, sub in subs[0].choices.items() for c in _commands(sub, (*words, name))]
+
+
+_COMMANDS = _commands(cli.build_parser())
+
+# Each numeric flag's domain, as its error line states it, and values outside it.
+_POSITIVE = ("must be > 0 and finite", ["nan", "inf", "0", "-1"])
+_FINITE = ("must be finite", ["nan", "inf", "-inf"])
+_DOMAINS = {
+    **dict.fromkeys(["link_length", "vf", "kj", "lot_circuit", "lot_speed", "k_step",
+                     "brute_step", "nfd_window", "dt_macro", "control_interval"], _POSITIVE),
+    "spot_spacing": ("must be >= 0 and finite", ["nan", "inf", "-1"]),
+    **dict.fromkeys(["tau_min", "tau_max", "tau_gap"], _FINITE),
+    "upper_share": ("must lie in [0, 1]", ["nan", "-0.1", "1.5"]),
+    "supply_fraction": ("must lie in (0, 1]", ["nan", "0", "1.5"]),
+    "jobs": ("must be >= 1", ["0", "-2"]),
+}
+
+
+def test_every_float_flag_and_jobs_has_one_domain():
+    dests = {a.dest for _, parser in _COMMANDS for a in parser._actions
+             if a.type is float or a.dest == "jobs"}
+    assert sorted(dests) == sorted(cli.FLAG_DOMAINS) == sorted(_DOMAINS)
+    assert {dest: domain.rule for dest, domain in cli.FLAG_DOMAINS.items()} == {
+        dest: rule for dest, (rule, _) in _DOMAINS.items()}
+
+
+@pytest.mark.parametrize(
+    "words, option, rule, value",
+    [
+        pytest.param(words, a.option_strings[0], _DOMAINS[a.dest][0], value,
+                     id=f"{' '.join(words)} {a.dest}={value}")
+        for words, parser in _COMMANDS
+        for a in parser._actions
+        if a.dest in _DOMAINS
+        for value in _DOMAINS[a.dest][1]
+    ],
+)
+def test_flag_outside_its_domain_rejected_before_reading(
+    tmp_path, capsys, words, option, rule, value
+):
+    argv = [*words, f"{option}={value}"]
+    for a in dict(_COMMANDS)[words]._actions:
+        if a.required:  # a missing path: a check made after any read names the file instead
+            argv += [a.option_strings[0], str(tmp_path / "missing" / a.dest)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {option}: {rule}, got {value}"]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_dead_end_node_gives_one_error_line(tmp_path, capsys, seed):
     # links a 0->1 (1 spot), b 1->0 and c 1->2 (1 spot): node 2 has no out-link.
@@ -806,13 +862,13 @@ def test_nfd_window_must_be_whole_micro_steps(workdir, tmp_path, capsys, no_simu
 
 
 # The test scenario runs 0.5 hr: 0.3 and 0.2 hr intervals do not divide it
-# (0.5 / 0.2 rounds to 2), 0 hr holds no macro step and 0 intervals predict nothing.
+# (0.5 / 0.2 rounds to 2), 0 hr is outside the flag's domain and 0 intervals predict nothing.
 @pytest.mark.parametrize(
     "flags, message",
     [
         (["--control-interval", "0.3"], "horizon 0.5 hr is not a whole"),
         (["--control-interval", "0.2"], "horizon 0.5 hr is not a whole"),
-        (["--control-interval", "0"], "control interval 0 s is not a whole"),
+        (["--control-interval", "0"], "--control-interval: must be > 0 and finite, got 0"),
         (["--intervals", "0"], "prediction intervals must be >= 1"),
     ],
 )
