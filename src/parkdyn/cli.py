@@ -250,8 +250,9 @@ def cmd_micro_run(args):
     # measure_nfd's window rule, checked before anything is simulated
     microsim.whole_steps(args.nfd_window, sc.dt_sim, "NFD window", "micro step")
     out = Path(args.out)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+    workers = min(args.jobs, len(seeds))  # the pool starts all its workers at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             futs = {ex.submit(_run_one_seed, net, sc, s, out, args.nfd_window): s for s in seeds}
             for fut in concurrent.futures.as_completed(futs):
                 fut.result()

@@ -167,7 +167,10 @@ def split_demand(
         raise ValueError("inflow must be >= 0")
     u_on = params.alpha_on - params.beta * tau_on
     u_off = params.alpha_off - params.beta * tau_off
-    share_on = 1.0 / (1.0 + math.exp(u_off - u_on))
+    try:
+        share_on = 1.0 / (1.0 + math.exp(u_off - u_on))
+    except OverflowError:  # the logit limit: the lot takes all of it
+        share_on = 0.0
     return total_inflow * share_on, total_inflow * (1.0 - share_on)
 
 

@@ -15,15 +15,18 @@ cruiser's desired speed (moving-bottleneck approximation). Parked vehicles
 occupy spots but not road space. A run is fully determined by
 (network, scenario, seed).
 
-State layout. A ``_Vehicle`` keeps a vehicle's identity, trip, route,
-family and logging fields in Python, plus its slot: its index in
-``Simulation.vehicles``. Its kinematic state (position, distances, driving
-times, speed caps, next search re-check) lives in numpy arrays indexed by
-slot, and so does the one record of the link it is on: ``link_key`` is
-``(rank of the link in link_order << 40) + entry sequence number`` while
-the vehicle is on a link and -1 otherwise. Sorting the keys of the on-link
-slots gives the sweep order: links in ``link_order``, and the vehicles on
-a link in the order they entered it.
+State layout. ``Simulation.vehicles`` holds the whole demand from
+construction, in id order, which is entry-time order; the first
+``injected`` of them are on their trips. A ``_Vehicle`` keeps a vehicle's
+trip (entry time, origin, destination, parking duration, desired and
+cruising speeds), route, family and logging fields in Python. Its
+kinematic state (position, distances, driving times, speed caps, next
+search re-check) lives in numpy arrays indexed by its id, and so does the
+one record of the link it is on: ``link_key`` is ``(rank of the link in
+link_order << 40) + entry sequence number`` while the vehicle is on a link
+and -1 otherwise. Sorting the keys of the on-link vehicles gives the sweep
+order: links in ``link_order``, and the vehicles on a link in the order
+they entered it.
 
 One step's movement sweep is array-shaped. Link counts, Greenshields
 speeds, the single-lane cruiser cap and every vehicle's advance come from a
@@ -47,12 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import (
-    DurationDistribution,
-    Network,
-    TripChain,
-    from_json,
-)
+from .network import DurationDistribution, Network, from_json
 
 FAMILIES = ("i", "ii", "iii", "iv", "v", "vi")
 ALLOWED_TRANSITIONS = frozenset(
@@ -236,13 +234,17 @@ def apply_regional_guidance(
 
 
 class _Vehicle:
-    """A vehicle's identity, trip, route and family; its kinematic state is
-    in the simulation's slot arrays at index ``slot``."""
+    """A vehicle's trip, route and family; its kinematic state is in the
+    simulation's slot arrays at index ``vid``."""
 
     __slots__ = (
         "vid",
-        "slot",
-        "trip",
+        "entry_s",
+        "origin",
+        "destination",
+        "parking_duration",
+        "desired_speed",
+        "cruise_speed",
         "purpose",
         "family",
         "route",
@@ -255,11 +257,18 @@ class _Vehicle:
         "ever_parked",
     )
 
-    def __init__(self, vid, trip, compliant):
+    def __init__(
+        self, vid, entry_s, origin, destination, purpose, parking_duration,
+        desired_speed, cruise_speed, compliant,
+    ):
         self.vid = vid
-        self.slot = None
-        self.trip = trip
-        self.purpose = trip.purpose
+        self.entry_s = entry_s
+        self.origin = origin
+        self.destination = destination
+        self.purpose = purpose  # park-on | park-off | pass; park-on until a parker chooses
+        self.parking_duration = parking_duration  # hr
+        self.desired_speed = desired_speed  # km/hr
+        self.cruise_speed = cruise_speed  # km/hr, while family iv
         self.family = "new"
         self.route = []
         self.route_i = 0
@@ -271,7 +280,7 @@ class _Vehicle:
         self.ever_parked = False
 
 
-# Per-vehicle state arrays, indexed by slot, with the value of a new slot.
+# Per-vehicle state arrays, indexed by vehicle id, with their initial values.
 _SLOT_ARRAYS = {
     "link_key": -1,  # (link rank << _SEQ_BITS) + entry sequence number; -1 off-link
     "pos": 0.0,  # km from the start of the link
@@ -417,10 +426,10 @@ class Simulation:
         self.circuit_heap: list = []  # (exit_t_s, seq, vehicle)
         self._seq = 0  # orders link entries and heap pushes
         self.events: list[Event] = []
-        self.vehicles: list[_Vehicle] = []  # injected so far; a vehicle's slot is its index
-        self._alloc_slots(len(self.pending))
+        self.injected = 0  # vehicles[:injected] are on their trips
+        self._alloc_slots()
         # vehicles per family, kept by _log; family ii includes the lot circuit
-        self.family_count = {"new": len(self.pending), **dict.fromkeys((*FAMILIES, "exited"), 0)}
+        self.family_count = {"new": len(self.vehicles), **dict.fromkeys((*FAMILIES, "exited"), 0)}
         self.still_steps = 0
         self.gridlock = False
 
@@ -448,30 +457,26 @@ class Simulation:
             times = sorted(draw(profile) for _ in range(n))
             arrivals.extend((t, purpose) for t in times)
         arrivals.sort()
-        self.pending: list[_Vehicle] = []
+        self.vehicles: list[_Vehicle] = []
         for vid, (t_s, purpose) in enumerate(arrivals):
             origin = rng.choice(boundary)
             others = [b for b in boundary if b != origin]
             dest = rng.choice(others) if others else origin
             duration = sc.duration.sample(rng) if purpose == "park" else 0.0
-            trip = TripChain(
-                vehicle_id=vid,
-                entry_time=t_s,
-                origin=origin,
-                destination=dest,
-                purpose="park-on" if purpose == "park" else "pass",
-                parking_duration=duration,
-                desired_speed=rng.uniform(
-                    sc.desired_speed - sc.desired_speed_jitter,
-                    sc.desired_speed + sc.desired_speed_jitter,
-                ),
-                desired_cruise_speed=rng.uniform(
-                    sc.cruise_speed - sc.cruise_speed_jitter,
-                    sc.cruise_speed + sc.cruise_speed_jitter,
-                ),
+            desired = rng.uniform(
+                sc.desired_speed - sc.desired_speed_jitter,
+                sc.desired_speed + sc.desired_speed_jitter,
             )
-            self.pending.append(_Vehicle(vid, trip, rng.random() < sc.guidance.compliance))
-        self.pending.reverse()  # pop from the back in time order
+            cruise = rng.uniform(
+                sc.cruise_speed - sc.cruise_speed_jitter,
+                sc.cruise_speed + sc.cruise_speed_jitter,
+            )
+            self.vehicles.append(
+                _Vehicle(
+                    vid, t_s, origin, dest, "park-on" if purpose == "park" else "pass",
+                    duration, desired, cruise, rng.random() < sc.guidance.compliance,
+                )
+            )
 
     def _block_spots(self, rng):
         sc = self.sc
@@ -494,25 +499,14 @@ class Simulation:
             self.vacate_schedule = [((i + 1) * gap_s, lid) for i, lid in enumerate(vacatable)]
             self.vacate_schedule.reverse()
 
-    def _alloc_slots(self, n: int):
-        """Size the slot arrays for ``n`` vehicles, keeping the slots in use."""
+    def _alloc_slots(self):
+        """Set the slot arrays to their initial values, one entry per vehicle."""
         for name, fill in _SLOT_ARRAYS.items():
-            arr = np.full(n, fill)
-            old = getattr(self, name, None)
-            if old is not None:
-                arr[: len(old)] = old
-            setattr(self, name, arr)
-
-    def _admit(self, veh: _Vehicle):
-        """Give ``veh`` the next slot."""
-        veh.slot = len(self.vehicles)
-        self.vehicles.append(veh)
-        if veh.slot == len(self.link_key):  # beyond the scheduled demand
-            self._alloc_slots(2 * veh.slot + 1)
+            setattr(self, name, np.full(len(self.vehicles), fill))
 
     def on_link(self) -> np.ndarray:
-        """Slots of the vehicles on a link, ascending."""
-        return (self.link_key[: len(self.vehicles)] >= 0).nonzero()[0]
+        """Ids of the vehicles on a link, ascending."""
+        return (self.link_key[: self.injected] >= 0).nonzero()[0]
 
     # ------------------------------------------------------- spot helpers
 
@@ -534,10 +528,6 @@ class Simulation:
         return self.family_count["vi"] / lot.capacity if lot and lot.capacity else 0.0
 
     @property
-    def injected(self) -> int:
-        return len(self.vehicles)
-
-    @property
     def exited(self) -> int:
         return self.family_count["exited"]
 
@@ -552,7 +542,7 @@ class Simulation:
             raise RuntimeError(f"illegal family transition {veh.family}->{to_family}")
         self.family_count[veh.family] -= 1
         self.family_count[to_family] += 1
-        dist = self.dist_family.item(veh.slot)
+        dist = self.dist_family.item(veh.vid)
         self.events.append(
             Event(
                 veh.vid,
@@ -568,7 +558,7 @@ class Simulation:
         if veh.family == "iv":
             veh.dist_iv += dist
         veh.family = to_family
-        self.dist_family[veh.slot] = 0.0
+        self.dist_family[veh.vid] = 0.0
 
     # ------------------------------------------------------- search logic
 
@@ -611,7 +601,7 @@ class Simulation:
         rng = self.rng_search
         links = self.net.links
         if self.sc.guidance.local_guidance:
-            free = [lid for lid in cands if self.free[lid] > 0 and links[lid].parking_capacity > 0]
+            free = [lid for lid in cands if self.free[lid] > 0]
             if free:
                 occ = [
                     (links[lid].parking_capacity - self.free[lid]) / links[lid].parking_capacity
@@ -631,16 +621,15 @@ class Simulation:
         """Put ``veh`` at the start of ``lid``, behind the vehicles already
         on it. A vehicle's family does not change while it stays on a link,
         so the family-dependent fields are set here."""
-        s = veh.slot
+        s = veh.vid
         link = self.net.links[lid]
-        trip = veh.trip
         iv = veh.family == "iv"
         self._seq += 1
         self.link_key[s] = (self.link_rank[lid] << _SEQ_BITS) + self._seq
         self.pos[s] = 0.0
-        self.speed_cap[s] = trip.desired_cruise_speed if iv else trip.desired_speed
-        self.ff_speed[s] = min(link.free_flow_speed, trip.desired_speed)
-        self.cruiser_cap[s] = trip.desired_cruise_speed if iv and link.lanes == 1 else math.inf
+        self.speed_cap[s] = veh.cruise_speed if iv else veh.desired_speed
+        self.ff_speed[s] = min(link.free_flow_speed, veh.desired_speed)
+        self.cruiser_cap[s] = veh.cruise_speed if iv and link.lanes == 1 else math.inf
         rechecks = iv and link.parking_capacity > 0
         self.next_recheck_s[s] = self.t + self.sc.reeval_period if rechecks else math.inf
 
@@ -651,29 +640,28 @@ class Simulation:
                 self._park_on(veh, lid)
                 return
             self._log(veh, "iv", lid)  # target full: the on-street search begins
-        elif veh.family == "iv":
-            if self.free[lid] > 0 and self.net.links[lid].parking_capacity > 0:
-                self._park_on(veh, lid)
-                return
+        elif veh.family == "iv" and self.free[lid] > 0:
+            self._park_on(veh, lid)
+            return
         self._place(veh, lid)
 
     def _park_on(self, veh: _Vehicle, lid: str):
         self._take_spot(lid)
         self._log(veh, "v", lid)
-        self.link_key[veh.slot] = -1
+        self.link_key[veh.vid] = -1
         veh.parked_link = lid
         veh.ever_parked = True
         self._series["parked_on"][self.step_i] += 1
-        self._push(self.parked_heap, self.t + veh.trip.parking_duration * 3600.0, veh)
+        self._push(self.parked_heap, self.t + veh.parking_duration * 3600.0, veh)
 
     def _arrive_lot(self, veh: _Vehicle):
         lot = self.lot
-        self.link_key[veh.slot] = -1
+        self.link_key[veh.vid] = -1
         if self.family_count["vi"] < lot.capacity:
             self._log(veh, "vi", lot.id)
             veh.ever_parked = True
             self._series["parked_off"][self.step_i] += 1
-            self._push(self.parked_heap, self.t + veh.trip.parking_duration * 3600.0, veh)
+            self._push(self.parked_heap, self.t + veh.parking_duration * 3600.0, veh)
         else:
             veh.circuits += 1
             self._series["overflow"][self.step_i] += 1
@@ -704,7 +692,7 @@ class Simulation:
             return
         if fam == "iii" and veh.route_i == len(veh.route) - 1:
             self._log(veh, "exited", lid)
-            self.link_key[veh.slot] = -1
+            self.link_key[veh.vid] = -1
             return
         veh.route_i += 1
         self._enter_link(veh, veh.route[veh.route_i])
@@ -712,13 +700,13 @@ class Simulation:
     # ------------------------------------------------------------- step
 
     def _inject_due(self):
-        while self.pending and self.pending[-1].trip.entry_time <= self.t:
-            veh = self.pending.pop()
-            trip = veh.trip
-            self._admit(veh)
-            if trip.purpose == "pass":
+        vehicles = self.vehicles
+        while self.injected < len(vehicles) and vehicles[self.injected].entry_s <= self.t:
+            veh = vehicles[self.injected]
+            self.injected += 1
+            if veh.purpose == "pass":
                 self._log(veh, "iii", "")
-                self._drive(veh, self.net.path_links(trip.origin, trip.destination))
+                self._drive(veh, self.net.path_links(veh.origin, veh.destination))
                 continue
             fees = [self.tau_on]
             attr = [self.sc.alpha_on]
@@ -737,14 +725,14 @@ class Simulation:
                 veh.purpose = "park-off"
                 goal = self.lot.entry_link
                 self._log(veh, "ii", goal)
-            head = self.net.path_links(trip.origin, self.net.links[goal].from_node)
+            head = self.net.path_links(veh.origin, self.net.links[goal].from_node)
             self._drive(veh, head + [goal])
 
     def _circuit_exits(self):
         while self.circuit_heap and self.circuit_heap[0][0] <= self.t:
             _, _, veh = heapq.heappop(self.circuit_heap)
-            self.dist_total[veh.slot] += self.lot.circuit_length
-            self.drive_time_s[veh.slot] += self.lot.circuit_time * 3600.0
+            self.dist_total[veh.vid] += self.lot.circuit_length
+            self.drive_time_s[veh.vid] += self.lot.circuit_time * 3600.0
             entry = self.lot.entry_link
             self._log(veh, "iv", entry)
             self._enter_link(veh, entry)
@@ -760,7 +748,7 @@ class Simulation:
                 self._log(veh, "iii", self.lot.id)
                 from_link = self.lot.entry_link
             from_node = self.net.links[from_link].to_node
-            self._drive(veh, self.net.path_links(from_node, veh.trip.destination))
+            self._drive(veh, self.net.path_links(from_node, veh.destination))
 
     def _vacate_due(self):
         while self.vacate_schedule and self.vacate_schedule[-1][0] <= self.t:
@@ -885,7 +873,7 @@ class Simulation:
             held[self.vehicles[s].family] += 1
         if held["v"] or held["vi"] or held["exited"]:
             return False
-        if not {veh.slot for _, _, veh in self.circuit_heap}.isdisjoint(on):
+        if not {veh.vid for _, _, veh in self.circuit_heap}.isdisjoint(on):
             return False
         held["ii"] += len(self.circuit_heap)
         for _, _, veh in self.parked_heap:
@@ -907,16 +895,16 @@ class Simulation:
             VehicleRecord(
                 vehicle_id=v.vid,
                 purpose=v.purpose,
-                entry_s=v.trip.entry_time,
+                entry_s=v.entry_s,
                 family_end=v.family,
                 parked=v.ever_parked,
-                dist_total=self.dist_total.item(v.slot),
-                dist_iv=v.dist_iv + (self.dist_family.item(v.slot) if v.family == "iv" else 0.0),
+                dist_total=self.dist_total.item(v.vid),
+                dist_iv=v.dist_iv + (self.dist_family.item(v.vid) if v.family == "iv" else 0.0),
                 circuits=v.circuits,
-                drive_time_s=self.drive_time_s.item(v.slot),
-                freeflow_time_s=self.freeflow_time_s.item(v.slot),
+                drive_time_s=self.drive_time_s.item(v.vid),
+                freeflow_time_s=self.freeflow_time_s.item(v.vid),
             )
-            for v in self.vehicles
+            for v in self.vehicles[: self.injected]
         ]
         trimmed = {k: v.copy() for k, v in self.series().items()}
         summary = RunSummary(

@@ -1,4 +1,4 @@
-"""Road network, parking supply, and demand data model.
+"""Road network, parking supply, and parking-duration data model.
 
 Networks are directed: a two-way street is two links. All quantities carry
 the units used throughout the package: km, km/hr, veh/km/lane.
@@ -307,26 +307,6 @@ class DurationDistribution:
     def step_weights(self, dt: float, n_steps: int):
         """P(duration falls in step j), j = 0..n_steps-1, for re-departure sums."""
         return [self.cdf((j + 1) * dt) - self.cdf(j * dt) for j in range(n_steps)]
-
-
-@dataclass(frozen=True)
-class TripChain:
-    """One traveler: entry, origin/destination boundary nodes, parking intent."""
-
-    vehicle_id: int
-    entry_time: float  # s
-    origin: int
-    destination: int
-    purpose: str  # park-on | park-off | pass
-    parking_duration: float = 0.0  # hr, unused for purpose=pass
-    desired_speed: float = 50.0  # km/hr
-    desired_cruise_speed: float = 30.0  # km/hr
-
-    def __post_init__(self):
-        if self.purpose not in ("park-on", "park-off", "pass"):
-            raise ValueError(f"unknown purpose {self.purpose!r}")
-        if self.parking_duration < 0:
-            raise ValueError("parking_duration must be >= 0")
 
 
 def greenshields_speed(k: float, v_f: float, k_j: float) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import macromodel
@@ -95,8 +97,14 @@ def macro_params_from_calibration(
     scenario: ScenarioConfig,
     dt: float,
 ) -> MacroParams:
-    """MacroParams with calibrated curves and the scenario's known constants."""
+    """MacroParams with calibrated curves and the scenario's known constants.
+
+    Parkers choose only among the facilities the network has, as in the
+    micro simulation: a missing one gets utility -inf, so no demand."""
     lot = network.lot  # without one, placeholders: MacroParams needs l_off, v_off_f > 0
+    on_street = network.total_parking_capacity > 0
+    if scenario.parker_count and not on_street and lot is None:
+        raise ValueError("parkers scheduled but the network has no parking supply")
     return MacroParams(
         nfd=report.nfd,
         distance_model=report.distance_model,
@@ -110,8 +118,9 @@ def macro_params_from_calibration(
         v_on_f=scenario.cruise_speed,
         v_off_f=lot.internal_cruise_speed if lot else 15.0,
         dt=dt,
-        alpha_on=scenario.alpha_on,
-        alpha_off=scenario.alpha_off,
+        # never both -inf, whose difference is nan
+        alpha_on=scenario.alpha_on if on_street or lot is None else -math.inf,
+        alpha_off=scenario.alpha_off if lot is not None or not on_street else -math.inf,
         beta=scenario.beta,
     )
 

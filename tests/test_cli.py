@@ -1,4 +1,6 @@
 import argparse
+import concurrent.futures
+import csv
 import dataclasses
 import gc
 import hashlib
@@ -569,6 +571,81 @@ def test_macro_run_columns(workdir):
                       "v", "O_on", "o_c", "q_off_on", "q_out_on", "q_out_off"]
 
 
+def _macro_run_columns(workdir, tmp_path, net_flags, **scenario):
+    """The columns of ``macro run`` on a 4x4 network built with ``net_flags``."""
+    net = tmp_path / "net.json"
+    assert main(["net", "build", "--rows", "4", "--cols", "4", *net_flags, "--out", str(net)]) == 0
+    out = tmp_path / "m.csv"
+    assert main(["macro", "run", "--net", str(net), "--config",
+                 str(_scenario_with(workdir, tmp_path, **scenario)), "--calibration",
+                 str(workdir / "calibration.json"), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    return {name: [float(r[name]) for r in rows] for name in rows[0]}
+
+
+def test_macro_run_sends_no_demand_to_a_missing_facility(workdir, tmp_path):
+    # the plant offers parkers only the facilities the network has
+    lotless = _macro_run_columns(workdir, tmp_path, ["--total-spots", "80", "--lot-capacity", "0"])
+    assert max(lotless["n_m_off"]) == max(lotless["q_off_on"]) == 0.0
+    assert max(lotless["n_m_on"]) > 0.0
+    spotless = _macro_run_columns(workdir, tmp_path, ["--total-spots", "0", "--lot-capacity", "15"],
+                                  captive_spots=0)
+    assert max(spotless["n_m_on"]) == 0.0
+    assert max(spotless["n_m_off"]) > 0.0
+
+
+def test_macro_run_without_parking_supply_rejected(workdir, tmp_path, capsys):
+    net = tmp_path / "net.json"
+    assert main(["net", "build", "--rows", "4", "--cols", "4", "--total-spots", "0",
+                 "--lot-capacity", "0", "--out", str(net)]) == 0
+    capsys.readouterr()
+    assert main(["macro", "run", "--net", str(net), "--config",
+                 str(_scenario_with(workdir, tmp_path, captive_spots=0)), "--calibration",
+                 str(workdir / "calibration.json"), "--out", str(tmp_path / "m.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: parkers scheduled but the network has no parking supply"
+    ]
+
+
+def test_macro_run_with_a_prohibitive_price_parks_everyone_off_street(workdir, tmp_path):
+    # a utility gap of 0.3 * 3000: exp overflows and the logit limit applies
+    cols = _macro_run_columns(workdir, tmp_path, ["--total-spots", "80", "--lot-capacity", "15"],
+                              tau_on=3000.0, captive_spots=0)
+    assert max(cols["n_m_on"]) == 0.0
+
+
+@pytest.mark.parametrize("jobs, seeds, pools", [("2", "0", []), ("4", "1,2", [2])])
+def test_micro_run_starts_no_more_workers_than_seeds(
+    workdir, tmp_path, monkeypatch, jobs, seeds, pools
+):
+    started = []
+
+    class InlineExecutor:
+        """Records its worker count and runs each task at submit."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    assert main(["micro", "run", "--net", str(workdir / "net.json"), "--config",
+                 str(workdir / "scenario.json"), "--seeds", seeds, "--jobs", jobs,
+                 "--out", str(tmp_path / "runs")]) == 0
+    assert started == pools
+    for seed in seeds.split(","):
+        assert (tmp_path / "runs" / f"seed_{seed}" / "series.csv").exists()
+
+
 def test_validate_command(workdir):
     out = workdir / "validation.json"
     rc = main(
@@ -784,7 +861,7 @@ def test_one_boundary_node_passers_exit_on_entry(tmp_path):
     while sim.step_i < sim.n_steps:
         sim.step()
         assert sim.check_conservation()
-    passers = {v.vid: v.trip.entry_time for v in sim.vehicles if v.purpose == "pass"}
+    passers = {v.vid: v.entry_s for v in sim.vehicles if v.purpose == "pass"}
     assert len(passers) == 3
     for vid, entry in passers.items():
         trail = [(e.from_family, e.to_family, e.t_s) for e in sim.events if e.vehicle_id == vid]

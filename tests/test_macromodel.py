@@ -92,6 +92,14 @@ class TestSplitDemand:
         with pytest.raises(ValueError):
             split_demand(-1.0, 0.0, 0.0, make_params())
 
+    def test_overflowing_gap_takes_the_logit_limit(self):
+        # exp(800) overflows a float; the on-street share tends to 0
+        assert split_demand(10.0, 800.0, 0.0, make_params(beta=1.0)) == (0.0, 10.0)
+
+    def test_missing_facility_gets_no_demand(self):
+        assert split_demand(10.0, 5.0, 2.0, make_params(alpha_off=-math.inf)) == (10.0, 0.0)
+        assert split_demand(10.0, 5.0, 2.0, make_params(alpha_on=-math.inf)) == (0.0, 10.0)
+
 
 class TestRedepartures:
     def test_single_cohort_uniform(self):

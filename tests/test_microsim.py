@@ -92,8 +92,8 @@ class TestRegionalGuidance:
         # compliance is drawn once per driver: at 0 no driver is compliant
         cfg = GuidanceConfig(regional_guidance=True, compliance=0.0)
         sim = Simulation(small_net(), small_scenario(guidance=cfg), 0)
-        assert sim.pending
-        assert not any(apply_regional_guidance(0.96, cfg, v.compliant) for v in sim.pending)
+        assert sim.vehicles
+        assert not any(apply_regional_guidance(0.96, cfg, v.compliant) for v in sim.vehicles)
 
     def test_per_driver_flag_overrides(self):
         assert apply_regional_guidance(0.96, self.CFG, compliant=False) is False
@@ -171,27 +171,22 @@ class TestStep:
         sc = small_scenario(parker_count=0, passer_count=0, captive_spots=0)
         sim = Simulation(net, sc, 0)
         from parkdyn.microsim import _Vehicle
-        from parkdyn.network import TripChain
 
-        cruiser = _Vehicle(
-            0,
-            TripChain(0, 0.0, 0, 8, "park-on", 0.2, desired_speed=50.0, desired_cruise_speed=10.0),
-            False,
-        )
+        cruiser = _Vehicle(0, 0.0, 0, 8, "park-on", 0.2, 50.0, 10.0, False)
         cruiser.family = "iv"
-        passer = _Vehicle(
-            1, TripChain(1, 0.0, 0, 8, "pass", 0.0, desired_speed=50.0), False
-        )
+        passer = _Vehicle(1, 0.0, 0, 8, "pass", 0.0, 50.0, 30.0, False)
         passer.family = "iii"
         passer.route = ["0-1", "1-2"]
         sim.free["0-1"] = 0  # nothing to grab mid-link
-        for veh in (cruiser, passer):
-            sim._admit(veh)
+        sim.vehicles = [cruiser, passer]
+        sim.injected = len(sim.vehicles)
+        sim._alloc_slots()
+        for veh in sim.vehicles:
             sim._place(veh, "0-1")
         sim.step()
         expected = 10.0 * 1.0 / 3600.0
-        assert sim.pos[cruiser.slot] == pytest.approx(expected)
-        assert sim.pos[passer.slot] == pytest.approx(expected)
+        assert sim.pos[cruiser.vid] == pytest.approx(expected)
+        assert sim.pos[passer.vid] == pytest.approx(expected)
 
     def test_full_lot_circuit_and_reappearance(self):
         net = small_net(lot_capacity=1)
@@ -200,15 +195,15 @@ class TestStep:
         lot = sim.lot
         sim.family_count["vi"] = 1  # lot already full
         from parkdyn.microsim import _Vehicle
-        from parkdyn.network import TripChain
 
-        veh = _Vehicle(0, TripChain(0, 0.0, 0, 8, "park-off", 0.2), False)
+        veh = _Vehicle(0, 0.0, 0, 8, "park-off", 0.2, 50.0, 30.0, False)
         veh.family = "ii"
-        veh.purpose = "park-off"
         veh.route = [lot.entry_link]
         veh.route_i = 0
         sim.t = 0.0
-        sim._admit(veh)
+        sim.vehicles = [veh]
+        sim.injected = 1
+        sim._alloc_slots()
         sim._arrive_lot(veh)
         assert len(sim.circuit_heap) == 1
         circuit_s = lot.circuit_time * 3600.0
@@ -244,7 +239,7 @@ class TestStep:
         sim = Simulation(small_net(), small_scenario(), 1)
         sim.run_until(900.0)
         assert sim.check_conservation()
-        parked = sim.parked_heap[0][2].slot
+        parked = sim.parked_heap[0][2].vid
         on = sim.on_link()[0]
         keys = sim.link_key.copy()
         sim.link_key[parked] = sim.link_key[on] + 1  # a parked vehicle on a link
@@ -418,7 +413,7 @@ def test_demand_profiles_share_of_first_half(profile, first_half):
     half_s = sc.horizon * 3600.0 / 2
     sim = Simulation(desk_network(), sc, 0)
     for purpose, n in (("park-on", sc.parker_count), ("pass", sc.passer_count)):
-        times = [v.trip.entry_time for v in sim.pending if v.trip.purpose == purpose]
+        times = [v.entry_s for v in sim.vehicles if v.purpose == purpose]
         assert len(times) == n
         share = sum(t < half_s for t in times) / n
         assert abs(share - first_half) <= 4 * math.sqrt(first_half * (1 - first_half) / n)
