@@ -12,6 +12,7 @@ Kinds and their parameters (units in parentheses):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ class DistanceModel:
         if self.kind in ("exp-time", "exp-distance") and self.params["a"] <= 0:
             raise ValueError("exponential kinds need a > 0")
 
-    @property
+    @functools.cached_property
     def is_singular(self) -> bool:
         return self.kind in _SINGULAR
 
@@ -76,9 +77,8 @@ def evaluate(model: DistanceModel, occupancy: float) -> float:
 
 def evaluate_clamped(model: DistanceModel, occupancy: float) -> float:
     """evaluate() with occupancy clamped to 0.999 for the singular kinds."""
-    if model.is_singular:
-        occupancy = min(occupancy, 0.999)
-    return evaluate(model, min(occupancy, 1.0))
+    cap = 0.999 if model.is_singular else 1.0
+    return evaluate(model, cap if cap < occupancy else occupancy)  # min(occupancy, cap)
 
 
 def _gof(y, yhat):

@@ -111,12 +111,11 @@ class MacroState:
 
     History arrays are step-indexed from 1; index 0 is padding so that
     ``o_c_hist[i]`` is the flow of step i. Every state the public API hands
-    back has histories of exactly k + 1 entries, and ``macro_step`` replaces
-    such a history with a longer array rather than writing it. So a copy of
-    the state may share its histories with the original, and no array a
-    caller holds is ever written in place. Only the private working state of
-    ``simulate_macro`` holds longer buffers, which ``macro_step`` fills in
-    place.
+    back has histories of exactly k + 1 entries. ``macro_step`` and
+    ``simulate_macro`` replace the histories of the state they advance with
+    new arrays, sized for the steps they run, and write only those. So a
+    copy of the state may share its histories with the original, and no
+    array a caller holds is ever written in place.
     """
 
     n_m_off: float = 0.0
@@ -163,14 +162,22 @@ def split_demand(
     total_inflow: float, tau_on: float, tau_off: float, params: MacroParams
 ) -> tuple[float, float]:
     """Binary-logit split of parking demand between on- and off-street."""
-    if total_inflow < 0:
-        raise ValueError("inflow must be >= 0")
+    return _split(total_inflow, _share_on(tau_on, tau_off, params))
+
+
+def _share_on(tau_on: float, tau_off: float, params: MacroParams) -> float:
+    """The on-street share of the binary-logit choice at the given prices."""
     u_on = params.alpha_on - params.beta * tau_on
     u_off = params.alpha_off - params.beta * tau_off
     try:
-        share_on = 1.0 / (1.0 + math.exp(u_off - u_on))
+        return 1.0 / (1.0 + math.exp(u_off - u_on))
     except OverflowError:  # the logit limit: the lot takes all of it
-        share_on = 0.0
+        return 0.0
+
+
+def _split(total_inflow: float, share_on: float) -> tuple[float, float]:
+    if total_inflow < 0:
+        raise ValueError("inflow must be >= 0")
     return total_inflow * share_on, total_inflow * (1.0 - share_on)
 
 
@@ -239,7 +246,6 @@ def macro_step(
     q_in_pass: float,
     params: MacroParams,
     redeparture_weights: np.ndarray,
-    n_v: tuple[float, float] | None = None,
 ) -> StepFlows:
     """Advance the state by one step (in place) and return the step's flows.
 
@@ -252,97 +258,152 @@ def macro_step(
 
     ``redeparture_weights`` is ``params.redeparture_weights(n)`` with n at
     least the new step index minus one; ``redeparture_flows`` is the loop
-    form of the same sum. The step's flows go into index k of the histories
-    when they have room (``simulate_macro``'s buffers), else onto new arrays.
-    ``n_v`` is ``(state.n_active(), nfd_speed(params.nfd, state.n_active()))``
-    when the caller has them already.
+    form of the same sum. The state's histories are replaced by new arrays
+    one entry longer, so arrays the caller holds are not written.
+    """
+    _make_room(state, 1)
+    _, flows = _run(state, [(q_in_on, q_in_off, q_in_pass)], params, redeparture_weights)
+    return StepFlows(*flows)
+
+
+def _make_room(state: MacroState, n_steps: int) -> None:
+    """Give the state fresh on-street and off-street cohort histories with
+    room for n_steps more steps, which ``_run`` fills in place."""
+    k0 = state.k
+    for name in ("o_c_hist", "o_off_hist"):
+        buf = np.zeros(k0 + n_steps + 1)
+        buf[: k0 + 1] = getattr(state, name)[: k0 + 1]
+        setattr(state, name, buf)
+
+
+def _run(state: MacroState, inflows, params: MacroParams, weights: np.ndarray):
+    """The step loop behind ``macro_step`` and ``simulate_macro``.
+
+    Advances the state by one step per (q_in_on, q_in_off, q_in_pass) row of
+    ``inflows``, after ``_make_room(state, len(inflows))``. The fields are
+    read into locals once and written back once. Returns two flat lists:
+    the _ACC_FIELDS of the start state and of each step's end state, and
+    the StepFlows of each step, row after row.
     """
     n_m_off, n_m_on, n_m_pass = state.n_m_off, state.n_m_on, state.n_m_pass
     n_c, n_off, n_on = state.n_c, state.n_off, state.n_on
-    if min(q_in_on, q_in_off, q_in_pass) < 0:
-        raise ValueError("inflows must be >= 0")
-    if min(n_m_off, n_m_on, n_m_pass, n_c, n_off, n_on) < 0:
-        raise ValueError("accumulations must be >= 0")
-    k = state.k + 1
-    dt = params.dt
-    k_off = params.k_off
-    o_c_hist, o_off_hist, q_off_on_hist = state.o_c_hist, state.o_off_hist, state.q_off_on_hist
+    cum_inflow, cum_exit = state.cum_inflow, state.cum_exit
+    k0 = k = state.k
+    o_c_hist, o_off_hist = state.o_c_hist, state.o_off_hist
+    # the overflow history is read back by index and summed, never dotted
+    q_off_on_hist = state.q_off_on_hist[: k0 + 1].tolist()
+    nfd, distance_model, dt, k_off = params.nfd, params.distance_model, params.dt, params.k_off
+    l_m_off, l_m_on, l_m_pass = params.l_m_off, params.l_m_on, params.l_m_pass
+    v_on_f, N_on = params.v_on_f, params.N_on
+    # as floats, which is what int - float arithmetic converts them to
+    N_on_f, N_off_f = float(N_on), float(params.N_off)
 
-    q_out_on = q_out_off = 0.0
-    if k >= 2:
-        w_rev = redeparture_weights[1 - k :]
-        q_out_on = float(np.dot(o_c_hist[1:k], w_rev))
-        q_out_off = float(np.dot(o_off_hist[1:k], w_rev))
+    # min(a, b) is written ``b if b < a else a`` and max(a, b) ``b if b > a
+    # else a``: the builtins' own operand order, so NaN and -0.0 come out alike
+    acc = []
+    flows = []
+    steps = iter(inflows)
+    while True:
+        # the state's n and v, carried into the step that starts from it
+        n = n_m_off + n_m_on + n_m_pass + n_c
+        v = nfd_speed(nfd, n)
+        O_on = n_on / N_on_f if N_on > 0 else 0.0
+        acc += (n_m_on, n_m_off, n_m_pass, n_c, n_on, n_off, n, v, O_on)
+        inflow = next(steps, None)
+        if inflow is None:
+            break
+        q_in_on, q_in_off, q_in_pass = inflow
+        low = q_in_off if q_in_off < q_in_on else q_in_on
+        if (q_in_pass if q_in_pass < low else low) < 0:
+            raise ValueError("inflows must be >= 0")
+        # checked at the first step only: every later state comes out of
+        # _settle and the capacity clamps, so it is never negative
+        if k == k0 and min(n_m_off, n_m_on, n_m_pass, n_c, n_off, n_on) < 0:
+            raise ValueError("accumulations must be >= 0")
+        k += 1
 
-    if n_v is None:
-        n = state.n_active()
-        n_v = n, nfd_speed(params.nfd, n)
-    n, v = n_v
-    P_c = n_c * min(params.v_on_f, v)
-    P_m = n * v - P_c
-    n_m_sum = n_m_off + n_m_on + n_m_pass
-    if n_m_sum > 0.0:
-        share = P_m * dt / n_m_sum
-        o_m_off = min(share * n_m_off / params.l_m_off, n_m_off + q_in_off)
-        o_m_on = min(share * n_m_on / params.l_m_on, n_m_on + q_in_on)
-        o_m_pass = min(
-            share * n_m_pass / params.l_m_pass,
-            n_m_pass + q_in_pass + q_out_on + q_out_off,
-        )
-    else:
-        o_m_off = o_m_on = o_m_pass = 0.0
+        q_out_on = q_out_off = 0.0
+        if k >= 2:
+            w_rev = weights[1 - k :]
+            q_out_on = float(o_c_hist[1:k].dot(w_rev))
+            q_out_off = float(o_off_hist[1:k].dot(w_rev))
 
-    # lot arrivals beyond the free spots, counting this step's re-departures
-    q_off_on = max(0.0, o_m_off - (params.N_off - n_off + q_out_off))
+        P_c = n_c * (v if v < v_on_f else v_on_f)
+        P_m = n * v - P_c
+        n_m_sum = n_m_off + n_m_on + n_m_pass
+        if n_m_sum > 0.0:
+            share = P_m * dt / n_m_sum
+            o_m, cap = share * n_m_off / l_m_off, n_m_off + q_in_off
+            o_m_off = cap if cap < o_m else o_m
+            o_m, cap = share * n_m_on / l_m_on, n_m_on + q_in_on
+            o_m_on = cap if cap < o_m else o_m
+            o_m, cap = share * n_m_pass / l_m_pass, n_m_pass + q_in_pass + q_out_on + q_out_off
+            o_m_pass = cap if cap < o_m else o_m
+        else:
+            o_m_off = o_m_on = o_m_pass = 0.0
 
-    # the overflow of step k - k_off re-enters the search now; with k_off == 0
-    # that is this step's own overflow
-    if k_off == 0:
-        delayed = q_off_on
-    else:
-        delayed = float(q_off_on_hist[k - k_off]) if k - k_off >= 1 else 0.0
+        # lot arrivals beyond the free spots, counting this step's re-departures
+        excess = o_m_off - (N_off_f - n_off + q_out_off)
+        q_off_on = excess if excess > 0.0 else 0.0
 
-    N_on = params.N_on
-    O_on = n_on / N_on if N_on > 0 else 0.0
-    l_c = evaluate_clamped(params.distance_model, O_on)
-    o_c_raw = P_c * dt / l_c if l_c > 0 else float("inf")
-    cap_avail = n_c + delayed + o_m_on
-    cap_spots = N_on - n_on + q_out_on
-    o_c = max(0.0, min(o_c_raw, cap_avail, cap_spots))
+        # the overflow of step k - k_off re-enters the search now; with k_off == 0
+        # that is this step's own overflow
+        if k_off == 0:
+            delayed = q_off_on
+        else:
+            delayed = q_off_on_hist[k - k_off] if k - k_off >= 1 else 0.0
 
-    scale = state.cum_inflow + q_in_on + q_in_off + q_in_pass
-    state.n_m_off = _settle(n_m_off + q_in_off - o_m_off, scale)
-    state.n_m_on = _settle(n_m_on + q_in_on - o_m_on, scale)
-    state.n_m_pass = _settle(n_m_pass + q_in_pass + q_out_on + q_out_off - o_m_pass, scale)
-    state.n_c = _settle(n_c + delayed + o_m_on - o_c, scale)
-    n_off_new = _settle(n_off + o_m_off - q_off_on - q_out_off, scale)
-    if q_off_on > 0.0:
-        n_off_new = min(n_off_new, float(params.N_off))
-    state.n_off = n_off_new
-    n_on_new = _settle(n_on + o_c - q_out_on, scale)
-    if o_c_raw > cap_spots or cap_avail > cap_spots:  # the free spots bound o_c
-        n_on_new = min(n_on_new, float(N_on))
-    state.n_on = n_on_new
+        l_c = evaluate_clamped(distance_model, O_on)
+        o_c_raw = P_c * dt / l_c if l_c > 0 else math.inf
+        cap_avail = n_c + delayed + o_m_on
+        cap_spots = N_on_f - n_on + q_out_on
+        o_c = cap_avail if cap_avail < o_c_raw else o_c_raw
+        o_c = cap_spots if cap_spots < o_c else o_c
+        o_c = o_c if o_c > 0.0 else 0.0
 
-    state.k = k
-    o_off = o_m_off - q_off_on
-    if len(q_off_on_hist) > k:
+        scale = cum_inflow + q_in_on + q_in_off + q_in_pass
+        x = n_m_off + q_in_off - o_m_off
+        n_m_off = _settle(x, scale) if x < 0.0 else x
+        x = n_m_on + q_in_on - o_m_on
+        n_m_on = _settle(x, scale) if x < 0.0 else x
+        x = n_m_pass + q_in_pass + q_out_on + q_out_off - o_m_pass
+        n_m_pass = _settle(x, scale) if x < 0.0 else x
+        x = n_c + delayed + o_m_on - o_c
+        n_c = _settle(x, scale) if x < 0.0 else x
+        x = n_off + o_m_off - q_off_on - q_out_off
+        n_off = _settle(x, scale) if x < 0.0 else x
+        if q_off_on > 0.0 and N_off_f < n_off:
+            n_off = N_off_f
+        x = n_on + o_c - q_out_on
+        n_on = _settle(x, scale) if x < 0.0 else x
+        # the free spots bound o_c
+        if (o_c_raw > cap_spots or cap_avail > cap_spots) and N_on_f < n_on:
+            n_on = N_on_f
+
         o_c_hist[k] = o_c
-        o_off_hist[k] = o_off
-        q_off_on_hist[k] = q_off_on
-    else:
-        state.o_c_hist = np.append(o_c_hist, o_c)
-        state.o_off_hist = np.append(o_off_hist, o_off)
-        state.q_off_on_hist = np.append(q_off_on_hist, q_off_on)
-    state.cum_inflow += q_in_on + q_in_off + q_in_pass
-    state.cum_exit += o_m_pass
+        o_off_hist[k] = o_m_off - q_off_on
+        q_off_on_hist.append(q_off_on)
+        cum_inflow += q_in_on + q_in_off + q_in_pass
+        cum_exit += o_m_pass
+        flows += (o_c, q_off_on, q_out_on, q_out_off)
 
-    total = state.held(k_off) + state.cum_exit
-    residual = abs(total - state.cum_inflow)
-    if residual > 1e-9 * max(1.0, state.cum_inflow):
-        raise ConservationError(f"step {k}: conservation residual {residual}")
+        # held() + cum_exit on the new state, added in held()'s order; the
+        # overflow still in the circuit is summed by a plain loop, as in
+        # in_circuit()
+        lo = k - k_off + 1
+        in_circuit = 0.0
+        for q in q_off_on_hist[lo if lo > 1 else 1 :]:
+            in_circuit += q
+        total = n_m_off + n_m_on + n_m_pass + n_c + n_off + n_on + in_circuit + cum_exit
+        residual = abs(total - cum_inflow)
+        if residual > 1e-9 * (cum_inflow if cum_inflow > 1.0 else 1.0):
+            raise ConservationError(f"step {k}: conservation residual {residual}")
 
-    return StepFlows(o_c, q_off_on, q_out_on, q_out_off)
+    state.n_m_off, state.n_m_on, state.n_m_pass = n_m_off, n_m_on, n_m_pass
+    state.n_c, state.n_off, state.n_on = n_c, n_off, n_on
+    state.cum_inflow, state.cum_exit, state.k = cum_inflow, cum_exit, k
+    state.q_off_on_hist = np.array(q_off_on_hist)
+    return acc, flows
 
 
 @dataclass
@@ -390,30 +451,9 @@ def simulate_macro(
         raise ValueError("demand profiles must have equal length")
     n_steps = len(park_inflow)
     state = initial_state.copy() if initial_state is not None else MacroState()
-    # fresh history buffers for the whole run, which macro_step fills in place
-    k0 = state.k
-    for name in ("o_c_hist", "o_off_hist", "q_off_on_hist"):
-        buf = np.zeros(k0 + n_steps + 1)
-        buf[: k0 + 1] = getattr(state, name)[: k0 + 1]
-        setattr(state, name, buf)
-    weights = params.redeparture_weights(k0 + n_steps)
-    nfd, N_on = params.nfd, params.N_on
-
-    def record():  # one row of _ACC_FIELDS
-        n = state.n_active()
-        O_on = state.n_on / N_on if N_on > 0 else 0.0
-        return (state.n_m_on, state.n_m_off, state.n_m_pass, state.n_c, state.n_on,
-                state.n_off, n, nfd_speed(nfd, n), O_on)
-
-    acc = [record()]
-    flows = []
-    for q_park, q_pass, (tau_on, tau_off) in zip(
-        park_inflow.tolist(), pass_inflow.tolist(), prices.tolist()
-    ):
-        q_in_on, q_in_off = split_demand(q_park, tau_on, tau_off, params)
-        # the last row's n and v belong to the state this step starts from
-        flows.append(macro_step(state, q_in_on, q_in_off, q_pass, params, weights, acc[-1][6:8]))
-        acc.append(record())
+    _make_room(state, n_steps)
+    weights = params.redeparture_weights(state.k + n_steps)
+    acc, flows = _run(state, _split_rows(park_inflow, pass_inflow, prices, params), params, weights)
 
     t = params.dt * np.arange(n_steps + 1)
     return MacroTrajectories(
@@ -421,12 +461,23 @@ def simulate_macro(
     )
 
 
+def _split_rows(park_inflow, pass_inflow, prices, params: MacroParams):
+    """Each step's (q_in_on, q_in_off, q_in_pass), one step at a time; the
+    logit share is computed again only when the price row changes."""
+    last = None
+    for q_park, q_pass, row in zip(park_inflow.tolist(), pass_inflow.tolist(), prices.tolist()):
+        if row != last:
+            share_on = _share_on(row[0], row[1], params)
+            last = row
+        yield (*_split(q_park, share_on), q_pass)
+
+
 _ACC_FIELDS = ("n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "n", "v", "O_on")
 
 
-def _columns(names, rows) -> dict[str, np.ndarray]:
-    """Named contiguous float64 columns of a list of equal-length rows."""
-    table = np.array(rows, dtype=float).reshape(len(rows), len(names))
+def _columns(names, values) -> dict[str, np.ndarray]:
+    """Named contiguous float64 columns of a flat list of rows."""
+    table = np.array(values, dtype=float).reshape(-1, len(names))
     return dict(zip(names, table.T.copy()))
 
 

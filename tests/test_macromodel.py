@@ -10,6 +10,7 @@ from parkdyn.macromodel import (
     MacroParams,
     MacroState,
     NfdModel,
+    StepFlows,
     macro_step,
     nfd_speed,
     redeparture_flows,
@@ -304,6 +305,9 @@ class TestSimulateMacro:
             simulate_macro(np.zeros(10), np.zeros(11), np.zeros((10, 2)), p)
 
 
+_ACC_NAMES = ("n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "n", "v", "O_on")
+
+
 def _state_bytes(s: MacroState) -> list[bytes]:
     scalars = [s.n_m_off, s.n_m_on, s.n_m_pass, s.n_c, s.n_off, s.n_on, s.k]
     scalars += [s.cum_inflow, s.cum_exit]
@@ -355,6 +359,107 @@ class TestHistoryBuffers:
         macro_step(state, 1.0, 1.0, 1.0, p, p.redeparture_weights(state.k + 1))
         assert [h.tobytes() for h in hists] == before
         assert len(state.o_c_hist) == state.k + 1
+
+
+class TestOneKernel:
+    """simulate_macro and a loop of macro_step advance a state alike, bit
+    for bit."""
+
+    N = 72
+
+    @staticmethod
+    def params(dt):
+        # a small lot, so that it overflows
+        return make_params(N_on=150, N_off=12, dt=dt)
+
+    @staticmethod
+    def demand(n, seed):
+        rng = np.random.default_rng(seed)
+        park, pas = rng.uniform(0.0, 4.0, n), rng.uniform(0.0, 3.0, n)
+        # the price row changes every 12 steps
+        prices = np.repeat(rng.uniform(0.0, 4.0, (n // 12, 2)), 12, axis=0)
+        return park, pas, prices
+
+    @staticmethod
+    def stepped(state, park, pas, prices, p):
+        """The trajectory columns of one macro_step per step."""
+        state = state.copy()
+        weights = p.redeparture_weights(state.k + len(park))
+        cols = {name: [] for name in (*_ACC_NAMES, *StepFlows._fields)}
+
+        def record():
+            n = state.n_active()
+            row = (state.n_m_on, state.n_m_off, state.n_m_pass, state.n_c, state.n_on,
+                   state.n_off, n, nfd_speed(p.nfd, n), state.n_on / p.N_on)
+            for name, x in zip(_ACC_NAMES, row):
+                cols[name].append(x)
+
+        record()
+        for q_park, q_pass, (tau_on, tau_off) in zip(park, pas, prices):
+            q_in_on, q_in_off = split_demand(float(q_park), float(tau_on), float(tau_off), p)
+            flows = macro_step(state, q_in_on, q_in_off, float(q_pass), p, weights)
+            for name, x in zip(StepFlows._fields, flows):
+                cols[name].append(x)
+            record()
+        return {name: np.array(xs) for name, xs in cols.items()}, state
+
+    @pytest.mark.parametrize("dt_s, k_off", [(10.0, 7), (200.0, 0)])
+    @pytest.mark.parametrize("mid_run", [False, True], ids=["empty", "mid-run"])
+    def test_simulate_macro_equals_macro_step_loop(self, dt_s, k_off, mid_run):
+        p = self.params(dt_s / 3600.0)
+        assert p.k_off == k_off
+        state = MacroState()
+        if mid_run:
+            state = simulate_macro(*self.demand(self.N, 1), p).final_state
+        park, pas, prices = self.demand(self.N, 2)
+        traj = simulate_macro(park, pas, prices, p, state)
+        want, final = self.stepped(state, park, pas, prices, p)
+        assert traj.q_off_on.max() > 0.0
+        for name, col in want.items():
+            assert getattr(traj, name).tobytes() == col.tobytes(), name
+        assert _state_bytes(traj.final_state) == _state_bytes(final)
+
+
+class TestChecks:
+    """simulate_macro raises what each step's checks raise."""
+
+    N = 24
+
+    def run(self, park=1.0, pas=1.0, state=None):
+        p = make_params()
+        park, pas = np.full(self.N, park), np.full(self.N, pas)
+        return simulate_macro(park, pas, np.zeros((self.N, 2)), p, state)
+
+    def test_negative_park_inflow(self):
+        with pytest.raises(ValueError, match=r"^inflow must be >= 0$"):
+            self.run(park=-1.0)
+
+    def test_negative_pass_inflow(self):
+        with pytest.raises(ValueError, match=r"^inflows must be >= 0$"):
+            self.run(pas=-1.0)
+
+    @pytest.mark.parametrize("field, message", [
+        ("n_on", "accumulations must be >= 0"),
+        # a negative total is caught first, by the speed of the start state
+        ("n_c", "accumulation must be >= 0"),
+    ])
+    def test_negative_initial_accumulation(self, field, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            self.run(state=MacroState(**{field: -1.0}))
+
+    def test_unbalanced_initial_state(self):
+        state = self.run().final_state
+        state.cum_inflow += 1e-6 * state.cum_inflow
+        with pytest.raises(ConservationError, match=rf"^step {state.k + 1}: conservation residual "):
+            self.run(state=state)
+
+    def test_lot_emptier_than_its_cohorts(self):
+        state = self.run().final_state
+        assert state.o_off_hist.max() > 0.0
+        # nobody parked or bound for the lot, yet its cohorts re-depart
+        state.n_m_off = state.n_off = 0.0
+        with pytest.raises(ConservationError, match=r"^negative accumulation "):
+            self.run(state=state)
 
 
 class TestRedepartureTable:
