@@ -8,8 +8,19 @@ from pathlib import Path
 import numpy as np
 
 from parkdyn.cli import write_csv, write_json
-from parkdyn.microsim import Simulation, measure_nfd, mean_network_speed, performance_metrics
+from parkdyn.microsim import (
+    NFD_CSV, Simulation, Table, measure_nfd, mean_network_speed, performance_metrics,
+)
 from parkdyn.scenarios import desk_network, validation_scenario
+
+# each cell's and seed's measure_nfd rows
+NFD_GRID_CSV = Table(("passers", "v_c", "seed", *NFD_CSV.columns),
+                     ("int", "float", "int", *NFD_CSV.kinds))
+METRICS_GRID_CSV = Table(
+    ("passers", "v_c", "mean_speed", "avg_delay_s", "avg_distance_km", "mean_distance_to_park",
+     "completion_rate"),
+    ("int", "float", "float", "float", "float", "float", "float"),
+)
 
 
 def main(argv=None):
@@ -56,13 +67,8 @@ def main(argv=None):
                     float(np.mean(compl)),
                 )
             )
-    write_csv(out / "nfd_grid.csv", ["passers", "v_c", "seed", "t_s", "K", "Q", "V"], nfd_rows)
-    write_csv(
-        out / "metrics_grid.csv",
-        ["passers", "v_c", "mean_speed", "avg_delay_s", "avg_distance_km",
-         "mean_distance_to_park", "completion_rate"],
-        metric_rows,
-    )
+    write_csv(out / "nfd_grid.csv", NFD_GRID_CSV, nfd_rows)
+    write_csv(out / "metrics_grid.csv", METRICS_GRID_CSV, metric_rows)
     write_json(out / "config.json", vars(args))
     print(f"wrote {out}/nfd_grid.csv and metrics_grid.csv")
     return 0

@@ -8,8 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from parkdyn.cli import write_csv, write_json
-from parkdyn.microsim import GuidanceConfig, Simulation, mean_network_speed, performance_metrics
+from parkdyn.microsim import (
+    GuidanceConfig, Simulation, Table, mean_network_speed, performance_metrics,
+)
 from parkdyn.scenarios import desk_network, validation_scenario
+
+GUIDANCE_METRICS_CSV = Table(
+    ("mode", "compliance", "mean_distance_to_park", "completion_rate", "mean_speed"),
+    ("str", "float", "float", "float", "float"),
+)
 
 
 def main(argv=None):
@@ -51,11 +58,7 @@ def main(argv=None):
         cell("joint", GuidanceConfig(local_guidance=True, regional_guidance=True, compliance=c))
 
     out = Path(args.out)
-    write_csv(
-        out / "guidance_metrics.csv",
-        ["mode", "compliance", "mean_distance_to_park", "completion_rate", "mean_speed"],
-        rows,
-    )
+    write_csv(out / "guidance_metrics.csv", GUIDANCE_METRICS_CSV, rows)
     write_json(out / "config.json", vars(args))
     print(f"wrote {out}/guidance_metrics.csv")
     return 0

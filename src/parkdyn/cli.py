@@ -22,23 +22,15 @@ import numpy as np
 
 from . import bintheory, calibration, estimators, macromodel, mpc, network, microsim, scenarios
 
-FMT = "{:.10g}"
 
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return FMT.format(x)
-    return str(x)
-
-
-def write_csv(path, header, rows):
+def write_csv(path, table: microsim.Table, rows):
+    """Write ``table``'s header and then ``rows``, tuples of its column kinds,
+    each formatted by one ``%`` over ``table.row`` and streamed to the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        fh.write(table.header)
+        fh.writelines(map(table.row.__mod__, rows))
 
 
 def write_json(path, obj):
@@ -63,6 +55,16 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
     if not values:
         raise ValueError(f"{flag}: no {flag[2:]} given")
     return values
+
+
+def _parse_seeds(text: str) -> list[int]:
+    """The ``--seeds`` values; a repeated seed would run twice and write the
+    same outputs twice."""
+    seeds = _parse_list(text, "--seeds")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ValueError(f"--seeds: seed {repeated[0]} is given more than once")
+    return seeds
 
 
 class _Domain(NamedTuple):
@@ -132,10 +134,12 @@ def _run_one_seed(net, sc, seed, out_dir, nfd_window):
     res = microsim.Simulation(net, sc, seed).run()
     summary, cols = res.summary, microsim.SERIES_COLUMNS
     seed_dir = Path(out_dir) / f"seed_{seed}"
-    write_csv(seed_dir / "events.csv", microsim.Event._fields, res.events)
+    write_csv(seed_dir / "events.csv", microsim.EVENTS_CSV, res.events)
     rows = microsim.measure_nfd(res.series, summary.network_length, nfd_window, res.dt_sim)
-    write_csv(seed_dir / "nfd.csv", ["t_s", "K", "Q", "V"], rows)
-    write_csv(seed_dir / "series.csv", list(cols), zip(*(res.series[c] for c in cols)))
+    write_csv(seed_dir / "nfd.csv", microsim.NFD_CSV, rows)
+    # Python floats format faster than numpy scalars
+    write_csv(seed_dir / "series.csv", microsim.SERIES_CSV,
+              zip(*(res.series[c].tolist() for c in cols)))
     metrics = microsim.performance_metrics(res)
     metrics["summary"] = asdict(summary)
     times = microsim.time_metrics(res.series, res.dt_sim, summary.l_off, summary.v_off_f)
@@ -143,15 +147,17 @@ def _run_one_seed(net, sc, seed, out_dir, nfd_window):
     write_json(seed_dir / "metrics.json", metrics)
 
 
-def _read_csv(path, columns, types) -> list[list]:
-    """The ``columns`` of a CSV file with a header line, each converted by its
-    entry in ``types``. A converter runs once per distinct text, and equal
-    texts share one converted object, so a value repeated across rows (a
-    family name, a link id, a time) is held once. The file is read once, row
-    by row; its first fault (line, then field in ``columns`` order) raises a
-    ValueError naming the file, the line and the field: a short row, a value
-    its converter rejects (a non-UTF-8 byte included) or a line the csv module
-    rejects (named by line alone). A missing column is named instead."""
+def _read_csv(path, table: microsim.Table) -> list[list]:
+    """The columns of ``table`` in a CSV file with a header line, each
+    converted by the converter of its kind. A converter runs once per
+    distinct text, and equal texts share one converted object, so a value
+    repeated across rows (a family name, a link id, a time) is held once. The
+    file is read once, row by row; its first fault (line, then field in
+    ``table.columns`` order) raises a ValueError naming the file, the line
+    and the field: a short row, a value its converter rejects (a non-UTF-8
+    byte included) or a line the csv module rejects (named by line alone). A
+    missing column is named instead."""
+    columns, types = table.columns, [_CONVERTERS[k] for k in table.kinds]
     # an undecodable byte becomes a lone surrogate, which float, int and _utf8 reject
     with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -198,9 +204,12 @@ def _finite(text: str) -> float:
     return value
 
 
+# the reader's converter of each column kind of microsim.CELL_FORMATS
+_CONVERTERS = {"int": int, "str": _utf8, "float": float, "finite": _finite}
+
+
 def load_events_csv(path) -> list[microsim.Event]:
-    types = (int, float, _utf8, _utf8, _utf8, float, float, float)
-    return list(map(microsim.Event, *_read_csv(path, microsim.Event._fields, types)))
+    return list(map(microsim.Event, *_read_csv(path, microsim.EVENTS_CSV)))
 
 
 @dataclass(frozen=True)
@@ -215,11 +224,10 @@ def load_run_dir(seed_dir, events=True) -> microsim.RunResult:
     ``events=False`` the event log is not read and ``events`` is empty."""
     seed_dir = Path(seed_dir)
     log = load_events_csv(seed_dir / "events.csv") if events else []
-    cols = microsim.SERIES_COLUMNS
     series_path = seed_dir / "series.csv"
     # one row per column, so each series is a contiguous row of one array
-    data = np.array(_read_csv(series_path, cols, [_finite] * len(cols)), dtype=float)
-    series = dict(zip(cols, data))
+    data = np.array(_read_csv(series_path, microsim.SERIES_CSV), dtype=float)
+    series = dict(zip(microsim.SERIES_COLUMNS, data))
     path = seed_dir / "metrics.json"
     with open(path) as fh:
         try:
@@ -246,7 +254,7 @@ def _seed_dirs(runs) -> list[Path]:
 def cmd_micro_run(args):
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
-    seeds = _parse_list(args.seeds, "--seeds")
+    seeds = _parse_seeds(args.seeds)
     # measure_nfd's window rule, checked before anything is simulated
     microsim.whole_steps(args.nfd_window, sc.dt_sim, "NFD window", "micro step")
     out = Path(args.out)
@@ -259,12 +267,17 @@ def cmd_micro_run(args):
     else:
         for s in seeds:
             _run_one_seed(net, sc, s, out, args.nfd_window)
-    write_meta(out, sys.argv[1:])
+    write_meta(out, args.argv)
     print(f"wrote {len(seeds)} replications under {out}")
     return 0
 
 
 # ---------------------------------------------------------------- theory
+
+
+ENVELOPES_CSV = microsim.Table(
+    ("v_c", "K", "Vmax_formula", "Vmin_formula", "Vmax_brute", "Vmin_brute"), ("float",) * 6
+)
 
 
 def cmd_theory_sweep(args):
@@ -280,7 +293,7 @@ def cmd_theory_sweep(args):
     for vc in vcs:
         p = bintheory.BinParams(args.vf, vc, args.kj)
         sweep = bintheory.envelope_sweep(p, Ks, args.brute_step)
-        rows += ((vc, *row) for row in zip(*(sweep[c] for c in cols)))
+        rows += ((vc, *row) for row in zip(*(sweep[c].tolist() for c in cols)))
         dev = max(
             float(np.abs(sweep["v_max"] - sweep["v_max_brute"]).max()),
             float(np.abs(sweep["v_min"] - sweep["v_min_brute"]).max()),
@@ -291,13 +304,9 @@ def cmd_theory_sweep(args):
             "max_branch_discontinuity": bintheory.branch_discontinuity(p),
             "unstable_area": bintheory.unstable_area(p, True),
         }
-    write_csv(
-        out / "envelopes.csv",
-        ["v_c", "K", "Vmax_formula", "Vmin_formula", "Vmax_brute", "Vmin_brute"],
-        rows,
-    )
+    write_csv(out / "envelopes.csv", ENVELOPES_CSV, rows)
     write_json(out / "brute_check.json", report)
-    write_meta(out, sys.argv[1:])
+    write_meta(out, args.argv)
     print(f"wrote {out}/envelopes.csv ({len(rows)} rows) and brute_check.json")
     return 0
 
@@ -324,6 +333,7 @@ def cmd_estimators_fit(args):
 # accumulations at the end of each step (with t), then the step's flows
 MACRO_RUN_COLUMNS = ("t", "n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "v", "O_on",
                      *macromodel.StepFlows._fields)
+MACRO_RUN_CSV = microsim.Table(MACRO_RUN_COLUMNS, ("float",) * len(MACRO_RUN_COLUMNS))
 
 
 def _baseline_macro_run(args, sc) -> macromodel.MacroTrajectories:
@@ -349,8 +359,8 @@ def cmd_macro_run(args):
     _horizon_steps(args, sc)
     traj = _baseline_macro_run(args, sc)
     # accumulation series start with the t=0 value, flow series with step 1
-    series = [getattr(traj, name) for name in MACRO_RUN_COLUMNS]
-    write_csv(args.out, MACRO_RUN_COLUMNS, zip(*(x[len(x) - traj.n_steps :] for x in series)))
+    series = [getattr(traj, name).tolist() for name in MACRO_RUN_COLUMNS]
+    write_csv(args.out, MACRO_RUN_CSV, zip(*(x[len(x) - traj.n_steps :] for x in series)))
     print(f"wrote {args.out} ({traj.n_steps} steps)")
     return 0
 
@@ -407,7 +417,7 @@ def _mpc_setup(args, priced: bool):
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)
-    seeds = _parse_list(args.seeds, "--seeds")
+    seeds = _parse_seeds(args.seeds)
     dt = args.dt_macro / 3600.0
     cfg = mpc.MpcConfig(
         control_interval=args.control_interval,
@@ -457,6 +467,15 @@ def run_mode(mode, net, sc, params, cfg, seed, prices=None):
     return microsim.time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f), iterations
 
 
+# mpc_log.csv: a row per control interval, then each seed's total row, which
+# leaves the prices and the evaluations empty. So those three columns are
+# text: an interval row gives its prices formatted as a float column would.
+MPC_LOG_CSV = microsim.Table(("seed", "t_hr", "tau_on", "tau_off", "objective", "evaluations"),
+                             ("int", "float", "str", "str", "float", "str"))
+PREDICTION_CSV = microsim.Table(("seed", "t_hr", "step", "predicted_n_c", "realized_n_c"),
+                                ("int", "float", "int", "float", "float"))
+
+
 def cmd_mpc_run(args):
     net, sc, seeds, cfg, params = _mpc_setup(args, priced=True)
     out = Path(args.out)
@@ -464,25 +483,25 @@ def cmd_mpc_run(args):
     for seed in seeds:
         m, iterations = run_mode("mpc", net, sc, params, cfg, seed)
         for it in iterations:
+            tau_on, tau_off = (microsim.FLOAT % tau for tau in it.applied)
             log_rows.append(
-                (seed, it.t_hr, it.applied[0], it.applied[1], it.predicted_objective, it.evaluations)
+                (seed, it.t_hr, tau_on, tau_off, it.predicted_objective, it.evaluations)
             )
-            for j, (p, r) in enumerate(zip(it.predicted_n_c, it.realized_n_c)):
+            for j, (p, r) in enumerate(zip(it.predicted_n_c.tolist(), it.realized_n_c.tolist())):
                 pred_rows.append((seed, it.t_hr, j, p, r))
         log_rows.append((seed, sc.horizon, "", "", m["ineffective_cruising_veh_hr"], ""))
-    write_csv(
-        out / "mpc_log.csv",
-        ["seed", "t_hr", "tau_on", "tau_off", "objective", "evaluations"],
-        log_rows,
-    )
-    write_csv(
-        out / "prediction_vs_plant.csv",
-        ["seed", "t_hr", "step", "predicted_n_c", "realized_n_c"],
-        pred_rows,
-    )
-    write_meta(out, sys.argv[1:])
+    write_csv(out / "mpc_log.csv", MPC_LOG_CSV, log_rows)
+    write_csv(out / "prediction_vs_plant.csv", PREDICTION_CSV, pred_rows)
+    write_meta(out, args.argv)
     print(f"wrote {out}/mpc_log.csv and prediction_vs_plant.csv")
     return 0
+
+
+COMPARISON_CSV = microsim.Table(
+    ("mode", "seed", "deadweight_veh_hr", "on_street_cruising_veh_hr",
+     "ineffective_cruising_veh_hr", "total_travel_time_veh_hr"),
+    ("str", "int", "float", "float", "float", "float"),
+)
 
 
 def cmd_compare(args):
@@ -515,13 +534,8 @@ def cmd_compare(args):
                 )
             )
     out = Path(args.out)
-    write_csv(
-        out / "comparison.csv",
-        ["mode", "seed", "deadweight_veh_hr", "on_street_cruising_veh_hr",
-         "ineffective_cruising_veh_hr", "total_travel_time_veh_hr"],
-        rows,
-    )
-    write_meta(out, sys.argv[1:])
+    write_csv(out / "comparison.csv", COMPARISON_CSV, rows)
+    write_meta(out, args.argv)
     print(f"wrote {out}/comparison.csv ({len(rows)} rows)")
     return 0
 
@@ -648,6 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)  # for run_meta.json
     try:
         for dest, (rule, holds) in FLAG_DOMAINS.items():
             value = getattr(args, dest, None)

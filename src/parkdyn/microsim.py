@@ -69,6 +69,34 @@ ALLOWED_TRANSITIONS = frozenset(
     }
 )
 
+# How a CSV row template writes a cell of each column kind: ints and strings
+# as their str, floats with 10 significant digits, so a float does not read
+# back exactly. A "finite" column is a float column whose reader rejects nan
+# and infinities.
+FLOAT = "%.10g"
+CELL_FORMATS = {"int": "%s", "str": "%s", "float": FLOAT, "finite": FLOAT}
+
+
+class Table(NamedTuple):
+    """One CSV file's column names and the kind of each (a key of
+    CELL_FORMATS), declared once: ``cli.write_csv`` writes each row with one
+    ``%`` over ``row``, and the run-directory readers convert each column by
+    its kind. A template writes a string cell unquoted, so it must hold no
+    comma, double quote, CR or LF; network ids are checked for them at load."""
+
+    columns: tuple[str, ...]
+    kinds: tuple[str, ...]
+
+    @property
+    def header(self) -> str:
+        return ",".join(self.columns) + "\r\n"
+
+    @property
+    def row(self) -> str:
+        # lines end in CRLF, as csv.writer ends them
+        return ",".join(CELL_FORMATS[k] for k in self.kinds) + "\r\n"
+
+
 # Per-step series of a run, in the column order of series.csv.
 SERIES_COLUMNS = (
     "t_s",
@@ -87,6 +115,8 @@ SERIES_COLUMNS = (
     "parked_off",
     "overflow",
 )
+# series.csv: every series is finite
+SERIES_CSV = Table(SERIES_COLUMNS, ("finite",) * len(SERIES_COLUMNS))
 
 
 class TopologyError(ValueError):
@@ -183,6 +213,10 @@ class Event(NamedTuple):
     dist_km: float  # cumulative distance in the departing family
     occ_on: float
     occ_off: float
+
+
+# events.csv: one row per Event; link_id holds a link id or the lot id
+EVENTS_CSV = Table(Event._fields, ("int", "float", "str", "str", "str", "float", "float", "float"))
 
 
 class VehicleRecord(NamedTuple):
@@ -927,6 +961,10 @@ class Simulation:
 
 
 # ---------------------------------------------------------------- analysis
+
+
+# nfd.csv: one measure_nfd row per window
+NFD_CSV = Table(("t_s", "K", "Q", "V"), ("float",) * 4)
 
 
 def measure_nfd(series: dict, network_length: float, window_s: float, dt_s: float):

@@ -19,6 +19,13 @@ class NetworkFormatError(ValueError):
     """Malformed network file; message carries the offending field."""
 
 
+def _check_id(what: str, id_: str) -> None:
+    """Ids are written unquoted to CSV files (a link id or the lot id to
+    events.csv), so they may not hold what a CSV field holds only quoted."""
+    if any(c in id_ for c in ',"\r\n'):
+        raise ValueError(f"{what} {id_!r}: field 'id' may not hold a comma, double quote, CR or LF")
+
+
 @dataclass(frozen=True)
 class Node:
     id: int
@@ -42,6 +49,7 @@ class Link:
     spot_spacing: float = 0.0  # km between consecutive spots
 
     def __post_init__(self):
+        _check_id("link", self.id)
         if self.length <= 0:
             raise ValueError(f"link {self.id}: length must be > 0")
         if self.free_flow_speed <= 0 or self.jam_density <= 0:
@@ -78,6 +86,7 @@ class OffStreetLot:
     internal_cruise_speed: float = 15.0  # km/hr
 
     def __post_init__(self):
+        _check_id("lot", self.id)
         if self.capacity < 0:
             raise ValueError(f"lot {self.id}: capacity must be >= 0")
         if self.circuit_length <= 0 or self.internal_cruise_speed <= 0:

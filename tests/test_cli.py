@@ -20,11 +20,16 @@ import pytest
 import parkdyn
 from parkdyn import cli, macromodel, mpc, scenarios
 from parkdyn.calibration import CalibrationReport
-from parkdyn.cli import FMT, _run_one_seed, load_run_dir, main
+from parkdyn.cli import _run_one_seed, load_events_csv, load_run_dir, main
 from parkdyn.estimators import DistanceModel
 from parkdyn.macromodel import NfdModel
-from parkdyn.microsim import SERIES_COLUMNS, Event, ScenarioConfig, Simulation
+from parkdyn.microsim import FLOAT, SERIES_COLUMNS, Event, ScenarioConfig, Simulation
 from parkdyn.network import DurationDistribution, load_network, save_network
+
+
+def _micro_run_argv(root):
+    return ["micro", "run", "--net", str(root / "net.json"), "--config",
+            str(root / "scenario.json"), "--seeds", "0,1,2,3,4", "--out", str(root / "runs")]
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +54,7 @@ def workdir(tmp_path_factory):
         horizon=0.5,
     )
     (root / "scenario.json").write_text(json.dumps(sc.to_dict()))
-    rc = main(
-        [
-            "micro", "run", "--net", str(root / "net.json"), "--config",
-            str(root / "scenario.json"), "--seeds", "0,1,2,3,4", "--out", str(root / "runs"),
-        ]
-    )
-    assert rc == 0
+    assert main(_micro_run_argv(root)) == 0
     rc = main(
         ["calibrate", "--runs", str(root / "runs"), "--out", str(root / "calibration.json")]
     )
@@ -131,13 +130,20 @@ def test_net_check_rejects_malformed(tmp_path):
     assert main(["net", "check", "--net", str(bad)]) == 1
 
 
-def test_micro_outputs_exist(workdir):
+def test_micro_outputs_exist(workdir, tmp_path, monkeypatch):
     for seed in range(5):
         d = workdir / "runs" / f"seed_{seed}"
         for name in ("events.csv", "nfd.csv", "metrics.json", "series.csv"):
             assert (d / name).exists()
     meta = json.loads((workdir / "runs" / "run_meta.json").read_text())
     assert "written_at" in meta
+    # the argv that main ran, not the arguments of the process that called it
+    assert meta["argv"] == _micro_run_argv(workdir)
+    monkeypatch.setattr(sys, "argv", ["host", "--unrelated"])
+    argv = ["theory", "sweep", "--vc", "10", "--k-step", "5", "--brute-step", "0.5",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "run_meta.json").read_text())["argv"] == argv
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -256,6 +262,59 @@ def test_integer_beyond_float_range_names_field(workdir, tmp_path, capsys, no_si
     assert err.splitlines() == [
         f"{prefix} {bad}: field 'links[0].parking_capacity' must be an integer within the float range"
     ]
+
+
+def _rename(doc, where, new_id):
+    """Give the first link or the lot of a network document ``new_id``,
+    everywhere the document names it."""
+    if where == "lot":
+        doc["lots"][0]["id"] = new_id
+        return
+    old = doc["links"][0]["id"]
+    doc["links"][0]["id"] = new_id
+    doc["regions"][new_id] = doc["regions"].pop(old)
+    for lot in doc["lots"]:
+        if lot["entry_link"] == old:
+            lot["entry_link"] = new_id
+
+
+@pytest.mark.parametrize("command", ["net check", "micro run"])
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "CR", "LF"])
+@pytest.mark.parametrize("where", ["link", "lot"])
+def test_id_a_csv_field_would_quote_rejected(
+    workdir, tmp_path, capsys, no_simulation, command, char, where
+):
+    """Ids are written unquoted to events.csv, so an id that csv.writer
+    would quote is rejected at load, in one line."""
+    bad = tmp_path / "net.json"
+    new_id = f"a{char}b"
+    rename = _json_with(lambda d: _rename(d, where, new_id))
+    bad.write_text(rename((workdir / "net.json").read_text()))
+    argv = command.split() + ["--net", str(bad)]
+    if command == "micro run":
+        argv += ["--config", str(workdir / "scenario.json"), "--seeds", "0",
+                 "--out", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = "INVALID:" if command == "net check" else "error:"
+    assert err.splitlines() == [
+        f"{prefix} {bad}: {where} {new_id!r}: field 'id' may not hold a comma, double quote, "
+        "CR or LF"
+    ]
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("where", ["link", "lot"])
+def test_id_with_a_space_loads_and_round_trips(workdir, tmp_path, where):
+    net = tmp_path / "net.json"
+    rename = _json_with(lambda d: _rename(d, where, "a b"))
+    net.write_text(rename((workdir / "net.json").read_text()))
+    assert main(["net", "check", "--net", str(net)]) == 0
+    assert main(["micro", "run", "--net", str(net), "--config", str(workdir / "scenario.json"),
+                 "--seeds", "0", "--out", str(tmp_path / "runs")]) == 0
+    events = load_events_csv(tmp_path / "runs" / "seed_0" / "events.csv")
+    assert "a b" in {e.link_id for e in events}
 
 
 def test_calibration_loader_names_file_and_field(workdir, tmp_path, capsys):
@@ -405,7 +464,7 @@ def desk_seed_0(tmp_path_factory):
 
 def _as_written(x):
     """``x`` as the CSV writer stores it and the loader reads it back."""
-    return float(FMT.format(x)) if isinstance(x, float) else x
+    return float(FLOAT % x) if isinstance(x, float) else x
 
 
 def test_run_dir_round_trip(desk_seed_0):
@@ -750,6 +809,20 @@ def test_bad_seeds_name_the_flag(workdir, tmp_path, capsys, seeds):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: --seeds")
+
+
+@pytest.mark.parametrize("command", ["micro run", "mpc run", "compare --modes no-price"])
+def test_repeated_seed_rejected_before_running(workdir, tmp_path, capsys, no_simulation, command):
+    argv = _priced_argv(workdir, tmp_path, command)
+    argv[argv.index("--seeds") + 1] = "0,1,0"
+    if command == "micro run":  # which takes no calibration; two workers would write seed 0 at once
+        i = argv.index("--calibration")
+        argv[i : i + 2] = ["--jobs", "2"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: --seeds: seed 0 is given more than once"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
