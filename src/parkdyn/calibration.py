@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import DISTANCE_KINDS, DistanceModel, FitDegenerateError, fit as fit_estimator
+from .estimators import DistanceModel, FitDegenerateError, fit as fit_estimator
 from .macromodel import MacroTrajectories, NfdModel
 from .microsim import Event, RunResult, macro_blocks, measure_nfd, whole_steps
 from .network import from_json
@@ -205,12 +205,6 @@ class CalibrationReport:
     distance_diag: dict = field(default_factory=dict)
     moving_distance_std: dict = field(default_factory=dict)
     scenario_filter: str = "increasing+init"
-
-    def __post_init__(self):
-        kind = self.distance_model.kind
-        if kind not in DISTANCE_KINDS:
-            raise ValueError(f"field 'distance_model.kind' must be a distance kind "
-                             f"({', '.join(DISTANCE_KINDS)}), not {kind!r}")
 
     def save(self, path):
         with open(path, "w") as fh:

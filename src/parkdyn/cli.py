@@ -46,7 +46,9 @@ def write_meta(out_dir, argv):
 
 
 def _parse_list(text: str, flag: str, kind=int) -> list:
-    """The comma- or space-separated ``kind`` (int or float) values of ``flag``."""
+    """The comma- or space-separated ``kind`` (int or float) values of
+    ``flag``. A repeated value would run, or sweep, twice and write the same
+    outputs twice, so it is rejected."""
     try:
         values = [kind(s) for s in text.replace(",", " ").split()]
     except ValueError:
@@ -54,17 +56,10 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
         raise ValueError(f"{flag}: {text!r} is not a list of {what}") from None
     if not values:
         raise ValueError(f"{flag}: no {flag[2:]} given")
-    return values
-
-
-def _parse_seeds(text: str) -> list[int]:
-    """The ``--seeds`` values; a repeated seed would run twice and write the
-    same outputs twice."""
-    seeds = _parse_list(text, "--seeds")
-    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
-        raise ValueError(f"--seeds: seed {repeated[0]} is given more than once")
-    return seeds
+        raise ValueError(f"{flag}: {flag[2:].rstrip('s')} {repeated[0]} is given more than once")
+    return values
 
 
 class _Domain(NamedTuple):
@@ -81,7 +76,6 @@ _POSITIVE = _Domain("must be > 0 and finite", lambda x: 0 < x < math.inf)
 FLAG_DOMAINS = {
     **dict.fromkeys(("link_length", "vf", "kj", "lot_circuit", "lot_speed", "k_step",
                      "brute_step", "nfd_window", "dt_macro", "control_interval"), _POSITIVE),
-    "spot_spacing": _Domain("must be >= 0 and finite", lambda x: 0 <= x < math.inf),
     **dict.fromkeys(("tau_min", "tau_max", "tau_gap"), _FINITE),
     "upper_share": _Domain("must lie in [0, 1]", lambda x: 0 <= x <= 1),
     "supply_fraction": _Domain("must lie in (0, 1]", lambda x: 0 < x <= 1),
@@ -102,12 +96,11 @@ def cmd_net_build(args):
         args.rows, args.cols, args.link_length, args.vf, args.kj,
         total_spots=args.total_spots, lot_capacity=args.lot_capacity,
         lot_circuit=args.lot_circuit, lot_speed=args.lot_speed, upper_share=args.upper_share,
-        supply_fraction=supply, spots_per_link=args.spots_per_link,
-        spot_spacing=args.spot_spacing, lot_entry=args.lot_entry,
+        supply_fraction=supply, spots_per_link=args.spots_per_link, lot_entry=args.lot_entry,
     )
     network.save_network(net, args.out)
     print(f"wrote {args.out}: {len(net.nodes)} nodes, {len(net.links)} links, "
-          f"{net.total_parking_capacity} spots, {len(net.lots)} lots")
+          f"{net.total_parking_capacity} spots, {int(net.lot is not None)} lots")
     return 0
 
 
@@ -121,7 +114,7 @@ def cmd_net_check(args):
     print(
         f"{args.net}: {len(net.nodes)} nodes, {len(net.links)} links, "
         f"L={net.total_length:.3f} km, {net.total_parking_capacity} on-street spots, "
-        f"{len(net.lots)} lots, regions={list(net.regions())}, "
+        f"{int(net.lot is not None)} lots, regions={list(net.regions())}, "
         f"strongly_connected={ok}"
     )
     return 0 if ok else 1
@@ -254,7 +247,7 @@ def _seed_dirs(runs) -> list[Path]:
 def cmd_micro_run(args):
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_list(args.seeds, "--seeds")
     # measure_nfd's window rule, checked before anything is simulated
     microsim.whole_steps(args.nfd_window, sc.dt_sim, "NFD window", "micro step")
     out = Path(args.out)
@@ -417,7 +410,7 @@ def _mpc_setup(args, priced: bool):
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_list(args.seeds, "--seeds")
     dt = args.dt_macro / 3600.0
     cfg = mpc.MpcConfig(
         control_interval=args.control_interval,
@@ -573,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--vf", type=float, default=50.0)
     b.add_argument("--kj", type=float, default=100.0)
     b.add_argument("--spots-per-link", type=int, default=0)
-    b.add_argument("--spot-spacing", type=float, default=0.0)
     b.add_argument("--total-spots", type=int, default=None)
     b.add_argument("--upper-share", type=float, default=None)
     b.add_argument("--supply-fraction", type=float, default=None)
@@ -609,11 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_theory_sweep)
 
-    e = sub.add_parser("estimators", help="distance/time-to-park estimators")
+    e = sub.add_parser("estimators", help="distance-to-park estimators")
     e_sub = e.add_subparsers(dest="subcommand", required=True)
     f = e_sub.add_parser("fit", help="fit an estimator to run output")
     f.add_argument("--runs", required=True, help="directory with seed_* runs")
-    f.add_argument("--kind", default="exp-distance", choices=list(estimators.DISTANCE_KINDS))
+    f.add_argument("--kind", default="exp-distance", choices=list(estimators.KINDS))
     f.add_argument("--trend", default="increasing", choices=["increasing", "decreasing", "both"])
     f.add_argument("--ref", default="init", choices=["init", "avg"])
     f.add_argument("--out", required=True)

@@ -1,13 +1,11 @@
-"""Time-to-park and distance-to-park estimators with fitting and a
-Monte-Carlo screening oracle.
+"""Distance-to-park estimators with fitting and a Monte-Carlo screening
+oracle. The macro model reads an estimator's value as a cruising distance.
 
-Kinds and their parameters (units in parentheses):
+Kinds and their parameters, all in km:
 
-  exp-time            T = a * exp(b * O)            (min)
-  hyperbolic-time     T = c / (1 - O)               (min)
-  geometric           L = d_p / (1 - O)             (km)
-  modified-geometric  L = d_np / (1 - O^m) + d / (1 - O)   (km)
-  exp-distance        L = a * exp(b * O)            (km)
+  exp-distance        L = a * exp(b * O)
+  geometric           L = d_p / (1 - O)
+  modified-geometric  L = d_np / (1 - O^m) + d / (1 - O)
 """
 
 from __future__ import annotations
@@ -19,16 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _PARAM_NAMES = {
-    "exp-time": {"a", "b"},
-    "hyperbolic-time": {"c"},
+    "exp-distance": {"a", "b"},
     "geometric": {"d_p"},
     "modified-geometric": {"d_np", "d", "m"},
-    "exp-distance": {"a", "b"},
 }
 KINDS = tuple(_PARAM_NAMES)
-# the kinds in km, which the macro model reads as a cruising distance
-DISTANCE_KINDS = ("exp-distance", "geometric", "modified-geometric")
-_SINGULAR = ("hyperbolic-time", "geometric", "modified-geometric")
+_SINGULAR = ("geometric", "modified-geometric")
 
 
 class SingularOccupancyError(ValueError):
@@ -50,7 +44,7 @@ class DistanceModel:
         missing = _PARAM_NAMES[self.kind] - set(self.params)
         if missing:
             raise ValueError(f"{self.kind}: missing parameters {sorted(missing)}")
-        if self.kind in ("exp-time", "exp-distance") and self.params["a"] <= 0:
+        if self.kind == "exp-distance" and self.params["a"] <= 0:
             raise ValueError("exponential kinds need a > 0")
 
     @functools.cached_property
@@ -64,12 +58,10 @@ def evaluate(model: DistanceModel, occupancy: float) -> float:
     if not (0.0 <= O <= 1.0):
         raise ValueError("occupancy must lie in [0, 1]")
     p = model.params
-    if model.kind in ("exp-time", "exp-distance"):
+    if model.kind == "exp-distance":
         return p["a"] * math.exp(p["b"] * O)
     if O >= 1.0:
         raise SingularOccupancyError(f"{model.kind} undefined at occupancy 1")
-    if model.kind == "hyperbolic-time":
-        return p["c"] / (1.0 - O)
     if model.kind == "geometric":
         return p["d_p"] / (1.0 - O)
     return p["d_np"] / (1.0 - O ** p["m"]) + p["d"] / (1.0 - O)
@@ -112,16 +104,14 @@ def fit(observations, kind: str) -> tuple[DistanceModel, dict[str, float]]:
     if len(np.unique(O)) < 2:
         raise FitDegenerateError("all occupancies equal")
 
-    if kind in ("exp-time", "exp-distance"):
+    if kind == "exp-distance":
         if np.any(y <= 0):
             raise ValueError("exponential kinds need positive values")
         b, ln_a = np.polyfit(O, np.log(y), 1)
         model = DistanceModel(kind, {"a": float(np.exp(ln_a)), "b": float(b)})
-    elif kind in ("hyperbolic-time", "geometric"):
+    elif kind == "geometric":
         g = 1.0 / (1.0 - O)
-        coef = float(np.dot(y, g) / np.dot(g, g))
-        name = "c" if kind == "hyperbolic-time" else "d_p"
-        model = DistanceModel(kind, {name: coef})
+        model = DistanceModel(kind, {"d_p": float(np.dot(y, g) / np.dot(g, g))})
     else:
         g = 1.0 / (1.0 - O)
         d0 = max(float(np.dot(y, g) / np.dot(g, g)), 1e-9)

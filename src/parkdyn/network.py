@@ -10,6 +10,7 @@ import functools
 import heapq
 import json
 import sys
+import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -29,8 +30,6 @@ def _check_id(what: str, id_: str) -> None:
 @dataclass(frozen=True)
 class Node:
     id: int
-    x: float = 0.0  # meters
-    y: float = 0.0
     allows_u_turn: bool = False
 
 
@@ -46,7 +45,6 @@ class Link:
     jam_density: float = 100.0  # veh/km/lane
     lanes: int = 1
     parking_capacity: int = 0
-    spot_spacing: float = 0.0  # km between consecutive spots
 
     def __post_init__(self):
         _check_id("link", self.id)
@@ -56,14 +54,8 @@ class Link:
             raise ValueError(f"link {self.id}: speeds and densities must be > 0")
         if self.lanes < 1:
             raise ValueError(f"link {self.id}: lanes must be >= 1")
-        if self.parking_capacity < 0 or self.spot_spacing < 0:
+        if self.parking_capacity < 0:
             raise ValueError(f"link {self.id}: parking fields must be non-negative")
-        if self.parking_capacity > 0:
-            if self.spot_spacing == 0.0:
-                # even spacing over the link when not given explicitly
-                object.__setattr__(self, "spot_spacing", self.length / self.parking_capacity)
-            if self.spot_spacing * self.parking_capacity > self.length * (1 + 1e-9):
-                raise ValueError(f"link {self.id}: spots do not fit on the link")
 
     @property
     def free_flow_time(self) -> float:
@@ -99,14 +91,14 @@ class OffStreetLot:
 
 
 class Network:
-    """Immutable directed road graph with parking supplies and at most one
-    off-street lot, as both models have.
+    """Immutable directed road graph with on-street parking supplies.
 
-    ``region_assignment`` maps every link id to an integer region, used by
-    the bi-partitioned regional guidance.
+    ``lot`` is the network's one off-street lot, or None: both models have at
+    most one. ``region_assignment`` maps every link id to an integer region,
+    used by the bi-partitioned regional guidance.
     """
 
-    def __init__(self, nodes, links, lots=(), region_assignment=None):
+    def __init__(self, nodes, links, lot=None, region_assignment=None):
         self.nodes: dict[int, Node] = {n.id: n for n in nodes}
         if len(self.nodes) != len(list(nodes)):
             raise ValueError("duplicate node ids")
@@ -117,12 +109,9 @@ class Network:
             if ln.from_node not in self.nodes or ln.to_node not in self.nodes:
                 raise ValueError(f"link {ln.id}: endpoint not in network")
             self.links[ln.id] = ln
-        self.lots: tuple[OffStreetLot, ...] = tuple(lots)
-        if len(self.lots) > 1:
-            raise ValueError(f"{len(self.lots)} lots given, a network has at most one")
-        for lot in self.lots:
-            if lot.entry_link not in self.links:
-                raise ValueError(f"lot {lot.id}: entry link {lot.entry_link} not in network")
+        if lot is not None and lot.entry_link not in self.links:
+            raise ValueError(f"lot {lot.id}: entry link {lot.entry_link} not in network")
+        self.lot: OffStreetLot | None = lot
         self.region_assignment: dict[str, int] = dict(region_assignment or {})
         for lid in self.region_assignment:
             if lid not in self.links:
@@ -143,11 +132,6 @@ class Network:
         for ln in self.links.values():
             self._reverse[ln.id] = by_pair.get((ln.to_node, ln.from_node))
         self._next_hop: dict[int, dict[int, str]] | None = None
-
-    @property
-    def lot(self) -> OffStreetLot | None:
-        """The off-street lot, if the network has one."""
-        return self.lots[0] if self.lots else None
 
     @property
     def total_parking_capacity(self) -> int:
@@ -242,7 +226,7 @@ class Network:
         nodes = tuple(self.nodes[nid] for nid in sorted(self.nodes))
         links = tuple(self.links[lid] for lid in sorted(self.links))
         regions = dict(sorted(self.region_assignment.items()))
-        return asdict(_NetworkFile(nodes, links, self.lots, regions))
+        return asdict(_NetworkFile(nodes, links, self.lot, regions))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
@@ -332,7 +316,6 @@ def build_grid(
     v_f: float,
     k_j: float,
     parking_capacity_per_link: int,
-    d_p: float = 0.0,
 ) -> Network:
     """Bidirectional square-grid network; rows split into two guidance regions.
 
@@ -342,17 +325,13 @@ def build_grid(
         raise ValueError("grid needs rows >= 2 and cols >= 2")
     if link_length <= 0 or v_f <= 0 or k_j <= 0:
         raise ValueError("grid parameters must be positive")
-    if parking_capacity_per_link < 0 or d_p < 0:
+    if parking_capacity_per_link < 0:
         raise ValueError("parking parameters must be non-negative")
 
     def nid(r, c):
         return r * cols + c
 
-    nodes = [
-        Node(id=nid(r, c), x=c * link_length * 1000.0, y=r * link_length * 1000.0)
-        for r in range(rows)
-        for c in range(cols)
-    ]
+    nodes = [Node(nid(r, c)) for r in range(rows) for c in range(cols)]
     links = []
     regions = {}
 
@@ -367,7 +346,6 @@ def build_grid(
                 free_flow_speed=v_f,
                 jam_density=k_j,
                 parking_capacity=parking_capacity_per_link,
-                spot_spacing=d_p,
             )
         )
         regions[lid] = 1 if row_mid >= rows / 2.0 else 0
@@ -396,7 +374,7 @@ def redistribute_parking(
     gives the upper/lower supply imbalance the regional-guidance experiments
     rely on. ``supply_fraction`` < 1 concentrates each region's spots on an
     evenly spaced subset of its links. Remainders go to the first links in
-    sorted-id order; spot spacing is re-derived from each link's length.
+    sorted-id order.
     """
     if total_spots < 0:
         raise ValueError("total_spots must be >= 0")
@@ -427,23 +405,23 @@ def redistribute_parking(
         base, extra = divmod(spots, len(group))
         for i, lid in enumerate(group):
             caps[lid] = base + (1 if i < extra else 0)
-    new_links = [
-        replace(network.links[lid], parking_capacity=caps[lid], spot_spacing=0.0)
-        for lid in lids
-    ]
+    new_links = [replace(network.links[lid], parking_capacity=caps[lid]) for lid in lids]
     return Network(
         list(network.nodes.values()),
         new_links,
-        lots=network.lots,
+        lot=network.lot,
         region_assignment=network.region_assignment,
     )
 
 
 def add_lot(network: Network, lot: OffStreetLot) -> Network:
+    """``network`` with ``lot``; a network has at most one lot."""
+    if network.lot is not None:
+        raise ValueError(f"lot {lot.id}: the network already has lot {network.lot.id}")
     return Network(
         list(network.nodes.values()),
         list(network.links.values()),
-        lots=network.lots + (lot,),
+        lot=lot,
         region_assignment=network.region_assignment,
     )
 
@@ -458,7 +436,7 @@ class _NetworkFile:
 
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
-    lots: tuple[OffStreetLot, ...] = ()
+    lot: OffStreetLot | None = None
     regions: dict[str, int] = field(default_factory=dict)
     units: dict = field(
         default_factory=lambda: {"length": "km", "speed": "km/hr", "density": "veh/km/lane"}
@@ -472,7 +450,7 @@ def load_network(path) -> Network:
         raise NetworkFormatError(f"{path}: not valid JSON ({e})") from e
     try:
         f = from_json(_NetworkFile, raw)
-        return Network(f.nodes, f.links, lots=f.lots, region_assignment=f.regions)
+        return Network(f.nodes, f.links, lot=f.lot, region_assignment=f.regions)
     except ValueError as e:
         raise NetworkFormatError(f"{path}: {e}") from e
 
@@ -483,10 +461,11 @@ def from_json(cls, obj):
     Every key must be a field of ``cls``, and every field without a default
     must be present. Each value must match its field's annotation: ``bool``
     and ``str`` exactly, ``int`` an integer (not a boolean) within the float
-    range, ``float`` a finite number (stored as float), ``tuple[X, ...]`` an
-    array of X, ``dict[str, X]`` an object of X, a bare ``dict`` any object,
-    and a dataclass an object read by these rules. A ValueError names the field
-    by its dotted path, as in ``unknown field 'links[3].lane'``.
+    range, ``float`` a finite number (stored as float), ``X | None`` null or
+    an X, ``tuple[X, ...]`` an array of X, ``dict[str, X]`` an object of X, a
+    bare ``dict`` any object, and a dataclass an object read by these rules. A
+    ValueError names the field by its dotted path, as in
+    ``unknown field 'links[3].lane'``.
     """
     return _reader(cls)(obj, "", None)
 
@@ -553,6 +532,13 @@ def _reader(tp):
         return _exact(tp)
     is_object = _exact(dict)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType and args[1:] == (type(None),):
+        item = _reader(args[0])
+
+        def read_optional(value, parent, key):
+            return None if value is None else item(value, parent, key)
+
+        return read_optional
     if origin is tuple and args[1:] == (Ellipsis,):
         item, is_array = _reader(args[0]), _exact(list)
 

@@ -33,12 +33,12 @@ def desk_network(
     upper_share: float | None = None,
     supply_fraction: float = 1.0,
     spots_per_link: int = 0,
-    spot_spacing: float = 0.0,
     lot_entry: str | None = None,
 ) -> Network:
-    """Square grid with an exact on-street spot total and one off-street lot
-    on an upper-region link (the region the guidance experiments saturate);
-    the network of ``parkdyn net build``.
+    """Square grid with an exact on-street spot total and, unless
+    ``lot_capacity`` is 0, one off-street lot on an upper-region link (the
+    region the guidance experiments saturate); the network of
+    ``parkdyn net build``.
 
     ``upper_share`` skews the spot supply toward the lower region (region 0),
     mirroring the capacity imbalance the regional guidance exploits;
@@ -46,7 +46,7 @@ def desk_network(
     uninformed search has to hunt for the supplied streets. With
     ``total_spots`` None each link keeps ``build_grid``'s ``spots_per_link``
     spots; ``lot_entry`` overrides the lot's middle upper-region entry link."""
-    net = build_grid(rows, cols, link_length, v_f, k_j, spots_per_link, spot_spacing)
+    net = build_grid(rows, cols, link_length, v_f, k_j, spots_per_link)
     if total_spots is not None:
         shares = None if upper_share is None else {0: 1.0 - upper_share, 1: upper_share}
         net = redistribute_parking(net, total_spots, shares, supply_fraction)

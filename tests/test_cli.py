@@ -83,20 +83,19 @@ def test_net_build_writes_the_desk_network(tmp_path):
     "flags, digest",
     [
         pytest.param(
-            "--rows 4 --cols 5 --spots-per-link 3 --spot-spacing 0.01 --lot-capacity 20 "
-            "--lot-entry 5-6",
-            "f741117678661cb3a564ec35c0d9599e3c8ef7c0261b17e92c0785daf79474a2",
+            "--rows 4 --cols 5 --spots-per-link 3 --lot-capacity 20 --lot-entry 5-6",
+            "bedfcb5bc1e03ed5b719a44b24479cc27fbec75e2cb15d9a37e541db0c160d21",
             id="per-link-spots",
         ),
         pytest.param(
             "--total-spots 200 --upper-share 0.3 --supply-fraction 0.5 --lot-capacity 40",
-            "948b73b595b8b52467cb7efdf7dc15ad8f670ce7259daf1d8feb61c12de83fde",
+            "12dc44e1d7d7c995548ade0662b7d329d38bd47522098baba0a1d2de5fef1257",
             id="skewed-supply",
         ),
         pytest.param(
             "--rows 3 --cols 7 --link-length 0.2 --vf 40 --kj 120 --total-spots 90 "
             "--lot-capacity 15 --lot-circuit 0.5 --lot-speed 10",
-            "48860da1ae91fdbe33705666093b524e27cf744b44ea049fc95dbdaff742d203",
+            "0d48ca052d4fabadee3a43d6e053f7248b80f26b5932891c0afe9ddc6b060467",
             id="grid-and-lot",
         ),
     ],
@@ -234,16 +233,31 @@ def test_network_and_calibration_loaders_name_file_and_field(
     assert err[0].startswith("error:") and str(bad) in err[0] and field in err[0]
 
 
-def test_net_check_rejects_second_lot(workdir, tmp_path, capsys):
-    def second_lot(doc):
-        doc["lots"].insert(0, dict(doc["lots"][0], id="z", capacity=7))
+# Each field of the older network format, which `net check` now rejects as unknown.
+_OLD_FORMAT = {
+    "lots": lambda d: d.update(lots=[d.pop("lot")]),
+    "links[0].spot_spacing": lambda d: d["links"][0].update(spot_spacing=0.025),
+    "nodes[0].x": lambda d: d["nodes"][0].update(x=0.0, y=0.0),
+}
 
+
+@pytest.mark.parametrize("field", _OLD_FORMAT)
+def test_net_check_rejects_old_format_field(workdir, tmp_path, capsys, field):
     bad = tmp_path / "net.json"
-    bad.write_text(_json_with(second_lot)((workdir / "net.json").read_text()))
+    bad.write_text(_json_with(_OLD_FORMAT[field])((workdir / "net.json").read_text()))
     assert main(["net", "check", "--net", str(bad)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == [f"INVALID: {bad}: 2 lots given, a network has at most one"]
+    assert err.splitlines() == [f"INVALID: {bad}: unknown field {field!r}"]
+
+
+def test_net_without_lot_round_trips(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    assert main(["net", "build", "--lot-capacity", "0", "--out", str(net)]) == 0
+    assert json.loads(net.read_text())["lot"] is None
+    assert main(["net", "check", "--net", str(net)]) == 0
+    assert ", 0 lots, " in capsys.readouterr().out.splitlines()[-1]
+    assert load_network(net).lot is None
 
 
 @pytest.mark.parametrize("command", ["net check", "micro run"])
@@ -268,14 +282,13 @@ def _rename(doc, where, new_id):
     """Give the first link or the lot of a network document ``new_id``,
     everywhere the document names it."""
     if where == "lot":
-        doc["lots"][0]["id"] = new_id
+        doc["lot"]["id"] = new_id
         return
     old = doc["links"][0]["id"]
     doc["links"][0]["id"] = new_id
     doc["regions"][new_id] = doc["regions"].pop(old)
-    for lot in doc["lots"]:
-        if lot["entry_link"] == old:
-            lot["entry_link"] = new_id
+    if doc["lot"]["entry_link"] == old:
+        doc["lot"]["entry_link"] = new_id
 
 
 @pytest.mark.parametrize("command", ["net check", "micro run"])
@@ -851,7 +864,6 @@ _FINITE = ("must be finite", ["nan", "inf", "-inf"])
 _DOMAINS = {
     **dict.fromkeys(["link_length", "vf", "kj", "lot_circuit", "lot_speed", "k_step",
                      "brute_step", "nfd_window", "dt_macro", "control_interval"], _POSITIVE),
-    "spot_spacing": ("must be >= 0 and finite", ["nan", "inf", "-1"]),
     **dict.fromkeys(["tau_min", "tau_max", "tau_gap"], _FINITE),
     "upper_share": ("must lie in [0, 1]", ["nan", "-0.1", "1.5"]),
     "supply_fraction": ("must lie in (0, 1]", ["nan", "0", "1.5"]),
@@ -898,7 +910,7 @@ def test_dead_end_node_gives_one_error_line(tmp_path, capsys, seed):
         return {"id": lid, "from_node": a, "to_node": b, "length": 0.1,
                 "free_flow_speed": 50.0, "jam_density": 100.0, "parking_capacity": spots}
 
-    net = {"nodes": [{"id": n, "x": 100.0 * n, "y": 0.0} for n in range(3)],
+    net = {"nodes": [{"id": n} for n in range(3)],
            "links": [link("a", 0, 1, 1), link("b", 1, 0, 0), link("c", 1, 2, 1)]}
     sc = {"parker_count": 1, "horizon": 0.25, "captive_spots": 1,
           "duration": {"kind": "uniform", "lo": 0.5, "hi": 1.0}}
@@ -918,7 +930,7 @@ def test_one_boundary_node_passers_exit_on_entry(tmp_path):
         return {"id": lid, "from_node": a, "to_node": b, "length": 0.1,
                 "free_flow_speed": 50.0, "jam_density": 100.0, "parking_capacity": spots}
 
-    net = {"nodes": [{"id": n, "x": 100.0 * n, "y": 0.0} for n in range(3)],
+    net = {"nodes": [{"id": n} for n in range(3)],
            "links": [link("a", 0, 1, 2), link("b", 0, 2), link("c", 1, 0), link("d", 1, 2),
                      link("e", 2, 0)]}
     (tmp_path / "net.json").write_text(json.dumps(net))
@@ -1091,7 +1103,8 @@ def test_unpriced_compare_ignores_the_price_box(workdir, tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--k-step", "0"), ("--k-step", "-1"), ("--k-step", "nan"), ("--vc", "10,abc"),
-     ("--brute-step", "0"), ("--vc", "0"), ("--vc", "60"), ("--vf", "nan"), ("--kj", "0")],
+     ("--brute-step", "0"), ("--vc", "0"), ("--vc", "60"), ("--vf", "nan"), ("--kj", "0"),
+     ("--vc", "10,10"), ("--vc", "10,10.0")],
 )
 def test_bad_theory_sweep_flags_name_the_flag(tmp_path, capsys, flag, value):
     out = tmp_path / "theory"
@@ -1099,6 +1112,8 @@ def test_bad_theory_sweep_flags_name_the_flag(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {flag}:")
+    if value.startswith("10,10"):  # a repeated v_c would sweep its curves twice
+        assert err == ["error: --vc: vc 10.0 is given more than once"]
     assert not out.exists()
 
 
@@ -1165,8 +1180,9 @@ def test_captive_spots_beyond_capacity_rejected_before_running(
 @pytest.mark.parametrize(
     "model",
     [{"kind": "exp-time", "params": {"a": 1.0, "b": 2.0}},
-     {"kind": "hyperbolic-time", "params": {"c": 1.5}}],
-    ids=["exp-time", "hyperbolic-time"],
+     {"kind": "hyperbolic-time", "params": {"c": 1.5}},
+     {"kind": "quadratic", "params": {"a": 1.0}}],
+    ids=["exp-time", "hyperbolic-time", "quadratic"],
 )
 def test_time_to_park_calibration_rejected(workdir, tmp_path, capsys, no_simulation, model):
     bad = tmp_path / "calibration.json"
@@ -1177,7 +1193,7 @@ def test_time_to_park_calibration_rejected(workdir, tmp_path, capsys, no_simulat
                  "--out", str(tmp_path / "m.csv")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"error: calibration file {bad}: field 'distance_model.kind' ")
+    assert err[0] == f"error: calibration file {bad}: unknown kind {model['kind']!r}"
     assert not (tmp_path / "m.csv").exists()
 
 

@@ -31,8 +31,7 @@ class TestEvaluate:
         assert math.isclose(evaluate(EXP_DIST, 1.0), 2.0548905838310914)
 
     def test_singular_kinds_raise_at_full_occupancy(self):
-        for model in (GEOM, DistanceModel("hyperbolic-time", {"c": 2.0}),
-                      DistanceModel("modified-geometric", {"d_np": 0.1, "d": 0.01, "m": 5.0})):
+        for model in (GEOM, DistanceModel("modified-geometric", {"d_np": 0.1, "d": 0.01, "m": 5.0})):
             with pytest.raises(SingularOccupancyError):
                 evaluate(model, 1.0)
 
@@ -53,8 +52,6 @@ class TestEvaluate:
         for model in (
             GEOM,
             EXP_DIST,
-            DistanceModel("exp-time", {"a": 0.5, "b": 3.0}),
-            DistanceModel("hyperbolic-time", {"c": 1.5}),
             DistanceModel("modified-geometric", {"d_np": 0.08, "d": 0.0075, "m": 8.0}),
         ):
             assert evaluate(model, lo) <= evaluate(model, hi) + 1e-12
@@ -92,12 +89,6 @@ class TestFit:
         y = 0.0075 / (1 - O)
         model, _ = fit(list(zip(O, y)), "geometric")
         assert math.isclose(model.params["d_p"], 0.0075, rel_tol=1e-9)
-
-    def test_hyperbolic_recovery(self):
-        O = np.linspace(0.0, 0.9, 20)
-        y = 2.5 / (1 - O)
-        model, _ = fit(list(zip(O, y)), "hyperbolic-time")
-        assert math.isclose(model.params["c"], 2.5, rel_tol=1e-9)
 
     def test_modified_geometric_recovery(self):
         O = np.linspace(0.05, 0.95, 60)

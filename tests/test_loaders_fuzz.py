@@ -106,13 +106,15 @@ def test_calibration_loader(path, doc):
 
 
 _ids = st.integers(0, 3) | st.sampled_from(["a", "b"]) | st.floats(0.01, 1.0)
+_lot = _some_of(_fields(OffStreetLot), _json | _ids)
 _network = _some_of(
-    ["nodes", "links", "lots", "regions"],
+    ["nodes", "links", "lot", "regions"],
     _json
+    | _lot
     | st.lists(
         _some_of(_fields(Node), _json | _ids)
         | _some_of(_fields(Link), _json | _ids)
-        | _some_of(_fields(OffStreetLot), _json | _ids),
+        | _lot,
         max_size=3,
     )
     | st.dictionaries(st.sampled_from(["a", "b"]) | st.text(max_size=2), _json | _ids, max_size=2),
@@ -128,7 +130,8 @@ def test_network_loader(path, doc):
             _check_type(node, Node)
         for link in net.links.values():
             _check_type(link, Link)
-        _check_type(net.lots, tuple[OffStreetLot, ...])
+        if net.lot is not None:
+            _check_type(net.lot, OffStreetLot)
         _check_type(net.region_assignment, dict[str, int])
 
 

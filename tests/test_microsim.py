@@ -30,7 +30,7 @@ from parkdyn.scenarios import desk_network, macro_demand, validation_scenario
 
 
 def small_net(lot_capacity=5, spots=2):
-    net = build_grid(3, 3, 0.1, 50, 100, spots, 0.0)
+    net = build_grid(3, 3, 0.1, 50, 100, spots)
     if lot_capacity:
         upper = sorted(lid for lid, r in net.region_assignment.items() if r == 1)
         net = add_lot(net, OffStreetLot("lot", entry_link=upper[0], capacity=lot_capacity))
@@ -131,7 +131,7 @@ class TestLocalSearch:
         assert len(picks) > 1
 
     def test_defers_when_no_supplies_downstream(self):
-        net = build_grid(3, 3, 0.1, 50, 100, 0, 0.0)  # nowhere to park
+        net = build_grid(3, 3, 0.1, 50, 100, 0)  # nowhere to park
         sc = small_scenario(parker_count=0, passer_count=0, captive_spots=0)
         sim = Simulation(net, sc, 0)
         picks = {sim.local_search_step("1-4", False) for _ in range(100)}

@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 
 from parkdyn.network import (
     DurationDistribution,
-    Link,
     NetworkFormatError,
     Node,
     OffStreetLot,
+    add_lot,
     build_grid,
     greenshields_speed,
     load_network,
@@ -18,7 +18,7 @@ from parkdyn.network import (
 
 
 def test_grid_2x2_counts():
-    net = build_grid(2, 2, 0.1, 50, 100, 10, 0.005)
+    net = build_grid(2, 2, 0.1, 50, 100, 10)
     assert len(net.nodes) == 4
     assert len(net.links) == 8
     assert math.isclose(net.total_length, 0.8)
@@ -26,7 +26,7 @@ def test_grid_2x2_counts():
 
 def test_grid_4x4_counts():
     # 2 * (2 * rows * (cols-1)) directed links for a square grid
-    net = build_grid(4, 4, 0.1, 50, 100, 2, 0.0)
+    net = build_grid(4, 4, 0.1, 50, 100, 2)
     assert len(net.nodes) == 16
     assert len(net.links) == 48
 
@@ -34,39 +34,39 @@ def test_grid_4x4_counts():
 @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (0, 5)])
 def test_grid_rejects_degenerate_dimensions(rows, cols):
     with pytest.raises(ValueError):
-        build_grid(rows, cols, 0.1, 50, 100, 2, 0.0)
+        build_grid(rows, cols, 0.1, 50, 100, 2)
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 4), (6, 6)])
 def test_grid_strongly_connected(rows, cols):
-    assert build_grid(rows, cols, 0.1, 50, 100, 1, 0.0).is_strongly_connected()
+    assert build_grid(rows, cols, 0.1, 50, 100, 1).is_strongly_connected()
 
 
 def test_grid_interior_degree_four():
-    net = build_grid(4, 4, 0.1, 50, 100, 0, 0.0)
+    net = build_grid(4, 4, 0.1, 50, 100, 0)
     interior = 1 * 4 + 1  # node (1,1) has id 5
     assert len(net.out_links[5]) == 4
 
 
 def test_region_split_into_two_halves():
-    net = build_grid(6, 6, 0.1, 50, 100, 1, 0.0)
+    net = build_grid(6, 6, 0.1, 50, 100, 1)
     assert net.regions() == (0, 1)
     assert net.region_capacity(0) + net.region_capacity(1) == net.total_parking_capacity
 
 
 def test_roundtrip_identity(tmp_path):
-    net = build_grid(2, 2, 0.1, 50, 100, 10, 0.005)
+    net = build_grid(2, 2, 0.1, 50, 100, 10)
     path = tmp_path / "net.json"
     save_network(net, path)
     assert load_network(path) == net
 
 
 def test_roundtrip_covers_all_fields(tmp_path):
-    from parkdyn.network import Network, add_lot
+    from parkdyn.network import Network
 
-    base = build_grid(4, 4, 0.12, 48.0, 110.0, 3, 0.01)
+    base = build_grid(4, 4, 0.12, 48.0, 110.0, 3)
     nodes = [
-        Node(n.id, n.x, n.y, allows_u_turn=(n.id % 3 == 0)) for n in base.nodes.values()
+        Node(n.id, allows_u_turn=(n.id % 3 == 0)) for n in base.nodes.values()
     ]
     links = [
         replace_link(ln, lanes=2 if i % 5 == 0 else 1)
@@ -90,7 +90,7 @@ def replace_link(ln, **kw):
 
 
 def test_load_rejects_dangling_node(tmp_path):
-    net = build_grid(2, 2, 0.1, 50, 100, 1, 0.0)
+    net = build_grid(2, 2, 0.1, 50, 100, 1)
     d = net.to_dict()
     d["links"][0]["from_node"] = 99
     path = tmp_path / "bad.json"
@@ -100,7 +100,7 @@ def test_load_rejects_dangling_node(tmp_path):
 
 
 def test_load_rejects_zero_length(tmp_path):
-    net = build_grid(2, 2, 0.1, 50, 100, 1, 0.0)
+    net = build_grid(2, 2, 0.1, 50, 100, 1)
     d = net.to_dict()
     d["links"][0]["length"] = 0.0
     path = tmp_path / "bad.json"
@@ -116,14 +116,11 @@ def test_load_rejects_regions_list(tmp_path):
         load_network(path)
 
 
-def test_link_spot_fit_invariant():
-    with pytest.raises(ValueError):
-        Link(id="x", from_node=0, to_node=1, length=0.1, parking_capacity=10, spot_spacing=0.02)
-
-
-def test_spot_spacing_defaults_to_even_spacing():
-    ln = Link(id="x", from_node=0, to_node=1, length=0.1, parking_capacity=4)
-    assert math.isclose(ln.spot_spacing, 0.025)
+def test_add_lot_keeps_one_lot():
+    net = add_lot(build_grid(2, 2, 0.1, 50, 100, 1), OffStreetLot("first", "0-1", 5))
+    with pytest.raises(ValueError, match="lot second: the network already has lot first"):
+        add_lot(net, OffStreetLot("second", "1-0", 7))
+    assert net.lot.id == "first"
 
 
 def test_greenshields_examples():
@@ -145,7 +142,7 @@ def test_greenshields_bounded_and_monotone(k, v_f, k_j):
 
 
 def test_redistribute_exact_total_and_shares():
-    net = build_grid(6, 6, 0.1, 50, 100, 0, 0.0)
+    net = build_grid(6, 6, 0.1, 50, 100, 0)
     net = redistribute_parking(net, 301, {0: 0.7, 1: 0.3})
     assert net.total_parking_capacity == 301
     upper = net.region_capacity(1)
@@ -153,7 +150,7 @@ def test_redistribute_exact_total_and_shares():
 
 
 def test_redistribute_sparse_supply():
-    net = build_grid(6, 6, 0.1, 50, 100, 0, 0.0)
+    net = build_grid(6, 6, 0.1, 50, 100, 0)
     net = redistribute_parking(net, 300, None, supply_fraction=0.25)
     supplied = sum(1 for ln in net.links.values() if ln.parking_capacity > 0)
     assert supplied == round(0.25 * len(net.links))
