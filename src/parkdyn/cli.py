@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import inspect
 import json
 import math
 import sys
@@ -46,7 +47,7 @@ def write_meta(out_dir, argv):
 
 
 def _parse_list(text: str, flag: str, kind=int) -> list:
-    """The comma- or space-separated ``kind`` (int or float) values of
+    """The comma- or space-separated ``kind`` (int, float or str) values of
     ``flag``. A repeated value would run, or sweep, twice and write the same
     outputs twice, so it is rejected."""
     try:
@@ -58,7 +59,7 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
         raise ValueError(f"{flag}: no {flag[2:]} given")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
-        raise ValueError(f"{flag}: {flag[2:].rstrip('s')} {repeated[0]} is given more than once")
+        raise ValueError(f"{flag}: {flag[2:].rstrip('s')} {repeated[0]!r} is given more than once")
     return values
 
 
@@ -70,34 +71,14 @@ class _Domain(NamedTuple):
 _FINITE = _Domain("must be finite", math.isfinite)
 _POSITIVE = _Domain("must be > 0 and finite", lambda x: 0 < x < math.inf)
 
-# The domain of every float flag and of --jobs, keyed by argparse dest. main
-# checks each given value before the command reads or writes anything; rules
-# between flags, or between a flag and a file, stay in the commands.
-FLAG_DOMAINS = {
-    **dict.fromkeys(("link_length", "vf", "kj", "lot_circuit", "lot_speed", "k_step",
-                     "brute_step", "nfd_window", "dt_macro", "control_interval"), _POSITIVE),
-    **dict.fromkeys(("tau_min", "tau_max", "tau_gap"), _FINITE),
-    "upper_share": _Domain("must lie in [0, 1]", lambda x: 0 <= x <= 1),
-    "supply_fraction": _Domain("must lie in (0, 1]", lambda x: 0 < x <= 1),
-    "jobs": _Domain("must be >= 1", lambda x: x >= 1),
-}
-
 
 # ------------------------------------------------------------------ net
 
 
 def cmd_net_build(args):
-    for flag, value in (("--upper-share", args.upper_share),
-                        ("--supply-fraction", args.supply_fraction)):
-        if value is not None and args.total_spots is None:
-            raise ValueError(f"{flag}: applies only with --total-spots")
-    supply = 1.0 if args.supply_fraction is None else args.supply_fraction
-    net = scenarios.desk_network(
-        args.rows, args.cols, args.link_length, args.vf, args.kj,
-        total_spots=args.total_spots, lot_capacity=args.lot_capacity,
-        lot_circuit=args.lot_circuit, lot_speed=args.lot_speed, upper_share=args.upper_share,
-        supply_fraction=supply, spots_per_link=args.spots_per_link, lot_entry=args.lot_entry,
-    )
+    # net build's flags are desk_network's parameters; one not given keeps its default
+    given = {p: getattr(args, p) for p in inspect.signature(scenarios.desk_network).parameters}
+    net = scenarios.desk_network(**{k: v for k, v in given.items() if v is not None})
     network.save_network(net, args.out)
     print(f"wrote {args.out}: {len(net.nodes)} nodes, {len(net.links)} links, "
           f"{net.total_parking_capacity} spots, {int(net.lot is not None)} lots")
@@ -417,7 +398,7 @@ def _mpc_setup(args, priced: bool):
         n_intervals=args.intervals,
         n_starts=args.starts,
         budget=args.budget,
-        controlled=tuple(args.controlled.split(",")),
+        controlled=tuple(_parse_list(args.controlled, "--controlled", str)),
         tau_min=args.tau_min,
         tau_max=args.tau_max,
         tau_gap=args.tau_gap,
@@ -498,7 +479,7 @@ COMPARISON_CSV = microsim.Table(
 
 
 def cmd_compare(args):
-    modes = args.modes.split(",")
+    modes = _parse_list(args.modes, "--modes", str)
     bad = [m for m in modes if m not in MODES]
     if bad:
         raise ValueError(f"--modes: unknown mode {bad[0]!r}, expected one of {', '.join(MODES)}")
@@ -536,119 +517,101 @@ def cmd_compare(args):
 # ------------------------------------------------------------------ main
 
 
-def _add_mpc_flags(p):
-    p.add_argument("--net", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--calibration", required=True)
-    p.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
-    p.add_argument("--out", required=True)
-    p.add_argument("--control-interval", type=float, default=0.25, help="hr")
-    p.add_argument("--intervals", type=int, default=2)
-    p.add_argument("--dt-macro", type=float, default=10.0, help="s")
-    p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--budget", type=int, default=400)
-    p.add_argument("--controlled", default="on")
-    p.add_argument("--tau-min", type=float, default=0.0)
-    p.add_argument("--tau-max", type=float, default=10.0)
-    p.add_argument("--tau-gap", type=float, default=3.0)
+class _Flag(NamedTuple):
+    kwargs: dict  # argparse's keywords
+    domain: _Domain | None = None
+    option: str | None = None  # when it is not --<dest> with - for _
+
+
+# Every flag of every command, keyed by argparse dest. main checks each given
+# value against its domain before the command reads or writes anything; rules
+# between flags, or between a flag and a file, stay in the commands.
+FLAGS = {
+    **dict.fromkeys(("net", "config", "calibration", "out"), _Flag({"required": True})),
+    "runs": _Flag({"required": True, "help": "directory with seed_* runs"}),
+    "rows": _Flag({"type": int}),
+    "cols": _Flag({"type": int}),
+    "link_length": _Flag({"type": float, "help": "km"}, _POSITIVE),
+    "v_f": _Flag({"type": float, "metavar": "VF"}, _POSITIVE, "--vf"),
+    "k_j": _Flag({"type": float, "metavar": "KJ"}, _POSITIVE, "--kj"),
+    "total_spots": _Flag({"type": int}),
+    "upper_share": _Flag({"type": float}, _Domain("must lie in [0, 1]", lambda x: 0 <= x <= 1)),
+    "supply_fraction": _Flag({"type": float},
+                             _Domain("must lie in (0, 1]", lambda x: 0 < x <= 1)),
+    "lot_entry": _Flag({}),
+    "lot_capacity": _Flag({"type": int}),
+    "lot_circuit": _Flag({"type": float}, _POSITIVE),
+    "lot_speed": _Flag({"type": float}, _POSITIVE),
+    "seeds": _Flag({"default": "0,1,2,3,4,5,6,7,8,9"}),
+    "jobs": _Flag({"type": int, "default": 1}, _Domain("must be >= 1", lambda x: x >= 1)),
+    "nfd_window": _Flag({"type": float, "default": 60.0, "help": "s"}, _POSITIVE),
+    "vf": _Flag({"type": float, "default": 50.0}, _POSITIVE),
+    "kj": _Flag({"type": float, "default": 100.0}, _POSITIVE),
+    "vc": _Flag({"default": "10,20,30,40"}),
+    "k_step": _Flag({"type": float, "default": 0.1}, _POSITIVE),
+    "brute_step": _Flag({"type": float, "default": 0.01}, _POSITIVE),
+    "kind": _Flag({"default": "exp-distance", "choices": list(estimators.KINDS)}),
+    "trend": _Flag({"default": "increasing", "choices": ["increasing", "decreasing", "both"]}),
+    "ref": _Flag({"default": "init", "choices": ["init", "avg"]}),
+    "dt_macro": _Flag({"type": float, "default": 10.0, "help": "s"}, _POSITIVE),
+    "modes": _Flag({"default": ",".join(MODES)}),
+    "control_interval": _Flag({"type": float, "default": 0.25, "help": "hr"}, _POSITIVE),
+    "intervals": _Flag({"type": int, "default": 2}),
+    "starts": _Flag({"type": int, "default": 8}),
+    "budget": _Flag({"type": int, "default": 400}),
+    "controlled": _Flag({"default": "on"}),
+    "tau_min": _Flag({"type": float, "default": 0.0}, _FINITE),
+    "tau_max": _Flag({"type": float, "default": 10.0}, _FINITE),
+    "tau_gap": _Flag({"type": float, "default": 3.0}, _FINITE),
+}
+
+
+def _option(dest: str) -> str:
+    return FLAGS[dest].option or "--" + dest.replace("_", "-")
+
+
+_MPC_FLAGS = ("net", "config", "calibration", "seeds", "out", "control_interval", "intervals",
+              "dt_macro", "starts", "budget", "controlled", "tau_min", "tau_max", "tau_gap")
+
+# (words, help, function, flags in --help order) of every command
+COMMANDS = (
+    (("net", "build"), "build a grid network file", cmd_net_build,
+     ("rows", "cols", "link_length", "v_f", "k_j", "total_spots", "upper_share", "supply_fraction",
+      "lot_entry", "lot_capacity", "lot_circuit", "lot_speed", "out")),
+    (("net", "check"), "validate a network file", cmd_net_check, ("net",)),
+    (("micro", "run"), "run replications", cmd_micro_run,
+     ("net", "config", "seeds", "out", "jobs", "nfd_window")),
+    (("theory", "sweep"), "envelope sweep with brute-force check", cmd_theory_sweep,
+     ("vf", "kj", "vc", "k_step", "brute_step", "out")),
+    (("estimators", "fit"), "fit an estimator to run output", cmd_estimators_fit,
+     ("runs", "kind", "trend", "ref", "out")),
+    (("macro", "run"), "simulate the macro model", cmd_macro_run,
+     ("net", "config", "calibration", "dt_macro", "out")),
+    (("calibrate",), "fit macro inputs from micro runs", cmd_calibrate,
+     ("runs", "nfd_window", "trend", "ref", "out")),
+    (("validate",), "macro-vs-micro consistency metrics", cmd_validate,
+     ("net", "config", "calibration", "runs", "dt_macro", "out")),
+    (("mpc", "run"), "MPC on the micro plant", cmd_mpc_run, _MPC_FLAGS),
+    (("compare",), "pricing-mode comparison on same seeds", cmd_compare, ("modes", *_MPC_FLAGS)),
+)
+# the help of each word that groups commands
+GROUPS = {"net": "network tools", "micro": "micro-simulation", "theory": "two-bin NFD theory",
+          "estimators": "distance-to-park estimators", "macro": "macro model",
+          "mpc": "closed-loop pricing"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="parkdyn", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    net_p = sub.add_parser("net", help="network tools")
-    net_sub = net_p.add_subparsers(dest="subcommand", required=True)
-    b = net_sub.add_parser("build", help="build a grid network file")
-    b.add_argument("--rows", type=int, default=6)
-    b.add_argument("--cols", type=int, default=6)
-    b.add_argument("--link-length", type=float, default=0.1, help="km")
-    b.add_argument("--vf", type=float, default=50.0)
-    b.add_argument("--kj", type=float, default=100.0)
-    b.add_argument("--spots-per-link", type=int, default=0)
-    b.add_argument("--total-spots", type=int, default=None)
-    b.add_argument("--upper-share", type=float, default=None)
-    b.add_argument("--supply-fraction", type=float, default=None)
-    b.add_argument("--lot-entry", default=None)
-    b.add_argument("--lot-capacity", type=int, default=0)
-    b.add_argument("--lot-circuit", type=float, default=0.3)
-    b.add_argument("--lot-speed", type=float, default=15.0)
-    b.add_argument("--out", required=True)
-    b.set_defaults(func=cmd_net_build)
-    c = net_sub.add_parser("check", help="validate a network file")
-    c.add_argument("--net", required=True)
-    c.set_defaults(func=cmd_net_check)
-
-    m = sub.add_parser("micro", help="micro-simulation")
-    m_sub = m.add_subparsers(dest="subcommand", required=True)
-    r = m_sub.add_parser("run", help="run replications")
-    r.add_argument("--net", required=True)
-    r.add_argument("--config", required=True)
-    r.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
-    r.add_argument("--out", required=True)
-    r.add_argument("--jobs", type=int, default=1)
-    r.add_argument("--nfd-window", type=float, default=60.0, help="s")
-    r.set_defaults(func=cmd_micro_run)
-
-    t = sub.add_parser("theory", help="two-bin NFD theory")
-    t_sub = t.add_subparsers(dest="subcommand", required=True)
-    s = t_sub.add_parser("sweep", help="envelope sweep with brute-force check")
-    s.add_argument("--vf", type=float, default=50.0)
-    s.add_argument("--kj", type=float, default=100.0)
-    s.add_argument("--vc", default="10,20,30,40")
-    s.add_argument("--k-step", type=float, default=0.1)
-    s.add_argument("--brute-step", type=float, default=0.01)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_theory_sweep)
-
-    e = sub.add_parser("estimators", help="distance-to-park estimators")
-    e_sub = e.add_subparsers(dest="subcommand", required=True)
-    f = e_sub.add_parser("fit", help="fit an estimator to run output")
-    f.add_argument("--runs", required=True, help="directory with seed_* runs")
-    f.add_argument("--kind", default="exp-distance", choices=list(estimators.KINDS))
-    f.add_argument("--trend", default="increasing", choices=["increasing", "decreasing", "both"])
-    f.add_argument("--ref", default="init", choices=["init", "avg"])
-    f.add_argument("--out", required=True)
-    f.set_defaults(func=cmd_estimators_fit)
-
-    ma = sub.add_parser("macro", help="macro model")
-    ma_sub = ma.add_subparsers(dest="subcommand", required=True)
-    mr = ma_sub.add_parser("run", help="simulate the macro model")
-    mr.add_argument("--net", required=True)
-    mr.add_argument("--config", required=True)
-    mr.add_argument("--calibration", required=True)
-    mr.add_argument("--dt-macro", type=float, default=10.0, help="s")
-    mr.add_argument("--out", required=True)
-    mr.set_defaults(func=cmd_macro_run)
-
-    ca = sub.add_parser("calibrate", help="fit macro inputs from micro runs")
-    ca.add_argument("--runs", required=True)
-    ca.add_argument("--nfd-window", type=float, default=60.0, help="s")
-    ca.add_argument("--trend", default="increasing", choices=["increasing", "decreasing", "both"])
-    ca.add_argument("--ref", default="init", choices=["init", "avg"])
-    ca.add_argument("--out", required=True)
-    ca.set_defaults(func=cmd_calibrate)
-
-    va = sub.add_parser("validate", help="macro-vs-micro consistency metrics")
-    va.add_argument("--net", required=True)
-    va.add_argument("--config", required=True)
-    va.add_argument("--calibration", required=True)
-    va.add_argument("--runs", required=True)
-    va.add_argument("--dt-macro", type=float, default=10.0, help="s")
-    va.add_argument("--out", required=True)
-    va.set_defaults(func=cmd_validate)
-
-    mp = sub.add_parser("mpc", help="closed-loop pricing")
-    mp_sub = mp.add_subparsers(dest="subcommand", required=True)
-    mpr = mp_sub.add_parser("run", help="MPC on the micro plant")
-    _add_mpc_flags(mpr)
-    mpr.set_defaults(func=cmd_mpc_run)
-
-    co = sub.add_parser("compare", help="pricing-mode comparison on same seeds")
-    co.add_argument("--modes", default="no-price,mpc,full-dynamic,full-static")
-    _add_mpc_flags(co)
-    co.set_defaults(func=cmd_compare)
-
+    subs = {(): ap.add_subparsers(dest="command", required=True)}
+    for words, help, func, dests in COMMANDS:
+        group = words[:-1]
+        if group not in subs:
+            g = subs[()].add_parser(group[0], help=GROUPS[group[0]])
+            subs[group] = g.add_subparsers(dest="subcommand", required=True)
+        p = subs[group].add_parser(words[-1], help=help)
+        for dest in dests:
+            p.add_argument(_option(dest), dest=dest, **FLAGS[dest].kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
@@ -656,10 +619,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else list(argv)  # for run_meta.json
     try:
-        for dest, (rule, holds) in FLAG_DOMAINS.items():
+        for dest, (_, domain, _) in FLAGS.items():
             value = getattr(args, dest, None)
-            if value is not None and not holds(value):
-                raise ValueError(f"--{dest.replace('_', '-')}: {rule}, got {value:g}")
+            if domain and value is not None and not domain.holds(value):
+                raise ValueError(f"{_option(dest)}: {domain.rule}, got {value:g}")
         return args.func(args)
     except (ValueError, OSError, macromodel.ConservationError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,30 +26,27 @@ def desk_network(
     link_length: float = 0.1,
     v_f: float = 50.0,
     k_j: float = 100.0,
-    total_spots: int | None = 300,
+    total_spots: int = 300,
     lot_capacity: int = 50,
     lot_circuit: float = 0.3,
     lot_speed: float = 15.0,
     upper_share: float | None = None,
     supply_fraction: float = 1.0,
-    spots_per_link: int = 0,
     lot_entry: str | None = None,
 ) -> Network:
     """Square grid with an exact on-street spot total and, unless
     ``lot_capacity`` is 0, one off-street lot on an upper-region link (the
     region the guidance experiments saturate); the network of
-    ``parkdyn net build``.
+    ``parkdyn net build``, whose flags default to these parameters.
 
     ``upper_share`` skews the spot supply toward the lower region (region 0),
     mirroring the capacity imbalance the regional guidance exploits;
     ``supply_fraction`` concentrates the spots on a subset of links so that
-    uninformed search has to hunt for the supplied streets. With
-    ``total_spots`` None each link keeps ``build_grid``'s ``spots_per_link``
-    spots; ``lot_entry`` overrides the lot's middle upper-region entry link."""
-    net = build_grid(rows, cols, link_length, v_f, k_j, spots_per_link)
-    if total_spots is not None:
-        shares = None if upper_share is None else {0: 1.0 - upper_share, 1: upper_share}
-        net = redistribute_parking(net, total_spots, shares, supply_fraction)
+    uninformed search has to hunt for the supplied streets. ``lot_entry``
+    overrides the lot's middle upper-region entry link."""
+    net = build_grid(rows, cols, link_length, v_f, k_j, 0)
+    shares = None if upper_share is None else {0: 1.0 - upper_share, 1: upper_share}
+    net = redistribute_parking(net, total_spots, shares, supply_fraction)
     if lot_capacity:  # a negative capacity reaches the lot's own check
         upper = sorted(lid for lid, r in net.region_assignment.items() if r == 1)
         entry = lot_entry or (upper[len(upper) // 2] if upper else sorted(net.links)[0])

@@ -83,7 +83,7 @@ def test_net_build_writes_the_desk_network(tmp_path):
     "flags, digest",
     [
         pytest.param(
-            "--rows 4 --cols 5 --spots-per-link 3 --lot-capacity 20 --lot-entry 5-6",
+            "--rows 4 --cols 5 --total-spots 186 --lot-capacity 20 --lot-entry 5-6",
             "bedfcb5bc1e03ed5b719a44b24479cc27fbec75e2cb15d9a37e541db0c160d21",
             id="per-link-spots",
         ),
@@ -112,8 +112,6 @@ def test_net_build_file_digest(tmp_path, flags, digest):
         ("--total-spots 100 --upper-share 1.5", "--upper-share: must lie in [0, 1], got 1.5"),
         ("--total-spots 100 --upper-share -0.1", "--upper-share: must lie in [0, 1], got -0.1"),
         ("--total-spots 100 --supply-fraction 0", "--supply-fraction: must lie in (0, 1], got 0"),
-        ("--upper-share 0.3", "--upper-share: applies only with --total-spots"),
-        ("--supply-fraction 0.5", "--supply-fraction: applies only with --total-spots"),
     ],
 )
 def test_net_build_share_flags_name_the_flag(tmp_path, capsys, flags, message):
@@ -121,6 +119,19 @@ def test_net_build_share_flags_name_the_flag(tmp_path, capsys, flags, message):
     assert main(["net", "build", *flags.split(), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [pytest.param("", {}, id="no flag"),
+     pytest.param("--upper-share 0.3", {"upper_share": 0.3}, id="--upper-share alone")],
+)
+def test_net_build_defaults_are_the_desk_networks(tmp_path, flags, kwargs):
+    """A flag not given keeps desk_network's default, so no flag builds the desk network."""
+    out = tmp_path / "net.json"
+    assert main(["net", "build", *flags.split(), "--out", str(out)]) == 0
+    save_network(scenarios.desk_network(**kwargs), tmp_path / "desk.json")
+    assert out.read_bytes() == (tmp_path / "desk.json").read_bytes()
 
 
 def test_net_check_rejects_malformed(tmp_path):
@@ -824,17 +835,38 @@ def test_bad_seeds_name_the_flag(workdir, tmp_path, capsys, seeds):
     assert err[0].startswith("error: --seeds")
 
 
-@pytest.mark.parametrize("command", ["micro run", "mpc run", "compare --modes no-price"])
-def test_repeated_seed_rejected_before_running(workdir, tmp_path, capsys, no_simulation, command):
-    argv = _priced_argv(workdir, tmp_path, command)
-    argv[argv.index("--seeds") + 1] = "0,1,0"
+_SEED_TWICE = "error: --seeds: seed 0 is given more than once"
+_MODE_TWICE = "error: --modes: mode 'no-price' is given more than once"
+_CONTROLLED_TWICE = "error: --controlled: controlled 'on' is given more than once"
+
+
+@pytest.mark.parametrize(
+    "command, flags, line",
+    [
+        pytest.param("micro run", "--seeds 0,1,0", _SEED_TWICE, id="micro run"),
+        pytest.param("mpc run", "--seeds 0,1,0", _SEED_TWICE, id="mpc run"),
+        pytest.param("compare --modes no-price", "--seeds 0,1,0", _SEED_TWICE,
+                     id="compare --modes no-price"),
+        pytest.param("compare", "--modes no-price,no-price", _MODE_TWICE,
+                     id="compare --modes no-price,no-price"),
+        pytest.param("mpc run", "--controlled on,on", _CONTROLLED_TWICE,
+                     id="mpc run --controlled on,on"),
+        pytest.param("compare --modes no-price", "--controlled on,on", _CONTROLLED_TWICE,
+                     id="compare --controlled on,on"),
+    ],
+)
+def test_repeated_seed_rejected_before_running(
+    workdir, tmp_path, capsys, no_simulation, command, flags, line
+):
+    """A value given twice in a list flag would run, or be written, twice."""
+    argv = _priced_argv(workdir, tmp_path, command) + flags.split()
     if command == "micro run":  # which takes no calibration; two workers would write seed 0 at once
         i = argv.index("--calibration")
         argv[i : i + 2] = ["--jobs", "2"]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == ["error: --seeds: seed 0 is given more than once"]
+    assert err.splitlines() == [line]
     assert not (tmp_path / "out").exists()
 
 
@@ -862,8 +894,9 @@ _COMMANDS = _commands(cli.build_parser())
 _POSITIVE = ("must be > 0 and finite", ["nan", "inf", "0", "-1"])
 _FINITE = ("must be finite", ["nan", "inf", "-inf"])
 _DOMAINS = {
-    **dict.fromkeys(["link_length", "vf", "kj", "lot_circuit", "lot_speed", "k_step",
-                     "brute_step", "nfd_window", "dt_macro", "control_interval"], _POSITIVE),
+    **dict.fromkeys(["link_length", "v_f", "k_j", "vf", "kj", "lot_circuit", "lot_speed",
+                     "k_step", "brute_step", "nfd_window", "dt_macro", "control_interval"],
+                    _POSITIVE),
     **dict.fromkeys(["tau_min", "tau_max", "tau_gap"], _FINITE),
     "upper_share": ("must lie in [0, 1]", ["nan", "-0.1", "1.5"]),
     "supply_fraction": ("must lie in (0, 1]", ["nan", "0", "1.5"]),
@@ -874,19 +907,21 @@ _DOMAINS = {
 def test_every_float_flag_and_jobs_has_one_domain():
     dests = {a.dest for _, parser in _COMMANDS for a in parser._actions
              if a.type is float or a.dest == "jobs"}
-    assert sorted(dests) == sorted(cli.FLAG_DOMAINS) == sorted(_DOMAINS)
-    assert {dest: domain.rule for dest, domain in cli.FLAG_DOMAINS.items()} == {
+    domains = {dest: flag.domain for dest, flag in cli.FLAGS.items() if flag.domain}
+    assert sorted(dests) == sorted(domains) == sorted(_DOMAINS)
+    assert {dest: domain.rule for dest, domain in domains.items()} == {
         dest: rule for dest, (rule, _) in _DOMAINS.items()}
 
 
 @pytest.mark.parametrize(
     "words, option, rule, value",
     [
+        # named by the flag, not the dest, which two commands' --vf and --kj do not share
         pytest.param(words, a.option_strings[0], _DOMAINS[a.dest][0], value,
-                     id=f"{' '.join(words)} {a.dest}={value}")
+                     id=f"{' '.join(words)} {a.option_strings[0][2:].replace('-', '_')}={value}")
         for words, parser in _COMMANDS
         for a in parser._actions
-        if a.dest in _DOMAINS
+        if a.type is float or a.dest == "jobs"  # a dest missing from _DOMAINS fails collection
         for value in _DOMAINS[a.dest][1]
     ],
 )
