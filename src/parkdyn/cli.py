@@ -63,9 +63,19 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
     return values
 
 
+def _check_choices(values: list, flag: str, what: str, choices) -> None:
+    bad = [v for v in values if v not in choices]
+    if bad:
+        raise ValueError(f"{flag}: unknown {what} {bad[0]!r}, expected one of {', '.join(choices)}")
+
+
 class _Domain(NamedTuple):
     rule: str
     holds: Callable[[float], bool]
+
+
+def _at_least(low: int) -> _Domain:
+    return _Domain(f"must be >= {low}", lambda x: x >= low)
 
 
 _FINITE = _Domain("must be finite", math.isfinite)
@@ -178,8 +188,9 @@ def _finite(text: str) -> float:
     return value
 
 
-# the reader's converter of each column kind of microsim.CELL_FORMATS
-_CONVERTERS = {"int": int, "str": _utf8, "float": float, "finite": _finite}
+# the reader's converter of each column kind of microsim.CELL_FORMATS: a
+# float read back from a run directory must be finite
+_CONVERTERS = {"int": int, "str": _utf8, "float": _finite}
 
 
 def load_events_csv(path) -> list[microsim.Event]:
@@ -388,6 +399,8 @@ def _mpc_setup(args, priced: bool):
     be whole micro steps and the control interval must divide the scenario
     horizon) is rejected before anything runs, and so is an uncontrolled
     facility's scenario price outside the box, which the solver would keep."""
+    controlled = _parse_list(args.controlled, "--controlled", str)
+    _check_choices(controlled, "--controlled", "facility", mpc.FACILITIES)
     net = network.load_network(args.net)
     sc = microsim.ScenarioConfig.load(args.config)
     report = calibration.CalibrationReport.load(args.calibration)
@@ -398,7 +411,7 @@ def _mpc_setup(args, priced: bool):
         n_intervals=args.intervals,
         n_starts=args.starts,
         budget=args.budget,
-        controlled=tuple(_parse_list(args.controlled, "--controlled", str)),
+        controlled=tuple(controlled),
         tau_min=args.tau_min,
         tau_max=args.tau_max,
         tau_gap=args.tau_gap,
@@ -435,9 +448,8 @@ def run_mode(mode, net, sc, params, cfg, seed, prices=None):
             park, pas = scenarios.macro_demand(sc, params.dt)
             iterations = mpc.mpc_loop(plant, params, cfg, park, pas, (sc.tau_on, sc.tau_off))
         else:
-            for tau_on, tau_off in prices:
-                plant.set_prices(tau_on, tau_off)
-                plant.advance(sc.horizon / len(prices))
+            for row in prices:
+                plant.advance(row, sc.horizon / len(prices))
     return microsim.time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f), iterations
 
 
@@ -480,9 +492,7 @@ COMPARISON_CSV = microsim.Table(
 
 def cmd_compare(args):
     modes = _parse_list(args.modes, "--modes", str)
-    bad = [m for m in modes if m not in MODES]
-    if bad:
-        raise ValueError(f"--modes: unknown mode {bad[0]!r}, expected one of {', '.join(MODES)}")
+    _check_choices(modes, "--modes", "mode", MODES)
     net, sc, seeds, cfg, params = _mpc_setup(args, priced=any(m != "no-price" for m in modes))
     rows = []
     for mode in modes:
@@ -529,21 +539,21 @@ class _Flag(NamedTuple):
 FLAGS = {
     **dict.fromkeys(("net", "config", "calibration", "out"), _Flag({"required": True})),
     "runs": _Flag({"required": True, "help": "directory with seed_* runs"}),
-    "rows": _Flag({"type": int}),
-    "cols": _Flag({"type": int}),
+    "rows": _Flag({"type": int}, _at_least(2)),
+    "cols": _Flag({"type": int}, _at_least(2)),
     "link_length": _Flag({"type": float, "help": "km"}, _POSITIVE),
     "v_f": _Flag({"type": float, "metavar": "VF"}, _POSITIVE, "--vf"),
     "k_j": _Flag({"type": float, "metavar": "KJ"}, _POSITIVE, "--kj"),
-    "total_spots": _Flag({"type": int}),
+    "total_spots": _Flag({"type": int}, _at_least(0)),
     "upper_share": _Flag({"type": float}, _Domain("must lie in [0, 1]", lambda x: 0 <= x <= 1)),
     "supply_fraction": _Flag({"type": float},
                              _Domain("must lie in (0, 1]", lambda x: 0 < x <= 1)),
     "lot_entry": _Flag({}),
-    "lot_capacity": _Flag({"type": int}),
+    "lot_capacity": _Flag({"type": int}, _at_least(0)),
     "lot_circuit": _Flag({"type": float}, _POSITIVE),
     "lot_speed": _Flag({"type": float}, _POSITIVE),
     "seeds": _Flag({"default": "0,1,2,3,4,5,6,7,8,9"}),
-    "jobs": _Flag({"type": int, "default": 1}, _Domain("must be >= 1", lambda x: x >= 1)),
+    "jobs": _Flag({"type": int, "default": 1}, _at_least(1)),
     "nfd_window": _Flag({"type": float, "default": 60.0, "help": "s"}, _POSITIVE),
     "vf": _Flag({"type": float, "default": 50.0}, _POSITIVE),
     "kj": _Flag({"type": float, "default": 100.0}, _POSITIVE),
@@ -556,9 +566,9 @@ FLAGS = {
     "dt_macro": _Flag({"type": float, "default": 10.0, "help": "s"}, _POSITIVE),
     "modes": _Flag({"default": ",".join(MODES)}),
     "control_interval": _Flag({"type": float, "default": 0.25, "help": "hr"}, _POSITIVE),
-    "intervals": _Flag({"type": int, "default": 2}),
-    "starts": _Flag({"type": int, "default": 8}),
-    "budget": _Flag({"type": int, "default": 400}),
+    "intervals": _Flag({"type": int, "default": 2}, _at_least(1)),
+    "starts": _Flag({"type": int, "default": 8}, _at_least(1)),
+    "budget": _Flag({"type": int, "default": 400}, _at_least(1)),
     "controlled": _Flag({"default": "on"}),
     "tau_min": _Flag({"type": float, "default": 0.0}, _FINITE),
     "tau_max": _Flag({"type": float, "default": 10.0}, _FINITE),

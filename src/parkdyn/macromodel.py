@@ -440,16 +440,19 @@ def simulate_macro(
 ) -> MacroTrajectories:
     """Run the mass-conservation system over a demand and price profile.
 
-    ``park_inflow``/``pass_inflow`` are per-step totals (veh/step);
-    ``prices`` has one (tau_on, tau_off) row per step. The parking inflow is
-    split on/off-street by the choice model at each step's prices.
+    ``park_inflow``/``pass_inflow`` are per-step totals (veh/step).
+    ``prices`` has m >= 1 (tau_on, tau_off) rows, where m divides the step
+    count n: row i is in force for steps i*n/m to (i+1)*n/m - 1. The parking
+    inflow is split on/off-street by the choice model at each row's prices.
     """
     park_inflow = np.asarray(park_inflow, dtype=float)
     pass_inflow = np.asarray(pass_inflow, dtype=float)
-    prices = np.asarray(prices, dtype=float).reshape(len(park_inflow), 2)
     if len(pass_inflow) != len(park_inflow):
         raise ValueError("demand profiles must have equal length")
     n_steps = len(park_inflow)
+    prices = np.asarray(prices, dtype=float).reshape(-1, 2)
+    if len(prices) == 0 or n_steps % len(prices):
+        raise ValueError(f"{len(prices)} price rows do not divide the {n_steps} steps")
     state = initial_state.copy() if initial_state is not None else MacroState()
     _make_room(state, n_steps)
     weights = params.redeparture_weights(state.k + n_steps)
@@ -462,14 +465,12 @@ def simulate_macro(
 
 
 def _split_rows(park_inflow, pass_inflow, prices, params: MacroParams):
-    """Each step's (q_in_on, q_in_off, q_in_pass), one step at a time; the
-    logit share is computed again only when the price row changes."""
-    last = None
-    for q_park, q_pass, row in zip(park_inflow.tolist(), pass_inflow.tolist(), prices.tolist()):
-        if row != last:
-            share_on = _share_on(row[0], row[1], params)
-            last = row
-        yield (*_split(q_park, share_on), q_pass)
+    """Each step's (q_in_on, q_in_off, q_in_pass), one step at a time, with
+    the logit share computed once per price row."""
+    per_row = len(park_inflow) // len(prices)
+    shares = [_share_on(tau_on, tau_off, params) for tau_on, tau_off in prices.tolist()]
+    for k, (q_park, q_pass) in enumerate(zip(park_inflow.tolist(), pass_inflow.tolist())):
+        yield (*_split(q_park, shares[k // per_row]), q_pass)
 
 
 _ACC_FIELDS = ("n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "n", "v", "O_on")

@@ -71,10 +71,9 @@ ALLOWED_TRANSITIONS = frozenset(
 
 # How a CSV row template writes a cell of each column kind: ints and strings
 # as their str, floats with 10 significant digits, so a float does not read
-# back exactly. A "finite" column is a float column whose reader rejects nan
-# and infinities.
+# back exactly.
 FLOAT = "%.10g"
-CELL_FORMATS = {"int": "%s", "str": "%s", "float": FLOAT, "finite": FLOAT}
+CELL_FORMATS = {"int": "%s", "str": "%s", "float": FLOAT}
 
 
 class Table(NamedTuple):
@@ -115,8 +114,7 @@ SERIES_COLUMNS = (
     "parked_off",
     "overflow",
 )
-# series.csv: every series is finite
-SERIES_CSV = Table(SERIES_COLUMNS, ("finite",) * len(SERIES_COLUMNS))
+SERIES_CSV = Table(SERIES_COLUMNS, ("float",) * len(SERIES_COLUMNS))
 
 
 class TopologyError(ValueError):

@@ -165,19 +165,23 @@ def solve_open_loop(
     optimality is not guaranteed; feasibility of the controlled prices is.
     """
     n_int = config.n_intervals
-    steps_per = config.steps_per_interval(params.dt)
+    steps = n_int * config.steps_per_interval(params.dt)
+    if len(park_forecast) != steps:
+        raise ValueError(f"the forecast has {len(park_forecast)} macro steps, but the "
+                         f"{n_int} prediction intervals have {steps}")
     cols = [FACILITIES.index(fac) for fac in config.controlled]
-    prev = None if prior_prices is None else np.array(prior_prices, dtype=float)
+    prev = None if prior_prices is None else np.array(prior_prices, dtype=float)[cols]
+    base = np.asarray(base_prices, dtype=float)
 
     def full_matrix(x: np.ndarray) -> np.ndarray:
-        mat = np.tile(np.asarray(base_prices, dtype=float), (n_int, 1))
+        mat = np.full((n_int, 2), base)
         mat[:, cols] = x.reshape(n_int, len(cols))
         return mat
 
     def repair(x: np.ndarray) -> np.ndarray:
-        mat = full_matrix(x)
-        fixed = repair_schedule(mat, prev, config.tau_min, config.tau_max, config.tau_gap)
-        return fixed[:, cols].reshape(-1)
+        block = x.reshape(n_int, len(cols))
+        fixed = repair_schedule(block, prev, config.tau_min, config.tau_max, config.tau_gap)
+        return fixed.reshape(-1)
 
     cache: dict[bytes, float] = {}
 
@@ -185,17 +189,14 @@ def solve_open_loop(
         key = x.tobytes()
         if key in cache:
             return cache[key]
-        mat = full_matrix(x)
-        rows = np.repeat(mat, steps_per, axis=0)
-        traj = simulate_macro(park_forecast, pass_forecast, rows, params, initial_state=state)
+        traj = simulate_macro(park_forecast, pass_forecast, full_matrix(x), params, state)
         val = objective_ineffective_cruising(traj, params)
         cache[key] = val
         return val
 
     dim = n_int * len(cols)
     rng = np.random.default_rng(0)
-    anchor = prev if prev is not None else np.asarray(base_prices, dtype=float)
-    starts = [np.tile([anchor[c] for c in cols], n_int).astype(float)]
+    starts = [np.tile(prev if prev is not None else base[cols], n_int)]
     starts.append(np.full(dim, config.tau_min, dtype=float))
     starts.append(np.full(dim, config.tau_max, dtype=float))
     if extra_starts:
@@ -265,11 +266,10 @@ class MacroPlant:
     """The macro model itself as the controlled plant (for self-consistency
     checks and fast closed-loop experiments)."""
 
-    def __init__(self, params: MacroParams, park_profile, pass_profile, base_prices):
+    def __init__(self, params: MacroParams, park_profile, pass_profile):
         self.params = params
         self.park = np.asarray(park_profile, dtype=float)
         self.pazz = np.asarray(pass_profile, dtype=float)
-        self.prices = tuple(base_prices)
         self.state = MacroState()
         self.step = 0
         self.n_c_steps: list[float] = []
@@ -277,15 +277,11 @@ class MacroPlant:
     def read_state(self) -> MacroState:
         return self.state.copy()
 
-    def set_prices(self, tau_on: float, tau_off: float):
-        self.prices = (tau_on, tau_off)
-
-    def advance(self, interval_hr: float):
+    def advance(self, prices, interval_hr: float):
         n = whole_steps(interval_hr * 3600.0, self.params.dt * 3600.0, "interval", "macro step")
         lo, hi = self.step, min(self.step + n, len(self.park))
-        rows = np.tile(self.prices, (hi - lo, 1))
         traj = simulate_macro(
-            self.park[lo:hi], self.pazz[lo:hi], rows, self.params, initial_state=self.state
+            self.park[lo:hi], self.pazz[lo:hi], [prices], self.params, initial_state=self.state
         )
         self.n_c_steps.extend(traj.n_c[:-1].tolist())
         self.state = traj.final_state
@@ -343,10 +339,8 @@ class MicroPlant:
         state.cum_inflow = state.held(self.params.k_off)
         return state
 
-    def set_prices(self, tau_on: float, tau_off: float):
-        self.sim.set_prices(tau_on, tau_off)
-
-    def advance(self, interval_hr: float):
+    def advance(self, prices, interval_hr: float):
+        self.sim.set_prices(*prices)
         self.sim.run_until(self.sim.t + interval_hr * 3600.0)
 
     def realized_n_c(self, lo: int, n: int) -> np.ndarray:
@@ -374,10 +368,11 @@ def mpc_loop(
     """Closed-loop rolling-horizon control of ``plant``; returns one record
     per control interval.
 
-    The plant (``MacroPlant`` or ``MicroPlant``) provides four methods:
+    The plant (``MacroPlant`` or ``MicroPlant``) provides three methods:
     ``read_state()`` (a macro state at the current control boundary),
-    ``set_prices(tau_on, tau_off)``, ``advance(interval_hr)`` and
-    ``realized_n_c(lo, n)`` (mean cruisers over macro steps lo..lo+n-1).
+    ``advance(prices, interval_hr)`` (run ``interval_hr`` under one
+    (tau_on, tau_off) row) and ``realized_n_c(lo, n)`` (mean cruisers over
+    macro steps lo..lo+n-1).
     Each solve and the prediction start from copies of the state
     ``read_state()`` returns, so the loop never changes it.
 
@@ -391,11 +386,13 @@ def mpc_loop(
     boundary. ``base_prices`` are the prices in force before the first
     boundary, and uncontrolled facilities keep them throughout.
     """
-    park_forecast = np.asarray(park_forecast, dtype=float)
-    pass_forecast = np.asarray(pass_forecast, dtype=float)
     steps_per = config.steps_per_interval(params.dt)
     horizon_steps = config.n_intervals * steps_per
     n_controls = config.intervals_in(len(park_forecast) * params.dt)
+    # the last prediction reaches n_intervals - 1 intervals past the run
+    pad = np.zeros(horizon_steps - steps_per)
+    park_forecast = np.concatenate([np.asarray(park_forecast, dtype=float), pad])
+    pass_forecast = np.concatenate([np.asarray(pass_forecast, dtype=float), pad])
     iterations: list[MpcIteration] = []
     prior = base_prices
 
@@ -403,26 +400,20 @@ def mpc_loop(
         lo = K * steps_per
         park = park_forecast[lo : lo + horizon_steps]
         pazz = pass_forecast[lo : lo + horizon_steps]
-        if len(park) < horizon_steps:
-            pad = horizon_steps - len(park)
-            park = np.concatenate([park, np.zeros(pad)])
-            pazz = np.concatenate([pazz, np.zeros(pad)])
         state = plant.read_state()
         sol = solve_open_loop(state, park, pazz, params, config, prior, base_prices)
-        tau_on, tau_off = sol.prices[0]
-        rows = np.repeat(sol.prices, steps_per, axis=0)
-        pred = simulate_macro(park, pazz, rows, params, initial_state=state)
-        plant.set_prices(tau_on, tau_off)
-        plant.advance(config.control_interval)
+        pred = simulate_macro(park, pazz, sol.prices, params, initial_state=state)
+        applied = tuple(sol.prices[0])
+        plant.advance(applied, config.control_interval)
         iterations.append(
             MpcIteration(
                 t_hr=K * config.control_interval,
-                applied=(tau_on, tau_off),
+                applied=applied,
                 predicted_objective=sol.objective,
                 evaluations=sol.evaluations,
                 predicted_n_c=pred.n_c[:steps_per],  # step starts, as the objective counts
                 realized_n_c=plant.realized_n_c(lo, steps_per),
             )
         )
-        prior = (tau_on, tau_off)
+        prior = applied
     return iterations

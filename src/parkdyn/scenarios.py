@@ -160,8 +160,8 @@ def baseline_macro_run(
     base prices, from the captive initial state."""
     params = macro_params_from_calibration(report, network, scenario, dt)
     park, pas = macro_demand(scenario, dt)
-    prices = np.tile((scenario.tau_on, scenario.tau_off), (len(park), 1))
     # through the module, so that a replaced macromodel.simulate_macro sees the run
     return macromodel.simulate_macro(
-        park, pas, prices, params, initial_state=macro_initial_state(scenario, params.N_on)
+        park, pas, [(scenario.tau_on, scenario.tau_off)], params,
+        initial_state=macro_initial_state(scenario, params.N_on),
     )

@@ -434,6 +434,27 @@ def test_run_dir_loader_names_file_and_field(workdir, tmp_path, capsys, name, al
     assert err[0].startswith("error:") and str(bad) in err[0] and field in err[0]
 
 
+def test_non_finite_event_distance_rejected_by_calibrate(workdir, tmp_path, capsys):
+    """A float read back from events.csv must be finite, as one of series.csv must."""
+    runs = tmp_path / "runs"
+    for seed in (0, 1):
+        shutil.copytree(workdir / "runs" / f"seed_{seed}", runs / f"seed_{seed}")
+    bad = runs / "seed_0" / "events.csv"
+    lines = bad.read_text().splitlines()
+    cols = lines[0].split(",")
+    line = next(i for i, text in enumerate(lines, start=1)
+                if text.split(",")[cols.index("from_family"):][:2] == ["i", "v"])
+    cells = lines[line - 1].split(",")
+    cells[cols.index("dist_km")] = "inf"
+    lines[line - 1] = ",".join(cells)
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "calibration.json"
+    assert main(["calibrate", "--runs", str(runs), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad} line {line}: field 'dist_km' must be finite"]
+    assert not out.exists()
+
+
 def _series_line(line, fault):
     """An alteration that puts ``fault`` on line ``line`` of series.csv: a
     bad or a non-finite 'active' value, a row cut short after 't_s' and
@@ -607,6 +628,7 @@ def test_readme_scenario_block_loads(tmp_path):
     path.write_text(block)
     sc = ScenarioConfig.load(path)
     assert sc.parker_count == 400 and sc.guidance.compliance == 1.0
+    assert sc == scenarios.validation_scenario()  # which the CI console-script step writes
 
 
 def test_theory_sweep_outputs(workdir):
@@ -823,6 +845,17 @@ def test_unknown_compare_mode_rejected(tmp_path, capsys):
     assert err[0].startswith("error: --modes") and "'surge'" in err[0]
 
 
+@pytest.mark.parametrize("command", ["mpc run", "compare --modes no-price"])
+def test_unknown_controlled_facility_rejected_before_reading(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.json")
+    argv = [*command.split(), "--net", missing, "--config", missing, "--calibration", missing,
+            "--controlled", "on,bogus", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --controlled: unknown facility 'bogus', expected one of on, off"]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seeds", ["", "a", "0,1.5"])
 def test_bad_seeds_name_the_flag(workdir, tmp_path, capsys, seeds):
     rc = main(
@@ -900,13 +933,15 @@ _DOMAINS = {
     **dict.fromkeys(["tau_min", "tau_max", "tau_gap"], _FINITE),
     "upper_share": ("must lie in [0, 1]", ["nan", "-0.1", "1.5"]),
     "supply_fraction": ("must lie in (0, 1]", ["nan", "0", "1.5"]),
-    "jobs": ("must be >= 1", ["0", "-2"]),
+    **dict.fromkeys(["jobs", "intervals", "starts", "budget"], ("must be >= 1", ["0", "-2"])),
+    **dict.fromkeys(["rows", "cols"], ("must be >= 2", ["1", "-1"])),
+    **dict.fromkeys(["total_spots", "lot_capacity"], ("must be >= 0", ["-1"])),
 }
 
 
 def test_every_float_flag_and_jobs_has_one_domain():
-    dests = {a.dest for _, parser in _COMMANDS for a in parser._actions
-             if a.type is float or a.dest == "jobs"}
+    """Every float and every integer flag, --jobs included, has one domain."""
+    dests = {a.dest for _, parser in _COMMANDS for a in parser._actions if a.type in (int, float)}
     domains = {dest: flag.domain for dest, flag in cli.FLAGS.items() if flag.domain}
     assert sorted(dests) == sorted(domains) == sorted(_DOMAINS)
     assert {dest: domain.rule for dest, domain in domains.items()} == {
@@ -921,7 +956,7 @@ def test_every_float_flag_and_jobs_has_one_domain():
                      id=f"{' '.join(words)} {a.option_strings[0][2:].replace('-', '_')}={value}")
         for words, parser in _COMMANDS
         for a in parser._actions
-        if a.type is float or a.dest == "jobs"  # a dest missing from _DOMAINS fails collection
+        if a.type in (int, float)  # a dest missing from _DOMAINS fails collection
         for value in _DOMAINS[a.dest][1]
     ],
 )
@@ -1066,7 +1101,8 @@ def test_nfd_window_must_be_whole_micro_steps(workdir, tmp_path, capsys, no_simu
         (["--control-interval", "0.3"], "horizon 0.5 hr is not a whole"),
         (["--control-interval", "0.2"], "horizon 0.5 hr is not a whole"),
         (["--control-interval", "0"], "--control-interval: must be > 0 and finite, got 0"),
-        (["--intervals", "0"], "prediction intervals must be >= 1"),
+        pytest.param(["--intervals", "0"], "--intervals: must be >= 1, got 0",
+                     id="flags3-prediction intervals must be >= 1"),
     ],
 )
 @pytest.mark.parametrize("command", ["mpc run", "compare --modes no-price,mpc"])

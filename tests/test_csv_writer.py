@@ -75,7 +75,6 @@ _ints = st.one_of(
 _strings = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'))
 KINDS = {
     "float": st.one_of(_floats, _floats.map(np.float64)),
-    "finite": st.one_of(_floats, _floats.map(np.float64)),
     "int": st.one_of(_ints, st.integers(-2**63, 2**63 - 1).map(np.int64)),
     "str": st.one_of(st.just(""), _strings),
 }

@@ -119,7 +119,7 @@ def digest_solve_open_loop():
 def digest_mpc_loop_macro_plant():
     p = _params()
     park, pas = uniform_profile(500, 360), uniform_profile(1500, 360)
-    plant = MacroPlant(p, park, pas, (0.0, 0.0))
+    plant = MacroPlant(p, park, pas)
     log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
     parts = [[it.applied for it in log], [plant.ineffective_cruising()]]
     for it in log:
@@ -144,7 +144,7 @@ def digest_micro_pull():
     p = macro_params_from_calibration(report, net, sc, 10.0 / 3600.0)
     sim = Simulation(net, sc, 1)
     plant = MicroPlant(sim, p)
-    plant.advance(0.5)
+    plant.advance((sc.tau_on, sc.tau_off), 0.5)
     state = plant.read_state()
     assert state.k == 180 and state.in_circuit(p.k_off) > 0.0
     park, pas = macro_demand(sc, p.dt)

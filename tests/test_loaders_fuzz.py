@@ -214,3 +214,4 @@ def test_run_dir_loader(seed_dir, fuzzed):
         assert res.summary.network_length > 0 and res.summary.v_off_f > 0
         assert res.dt_sim > 0 and res.summary.on_street_capacity >= 0
         assert all(np.isfinite(col).all() for col in res.series.values())
+        assert np.isfinite([x for ev in res.events for x in ev if type(x) is float]).all()

@@ -420,6 +420,39 @@ class TestOneKernel:
         assert _state_bytes(traj.final_state) == _state_bytes(final)
 
 
+class TestPriceRows:
+    """m price rows, each in force for n/m of the n steps, run as the same
+    prices given one row per step, bit for bit."""
+
+    N = TestOneKernel.N
+
+    def assert_same(self, a, b):
+        for name in ("t", *_ACC_NAMES, *StepFlows._fields):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert _state_bytes(a.final_state) == _state_bytes(b.final_state)
+
+    def run(self, rows):
+        p = TestOneKernel.params(DT)
+        state = simulate_macro(*TestOneKernel.demand(self.N, 1), p).final_state
+        park, pas, _ = TestOneKernel.demand(self.N, 2)
+        return simulate_macro(park, pas, rows, p, state)
+
+    def test_one_interval_and_step_rows_of_one_price_agree(self):
+        per_step = self.run(np.tile((1.5, 0.5), (self.N, 1)))
+        assert per_step.q_off_on.max() > 0.0
+        for m in (1, 6):
+            self.assert_same(self.run(np.tile((1.5, 0.5), (m, 1))), per_step)
+
+    def test_interval_rows_equal_their_per_step_expansion(self):
+        rows = np.random.default_rng(3).uniform(0.0, 4.0, (6, 2))
+        self.assert_same(self.run(rows), self.run(np.repeat(rows, self.N // 6, axis=0)))
+
+    @pytest.mark.parametrize("m", [3, 0])
+    def test_rows_that_do_not_divide_the_steps_rejected(self, m):
+        with pytest.raises(ValueError, match=rf"^{m} price rows do not divide the 10 steps$"):
+            simulate_macro(np.ones(10), np.ones(10), np.zeros((m, 2)), make_params())
+
+
 class TestChecks:
     """simulate_macro raises what each step's checks raise."""
 

@@ -163,6 +163,14 @@ class TestSolveOpenLoop:
         hist = sol.best_history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
+    @pytest.mark.parametrize("n", [170, 360])
+    def test_forecast_of_another_length_rejected(self, n):
+        # 360 steps would also split into the 2 intervals' price rows
+        park, pas = pressure_demand(n)
+        want = rf"^the forecast has {n} macro steps, but the 2 prediction intervals have 180$"
+        with pytest.raises(ValueError, match=want):
+            solve_open_loop(MacroState(), park, pas, make_params(), SMALL, None, (0.0, 0.0))
+
     def test_objective_deterministic(self):
         p = make_params()
         park, pas = pressure_demand(180)
@@ -194,21 +202,20 @@ class TestFullHorizon:
 
 
 class ProtocolPlant:
-    """A plant with the four methods of the plant protocol and nothing else."""
+    """A plant with the three methods of the plant protocol and nothing else."""
 
     def __init__(self, plant):
         self.read_state = plant.read_state
-        self.set_prices = plant.set_prices
         self.advance = plant.advance
         self.realized_n_c = plant.realized_n_c
 
 
 class TestMpcLoopMacroPlant:
-    def test_runs_on_the_four_method_protocol(self):
+    def test_runs_on_the_three_method_protocol(self):
         p = make_params()
         park, pas = pressure_demand()
-        direct = mpc_loop(MacroPlant(p, park, pas, (0.0, 0.0)), p, SMALL, park, pas, (0.0, 0.0))
-        plant = ProtocolPlant(MacroPlant(p, park, pas, (0.0, 0.0)))
+        direct = mpc_loop(MacroPlant(p, park, pas), p, SMALL, park, pas, (0.0, 0.0))
+        plant = ProtocolPlant(MacroPlant(p, park, pas))
         log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
         assert len(log) == len(direct) == 4
         for it, ref in zip(log, direct):
@@ -222,12 +229,12 @@ class TestMpcLoopMacroPlant:
         p = make_params()
         park, pas = pressure_demand(216)  # 0.6 hr, not a whole number of 0.25-hr intervals
         with pytest.raises(ValueError, match="horizon 0.6 hr is not a whole"):
-            mpc_loop(MacroPlant(p, park, pas, (0.0, 0.0)), p, SMALL, park, pas, (0.0, 0.0))
+            mpc_loop(MacroPlant(p, park, pas), p, SMALL, park, pas, (0.0, 0.0))
 
     def test_four_solves_per_hour(self):
         p = make_params()
         park, pas = pressure_demand()
-        plant = MacroPlant(p, park, pas, (0.0, 0.0))
+        plant = MacroPlant(p, park, pas)
         log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
         assert len(log) == 4
 
@@ -236,7 +243,7 @@ class TestMpcLoopMacroPlant:
         # schedule open loop reproduces the realized objective exactly
         p = make_params()
         park, pas = pressure_demand()
-        plant = MacroPlant(p, park, pas, (0.0, 0.0))
+        plant = MacroPlant(p, park, pas)
         log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
         rows = np.repeat([it.applied for it in log], SMALL.steps_per_interval(p.dt), axis=0)
         traj = simulate_macro(park, pas, rows, p)
@@ -247,16 +254,16 @@ class TestMpcLoopMacroPlant:
     def test_never_worse_than_no_control(self):
         p = make_params()
         park, pas = pressure_demand()
-        base = MacroPlant(p, park, pas, (0.0, 0.0))
-        base.advance(1.0)
-        plant = MacroPlant(p, park, pas, (0.0, 0.0))
+        base = MacroPlant(p, park, pas)
+        base.advance((0.0, 0.0), 1.0)
+        plant = MacroPlant(p, park, pas)
         mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
         assert plant.ineffective_cruising() <= base.ineffective_cruising() + 1e-9
 
     def test_prediction_matches_realization_on_macro_plant(self):
         p = make_params()
         park, pas = pressure_demand()
-        plant = MacroPlant(p, park, pas, (0.0, 0.0))
+        plant = MacroPlant(p, park, pas)
         log = mpc_loop(plant, p, SMALL, park, pas, (0.0, 0.0))
         for it in log:
             assert it.realized_n_c == pytest.approx(it.predicted_n_c, abs=1e-9)
@@ -279,7 +286,7 @@ class TestMicroPlant:
         net, sc, params = setup
         sim = Simulation(net, sc, 0)
         plant = MicroPlant(sim, params)
-        plant.advance(0.25)
+        plant.advance((sc.tau_on, sc.tau_off), 0.25)
         state = plant.read_state()
         on_net = len(sim.on_link())
         assert state.n_active() == pytest.approx(on_net)
@@ -292,7 +299,7 @@ class TestMicroPlant:
         net, sc, params = setup
         sim = Simulation(net, sc, 1)
         plant = MicroPlant(sim, params)
-        plant.advance(0.5)
+        plant.advance((sc.tau_on, sc.tau_off), 0.5)
         state = plant.read_state()
         n = 90
         traj = simulate_macro(
