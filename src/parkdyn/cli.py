@@ -7,13 +7,23 @@ wall-clock metadata goes only to a run_meta.json side file.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# Every BLAS call of this package (re-departure dots of a few hundred
+# entries, 3-parameter fits) is far below the sizes at which OpenBLAS splits
+# work, yet numpy's and scipy's OpenBLAS each start a thread pool when they
+# load. Ask for one thread before numpy loads, unless the environment says
+# otherwise; a process that loaded numpy first (a test run, a notebook) keeps
+# its own setting.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
-import concurrent.futures
 import csv
 import inspect
 import json
 import math
-import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -245,6 +255,8 @@ def cmd_micro_run(args):
     out = Path(args.out)
     workers = min(args.jobs, len(seeds))  # the pool starts all its workers at once
     if workers > 1:
+        import concurrent.futures  # only this branch pays for the import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             futs = {ex.submit(_run_one_seed, net, sc, s, out, args.nfd_window): s for s in seeds}
             for fut in concurrent.futures.as_completed(futs):
@@ -567,7 +579,10 @@ FLAGS = {
     "modes": _Flag({"default": ",".join(MODES)}),
     "control_interval": _Flag({"type": float, "default": 0.25, "help": "hr"}, _POSITIVE),
     "intervals": _Flag({"type": int, "default": 2}, _at_least(1)),
-    "starts": _Flag({"type": int, "default": 8}, _at_least(1)),
+    "starts": _Flag({"type": int, "default": 8,
+                     "help": "starts per solve: the prices in force, every price at "
+                             "--tau-min, every price at --tau-max, then random ones up to "
+                             "this count"}, _at_least(3)),
     "budget": _Flag({"type": int, "default": 400}, _at_least(1)),
     "controlled": _Flag({"default": "on"}),
     "tau_min": _Flag({"type": float, "default": 0.0}, _FINITE),

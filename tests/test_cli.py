@@ -742,7 +742,7 @@ def test_micro_run_starts_no_more_workers_than_seeds(
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     assert main(["micro", "run", "--net", str(workdir / "net.json"), "--config",
                  str(workdir / "scenario.json"), "--seeds", seeds, "--jobs", jobs,
                  "--out", str(tmp_path / "runs")]) == 0
@@ -799,7 +799,7 @@ def test_mpc_run_command(workdir, tmp_path):
         ["mpc", "run", "--net", str(workdir / "net.json"), "--config",
          str(workdir / "scenario.json"), "--calibration",
          _literal_calibration(tmp_path / "calibration.json"),
-         "--seeds", "0", "--starts", "2", "--budget", "20", "--controlled", "on,off",
+         "--seeds", "0", "--starts", "3", "--budget", "20", "--controlled", "on,off",
          "--out", str(out)]
     )
     assert rc == 0
@@ -822,7 +822,7 @@ def test_compare_emits_rows(workdir, tmp_path):
         ["compare", "--modes", "no-price,mpc,full-dynamic,full-static", "--net",
          str(workdir / "net.json"), "--config", str(workdir / "scenario.json"),
          "--calibration", _literal_calibration(tmp_path / "calibration.json"),
-         "--seeds", "0,1", "--starts", "2", "--budget", "20", "--controlled", "on,off",
+         "--seeds", "0,1", "--starts", "3", "--budget", "20", "--controlled", "on,off",
          "--out", str(out)]
     )
     assert rc == 0
@@ -933,7 +933,8 @@ _DOMAINS = {
     **dict.fromkeys(["tau_min", "tau_max", "tau_gap"], _FINITE),
     "upper_share": ("must lie in [0, 1]", ["nan", "-0.1", "1.5"]),
     "supply_fraction": ("must lie in (0, 1]", ["nan", "0", "1.5"]),
-    **dict.fromkeys(["jobs", "intervals", "starts", "budget"], ("must be >= 1", ["0", "-2"])),
+    **dict.fromkeys(["jobs", "intervals", "budget"], ("must be >= 1", ["0", "-2"])),
+    "starts": ("must be >= 3", ["2", "0", "-2"]),
     **dict.fromkeys(["rows", "cols"], ("must be >= 2", ["1", "-1"])),
     **dict.fromkeys(["total_spots", "lot_capacity"], ("must be >= 0", ["-1"])),
 }
@@ -1126,20 +1127,51 @@ def test_compare_solves_each_full_horizon_mode_once(workdir, tmp_path, monkeypat
     monkeypatch.setattr(mpc, "solve_full_horizon", counted)
     argv = _priced_argv(workdir, tmp_path, "compare --modes full-dynamic,full-static")
     argv[argv.index("--seeds") + 1] = "0,1"
-    assert main(argv + ["--starts", "2", "--budget", "20"]) == 0
+    assert main(argv + ["--starts", "3", "--budget", "20"]) == 0
     assert calls == ["dynamic", "static"]
     lines = (tmp_path / "out" / "comparison.csv").read_text().splitlines()
     assert len(lines) == 1 + 4
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is imported inside the fits, so `compare` and `micro run` never load it
+def _fresh_python(code, **env):
+    """The stripped stdout of ``code`` run by a new interpreter that imports
+    this parkdyn, with OPENBLAS_NUM_THREADS unset unless ``env`` sets it."""
     path = [str(Path(parkdyn.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, parkdyn.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = dict(base, PYTHONPATH=os.pathsep.join(filter(None, path)), **env)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported inside the fits, so `compare` and `micro run` never load it
+    code = "import sys, parkdyn.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    assert _fresh_python(code) == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only `micro run --jobs` with more than one seed uses one
+    code = "import sys, parkdyn.cli; print('concurrent.futures' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("imports, env, threads", [
+    ("parkdyn.cli", {}, "1"),
+    ("parkdyn.cli", {"OPENBLAS_NUM_THREADS": "3"}, "3"),  # the user's value wins
+    ("numpy, parkdyn.cli", {}, "None"),  # too late to matter, so left alone
+    ("parkdyn.microsim", {}, "None"),  # a library module sets nothing
+])
+def test_cli_import_asks_openblas_for_one_thread(imports, env, threads):
+    code = f"import os, {imports}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh_python(code, **env) == threads
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in Linux /proc")
+def test_cli_process_starts_no_blas_threads():
+    # numpy's and scipy's OpenBLAS would each start a pool on a multi-core machine
+    code = "import os, parkdyn.cli, scipy.optimize; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh_python(code) == "1"
 
 
 def _scenario_with(workdir, tmp_path, **fields):
