@@ -29,14 +29,21 @@ order: links in ``link_order``, and the vehicles on a link in the order
 they entered it.
 
 One step's movement sweep is array-shaped. Link counts, Greenshields
-speeds, the single-lane cruiser cap and every vehicle's advance come from a
-few numpy passes over the on-link slots, and the vehicles without a due
-search re-check advance elementwise. Only vehicles with an event (an
-arrival at the link end, or a cruiser on a supplied link whose re-check is
-due) then go through a sequential Python pass in sweep order, so that spot
-races resolve as in a per-vehicle sweep; a due cruiser that finds no free
-spot advances there. The step's distance is summed left to right in sweep
-order.
+speeds and the single-lane cruiser cap come from a few numpy passes over
+the on-link slots, in any order. A vehicle that stands (its link's speed
+is 0, it is short of the link's end and its search re-check is not due)
+advances by exactly +0.0, so its step adds driving time and nothing else:
+with every speed > 0, adding +0.0 to its non-negative position, distances
+and free-flow time changes no bit, and it can neither arrive nor park. Such
+vehicles get their driving time and leave the sweep; on a jammed grid they
+are most of the vehicle-steps. The others are sorted into sweep order, and
+their advances come from a few more numpy passes; those without a due
+re-check advance elementwise. Only vehicles with an event (an arrival at
+the link end, or a cruiser on a supplied link whose re-check is due) then
+go through a sequential Python pass in sweep order, so that spot races
+resolve as in a per-vehicle sweep; a due cruiser that finds no free spot
+advances there. The step's distance is summed left to right in sweep
+order; the standing vehicles' +0.0 terms would not change it.
 """
 
 from __future__ import annotations
@@ -302,7 +309,7 @@ class _Vehicle:
         self.desired_speed = desired_speed  # km/hr
         self.cruise_speed = cruise_speed  # km/hr, while family iv
         self.family = "new"
-        self.route = []
+        self.route = ()
         self.route_i = 0
         self.target_link = None
         self.dist_iv = 0.0
@@ -446,6 +453,11 @@ class Simulation:
 
         self._build_demand(rng, list(network.boundary_nodes()))
         self._block_spots(rng)
+        # _sweep drops standing vehicles only where their advance and
+        # free-flow time are +0.0, which needs every speed > 0
+        self._speeds_positive = all(
+            v.desired_speed > 0.0 and v.cruise_speed > 0.0 for v in self.vehicles
+        )
 
         self.link_order = sorted(network.links)
         self.link_rank = {lid: r for r, lid in enumerate(self.link_order)}
@@ -704,7 +716,7 @@ class Simulation:
         self._seq += 1
         heapq.heappush(heap, (t_s, self._seq, veh))
 
-    def _drive(self, veh: _Vehicle, route: list[str]):
+    def _drive(self, veh: _Vehicle, route: tuple[str, ...]):
         """Start ``veh`` on ``route``; with no route it is at its destination and exits."""
         if not route:
             self._log(veh, "exited", "")
@@ -758,7 +770,7 @@ class Simulation:
                 goal = self.lot.entry_link
                 self._log(veh, "ii", goal)
             head = self.net.path_links(veh.origin, self.net.links[goal].from_node)
-            self._drive(veh, head + [goal])
+            self._drive(veh, (*head, goal))
 
     def _circuit_exits(self):
         while self.circuit_heap and self.circuit_heap[0][0] <= self.t:
@@ -798,14 +810,28 @@ class Simulation:
         if not on.size:
             return 0.0
         keys = self.link_key[on]
-        order = keys.argsort()
-        on = on[order]
-        lk = keys[order] >> _SEQ_BITS  # link rank of each vehicle, in sweep order
+        lk = keys >> _SEQ_BITS  # link rank of each vehicle
         # Greenshields speed from the density of the other vehicles on the
         # link, in the operation order of network.greenshields_speed
         k = (np.bincount(lk, minlength=len(self._length)) - 1) / self._lane_km
         eff = np.maximum(self._vf * (1.0 - k / self._kj), 0.0)
         np.minimum.at(eff, lk, self.cruiser_cap[on])  # single-lane links: the slowest cruiser
+        if self._speeds_positive and np.count_nonzero(eff) < eff.size:
+            # A vehicle on a link at speed 0, short of its end and with no
+            # due re-check, advances by exactly +0.0: its step adds only
+            # driving time, and it leaves the sweep.
+            stand = eff[lk] == 0.0
+            stand &= self.next_recheck_s[on] > self.t
+            stand &= self.pos[on] < self._length[lk]
+            if stand.any():
+                self.drive_time_s[on[stand]] += self.dt
+                go = ~stand
+                on, keys, lk = on[go], keys[go], lk[go]
+                if not on.size:
+                    return 0.0
+        order = keys.argsort()
+        on = on[order]
+        lk = lk[order]  # in sweep order
         adv = np.minimum(eff[lk], self.speed_cap[on]) * self.dt_hr
         room = self._length[lk] - self.pos[on]
         arrived = adv >= room

@@ -132,6 +132,7 @@ class Network:
         for ln in self.links.values():
             self._reverse[ln.id] = by_pair.get((ln.to_node, ln.from_node))
         self._next_hop: dict[int, dict[int, str]] | None = None
+        self._paths: dict[tuple[int, int], tuple[str, ...]] = {}
 
     @property
     def total_parking_capacity(self) -> int:
@@ -187,16 +188,20 @@ class Network:
             self._next_hop = table
         return self._next_hop
 
-    def path_links(self, origin: int, dest: int) -> list[str]:
-        """Free-flow shortest path as a link sequence (empty if origin==dest)."""
-        hop = self.next_hop()[dest]
-        path, node = [], origin
-        while node != dest:
-            if node not in hop:
-                raise ValueError(f"no path from {origin} to {dest}")
-            lid = hop[node]
-            path.append(lid)
-            node = self.links[lid].to_node
+    def path_links(self, origin: int, dest: int) -> tuple[str, ...]:
+        """Free-flow shortest path as a link sequence (empty if origin==dest),
+        found once per (origin, dest)."""
+        path = self._paths.get((origin, dest))
+        if path is None:
+            hop = self.next_hop()[dest]
+            steps, node = [], origin
+            while node != dest:
+                if node not in hop:
+                    raise ValueError(f"no path from {origin} to {dest}")
+                lid = hop[node]
+                steps.append(lid)
+                node = self.links[lid].to_node
+            path = self._paths[origin, dest] = tuple(steps)
         return path
 
     def is_strongly_connected(self) -> bool:

@@ -11,6 +11,7 @@ from parkdyn.microsim import (
     GuidanceConfig,
     ScenarioConfig,
     Simulation,
+    _Vehicle,
     apply_regional_guidance,
     choose_parking_alternative,
     mean_network_speed,
@@ -170,7 +171,6 @@ class TestStep:
         net = small_net(lot_capacity=0)
         sc = small_scenario(parker_count=0, passer_count=0, captive_spots=0)
         sim = Simulation(net, sc, 0)
-        from parkdyn.microsim import _Vehicle
 
         cruiser = _Vehicle(0, 0.0, 0, 8, "park-on", 0.2, 50.0, 10.0, False)
         cruiser.family = "iv"
@@ -194,7 +194,6 @@ class TestStep:
         sim = Simulation(net, sc, 0)
         lot = sim.lot
         sim.family_count["vi"] = 1  # lot already full
-        from parkdyn.microsim import _Vehicle
 
         veh = _Vehicle(0, 0.0, 0, 8, "park-off", 0.2, 50.0, 30.0, False)
         veh.family = "ii"
@@ -391,14 +390,106 @@ def test_preoccupied_spots_vacate_on_schedule():
     assert sim.occupied_on == 5
 
 
-def test_gridlock_flagged_not_fatal():
-    # two head-on vehicles on a 2-node shuttle cannot move once both links jam
+def jammed_shuttle(spots=0):
+    """Two 1-km links between nodes 0 and 1 at jam density 1 veh/km: a link
+    with two vehicles on it is jammed, and each of them stands."""
     nodes = [Node(0), Node(1)]
-    links = [Link("0-1", 0, 1, 0.01, jam_density=100.0), Link("1-0", 1, 0, 0.01, jam_density=100.0)]
-    net = Network(nodes, links)
+    links = [
+        Link("0-1", 0, 1, 1.0, jam_density=1.0, parking_capacity=spots),
+        Link("1-0", 1, 0, 1.0, jam_density=1.0),
+    ]
+    return Network(nodes, links)
+
+
+def place_on_jammed_link(sim, vehicles):
+    """Put ``vehicles`` (two or more) on link 0-1 of a jammed shuttle; its
+    passers are in transit to node 1."""
+    sim.vehicles = vehicles
+    sim.injected = len(vehicles)
+    sim._alloc_slots()
+    for veh in vehicles:
+        if veh.purpose == "pass":
+            veh.family = "iii"
+            veh.route = ("0-1",)
+        sim.family_count[veh.family] += 1
+        sim._place(veh, "0-1")
+
+
+def test_gridlock_flagged_not_fatal():
+    # every passer soon stands on a jammed link, so no step moves anybody:
+    # the run completes, flags gridlock, and the step distance stays 0
     sc = ScenarioConfig(parker_count=0, passer_count=40, horizon=0.1, gridlock_steps=30)
-    res = Simulation(net, sc, 0).run()
-    assert res.summary.injected > 0  # run completed despite congestion
+    res = Simulation(jammed_shuttle(), sc, 0).run()
+    assert res.summary.injected == 40
+    assert res.summary.exited == 0
+    assert res.summary.gridlock
+    dist = res.series["dist_km"]
+    assert len(dist) == 360
+    assert int((dist == 0.0).sum()) == 342
+
+
+def test_standing_vehicle_gains_only_driving_time():
+    sim = Simulation(jammed_shuttle(), ScenarioConfig(), 0)
+    passers = [_Vehicle(vid, 0.0, 0, 1, "pass", 0.0, 50.0, 30.0, False) for vid in range(2)]
+    place_on_jammed_link(sim, passers)
+    # mid-trip values, so that any changed bit shows
+    sim.pos[:] = [0.1, 0.7]
+    sim.dist_family[:] = [1.3, 2.9]
+    sim.dist_total[:] = [4.1, 5.3]
+    sim.freeflow_time_s[:] = [71.3, 333.7]
+    sim.drive_time_s[:] = [100.1, 200.3]
+    kept = ("pos", "dist_family", "dist_total", "freeflow_time_s")
+    before = {name: getattr(sim, name).tobytes() for name in kept}
+    drive = sim.drive_time_s.copy()
+    for _ in range(5):
+        sim.step()
+        drive += sim.dt
+        assert sim.drive_time_s.tobytes() == drive.tobytes()
+        assert {name: getattr(sim, name).tobytes() for name in kept} == before
+    assert sim.series()["dist_km"].tolist() == [0.0] * 5
+    assert sim.still_steps == 5
+
+
+def test_vehicle_at_the_end_of_a_jammed_link_arrives():
+    sim = Simulation(jammed_shuttle(), ScenarioConfig(), 0)
+    passers = [_Vehicle(vid, 0.0, 0, 1, "pass", 0.0, 50.0, 30.0, False) for vid in range(2)]
+    place_on_jammed_link(sim, passers)
+    sim.pos[1] = 1.0  # at the end of link 0-1: no room left, so its 0 advance arrives
+    sim.step()
+    assert passers[1].family == "exited"
+    assert passers[0].family == "iii"
+    assert sim.link_key[1] == -1
+
+
+def test_zero_speed_driver_stays_in_the_sweep():
+    # a desired speed of 0 makes every step's free-flow time 0 / 0 = NaN,
+    # on a jammed link too
+    sc = ScenarioConfig(passer_count=2, desired_speed=0.0, desired_speed_jitter=0.0)
+    sim = Simulation(jammed_shuttle(), sc, 0)
+    place_on_jammed_link(sim, sim.vehicles)
+    with np.errstate(invalid="ignore"):
+        sim.step()
+    assert np.isnan(sim.freeflow_time_s).all()
+
+
+def test_due_cruiser_on_jammed_link_parks_when_a_spot_frees():
+    sim = Simulation(jammed_shuttle(spots=1), ScenarioConfig(), 0)
+    cruiser = _Vehicle(0, 0.0, 0, 1, "park-on", 0.2, 50.0, 30.0, False)
+    cruiser.family = "iv"
+    passer = _Vehicle(1, 0.0, 0, 1, "pass", 0.0, 50.0, 30.0, False)
+    sim._take_spot("0-1")  # the link's one spot is taken
+    place_on_jammed_link(sim, [cruiser, passer])
+    recheck_s = sim.next_recheck_s[cruiser.vid]
+    sim.run_until(recheck_s + 10.0)  # due from recheck_s on, with no free spot
+    assert cruiser.family == "iv"
+    assert sim.pos[cruiser.vid] == 0.0
+    sim._free_spot("0-1")
+    t_s = sim.t
+    sim.step()
+    assert cruiser.family == "v"
+    assert sim.link_key[cruiser.vid] == -1
+    assert sim.free["0-1"] == 0
+    assert sim.events[-1][:5] == (cruiser.vid, t_s, "iv", "v", "0-1")
 
 
 @pytest.mark.parametrize(

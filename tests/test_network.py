@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from parkdyn.network import (
     DurationDistribution,
+    Link,
+    Network,
     NetworkFormatError,
     Node,
     OffStreetLot,
@@ -46,6 +48,23 @@ def test_grid_interior_degree_four():
     net = build_grid(4, 4, 0.1, 50, 100, 0)
     interior = 1 * 4 + 1  # node (1,1) has id 5
     assert len(net.out_links[5]) == 4
+
+
+def test_path_links_shortest_and_found_once():
+    net = build_grid(3, 3, 0.1, 50, 100, 0)
+    path = net.path_links(0, 8)
+    assert isinstance(path, tuple) and len(path) == 4  # corner to corner
+    assert net.links[path[0]].from_node == 0 and net.links[path[-1]].to_node == 8
+    assert all(net.links[a].to_node == net.links[b].from_node for a, b in zip(path, path[1:]))
+    assert net.path_links(0, 8) is path
+    assert net.path_links(4, 4) == ()
+
+
+def test_path_links_without_a_path_raises_every_time():
+    net = Network([Node(0), Node(1)], [Link("0-1", 0, 1, 0.1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no path from 1 to 0"):
+            net.path_links(1, 0)
 
 
 def test_region_split_into_two_halves():
