@@ -33,7 +33,8 @@ speeds and the single-lane cruiser cap come from a few numpy passes over
 the on-link slots, in any order. A vehicle that stands (its link's speed
 is 0, it is short of the link's end and its search re-check is not due)
 advances by exactly +0.0, so its step adds driving time and nothing else:
-with every speed > 0, adding +0.0 to its non-negative position, distances
+with every speed > 0 (``ScenarioConfig`` rejects a speed range that
+reaches 0), adding +0.0 to its non-negative position, distances
 and free-flow time changes no bit, and it can neither arrive nor park. Such
 vehicles get their driving time and leave the sweep; on a jammed grid they
 are most of the vehicle-steps. The others are sorted into sweep order, and
@@ -180,6 +181,14 @@ class ScenarioConfig:
         self.n_steps  # raises unless dt_sim divides the horizon
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+        # drivers draw their speeds from [speed - |jitter|, speed + |jitter|]
+        for name in ("desired_speed", "cruise_speed"):
+            speed, jitter = getattr(self, name), getattr(self, f"{name}_jitter")
+            if not speed - abs(jitter) > 0.0:
+                raise ValueError(
+                    f"field {name!r} must exceed |{name}_jitter| so that every drawn speed "
+                    f"is > 0, got {speed:g} and {jitter:g}"
+                )
 
     @property
     def n_steps(self) -> int:
@@ -453,11 +462,6 @@ class Simulation:
 
         self._build_demand(rng, list(network.boundary_nodes()))
         self._block_spots(rng)
-        # _sweep drops standing vehicles only where their advance and
-        # free-flow time are +0.0, which needs every speed > 0
-        self._speeds_positive = all(
-            v.desired_speed > 0.0 and v.cruise_speed > 0.0 for v in self.vehicles
-        )
 
         self.link_order = sorted(network.links)
         self.link_rank = {lid: r for r, lid in enumerate(self.link_order)}
@@ -816,7 +820,7 @@ class Simulation:
         k = (np.bincount(lk, minlength=len(self._length)) - 1) / self._lane_km
         eff = np.maximum(self._vf * (1.0 - k / self._kj), 0.0)
         np.minimum.at(eff, lk, self.cruiser_cap[on])  # single-lane links: the slowest cruiser
-        if self._speeds_positive and np.count_nonzero(eff) < eff.size:
+        if np.count_nonzero(eff) < eff.size:
             # A vehicle on a link at speed 0, short of its end and with no
             # due re-check, advances by exactly +0.0: its step adds only
             # driving time, and it leaves the sweep.

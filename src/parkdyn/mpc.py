@@ -19,6 +19,7 @@ from .macromodel import (
     MacroParams,
     MacroState,
     MacroTrajectories,
+    PrefixCache,
     simulate_macro,
 )
 from .microsim import Simulation, cruising_veh_hr, macro_blocks, whole_steps
@@ -184,12 +185,17 @@ def solve_open_loop(
         return fixed.reshape(-1)
 
     cache: dict[bytes, float] = {}
+    # a candidate differs from the incumbent in few intervals, so most
+    # evaluations resume from a prefix an earlier one simulated
+    prefixes = PrefixCache()
 
     def evaluate(x: np.ndarray) -> float:
         key = x.tobytes()
         if key in cache:
             return cache[key]
-        traj = simulate_macro(park_forecast, pass_forecast, full_matrix(x), params, state)
+        traj = simulate_macro(
+            park_forecast, pass_forecast, full_matrix(x), params, state, prefixes
+        )
         val = objective_ineffective_cruising(traj, params)
         cache[key] = val
         return val

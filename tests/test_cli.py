@@ -289,6 +289,23 @@ def test_integer_beyond_float_range_names_field(workdir, tmp_path, capsys, no_si
     ]
 
 
+@pytest.mark.parametrize("name", ["desired_speed", "cruise_speed"])
+def test_micro_run_rejects_speed_range_reaching_zero(workdir, tmp_path, capsys, no_simulation, name):
+    bad = tmp_path / "scenario.json"
+    bad.write_text(_json_with(lambda d: d.update({name: 5.0, f"{name}_jitter": 5.0}))(
+        (workdir / "scenario.json").read_text()))
+    rc = main(["micro", "run", "--net", str(workdir / "net.json"), "--config", str(bad),
+               "--seeds", "0", "--out", str(tmp_path / "runs")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: scenario file {bad}: field {name!r} must exceed |{name}_jitter| so that every "
+        "drawn speed is > 0, got 5 and 5"
+    ]
+    assert not (tmp_path / "runs").exists()
+
+
 def _rename(doc, where, new_id):
     """Give the first link or the lot of a network document ``new_id``,
     everywhere the document names it."""

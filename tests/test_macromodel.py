@@ -1,15 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parkdyn import macromodel
 from parkdyn.estimators import DistanceModel
 from parkdyn.macromodel import (
     ConservationError,
     MacroParams,
+    PREFIX_CACHE_SIZE,
     MacroState,
     NfdModel,
+    PrefixCache,
     StepFlows,
     macro_step,
     nfd_speed,
@@ -451,6 +455,120 @@ class TestPriceRows:
     def test_rows_that_do_not_divide_the_steps_rejected(self, m):
         with pytest.raises(ValueError, match=rf"^{m} price rows do not divide the 10 steps$"):
             simulate_macro(np.ones(10), np.ones(10), np.zeros((m, 2)), make_params())
+
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2,), (6, 2, 1), (6, 1)])
+    def test_prices_of_another_shape_rejected(self, shape):
+        # a (2, 3) array holds three (tau_on, tau_off) pairs as numbers, but
+        # not as rows
+        want = rf"^prices must have shape \(m, 2\), got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=want):
+            simulate_macro(np.ones(6), np.ones(6), np.zeros(shape), make_params())
+
+
+class TestPrefixCache:
+    """Runs through a PrefixCache resume from the longest cached prefix of
+    their price rows and return a fresh run's bits."""
+
+    N = 24
+
+    @staticmethod
+    def start():
+        p = TestOneKernel.params(DT)
+        state = simulate_macro(*TestOneKernel.demand(TestOneKernel.N, 1), p).final_state
+        park, pas, _ = TestOneKernel.demand(TestPrefixCache.N, 2)
+        return p, state, park, pas
+
+    @staticmethod
+    def schedules():
+        """For m = 2, 4 and 12 rows: a base schedule, and for every j < m a
+        schedule that shares its first j rows and differs in row j."""
+        rng = np.random.default_rng(5)
+        out = []
+        for m in (2, 4, 12):
+            base = rng.uniform(0.0, 4.0, (m, 2))
+            out.append(base)
+            for j in range(m):
+                other = base.copy()
+                other[j:] = rng.uniform(0.0, 4.0, (m - j, 2))
+                out.append(other)
+        return out
+
+    @staticmethod
+    def bits(traj):
+        arrays = [getattr(traj, name) for name in ("t", *_ACC_NAMES, *StepFlows._fields)]
+        s = traj.final_state
+        scalars = [s.n_m_off, s.n_m_on, s.n_m_pass, s.n_c, s.n_off, s.n_on, s.k,
+                   s.cum_inflow, s.cum_exit]
+        arrays += [np.asarray(scalars, dtype=float), s.o_c_hist, s.o_off_hist, s.q_off_on_hist]
+        return [a.view(np.int64) for a in arrays]
+
+    def assert_same(self, a, b):
+        for x, y in zip(self.bits(a), self.bits(b), strict=True):
+            assert x.shape == y.shape and np.array_equal(x, y)
+
+    @pytest.mark.parametrize("order", ["forward", "backward", "shuffled"])
+    @pytest.mark.parametrize("capacity", [1, PREFIX_CACHE_SIZE, 10**6])
+    def test_cached_runs_equal_fresh_runs(self, capacity, order, monkeypatch):
+        monkeypatch.setattr(macromodel, "PREFIX_CACHE_SIZE", capacity)
+        p, state, park, pas = self.start()
+        assert p.k_off >= 1 and state.in_circuit(p.k_off) > 0.0  # overflow in the circuit
+        schedules = self.schedules()
+        fresh = [simulate_macro(park, pas, rows, p, state) for rows in schedules]
+        index = list(range(len(schedules)))
+        if order == "backward":
+            index.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(7).shuffle(index)
+        cache = PrefixCache()
+        for i in index + index:  # the second pass finds its prefixes cached
+            traj = simulate_macro(park, pas, schedules[i], p, state, cache)
+            self.assert_same(traj, fresh[i])
+            assert len(cache) <= capacity
+        assert state.k == TestOneKernel.N  # the start state is not advanced
+
+    def test_resumes_from_the_longest_cached_prefix(self, monkeypatch):
+        p, state, park, pas = self.start()
+        simulated = []
+        run = macromodel._run
+
+        def counting(state, inflows, params, weights):
+            acc, flows = run(state, inflows, params, weights)
+            simulated.append(len(flows) // len(StepFlows._fields))
+            return acc, flows
+
+        monkeypatch.setattr(macromodel, "_run", counting)
+        monkeypatch.setattr(macromodel, "PREFIX_CACHE_SIZE", 10**6)
+        cache = PrefixCache()
+        rows = np.random.default_rng(9).uniform(0.0, 4.0, (4, 2))
+        simulate_macro(park, pas, rows, p, state, cache)
+        assert simulated == [6, 6, 6, 6]  # one row at a time, from the start
+        for j in (3, 1, 2, 0):
+            other = rows.copy()
+            other[j] += 1.0
+            simulated.clear()
+            self.assert_same(simulate_macro(park, pas, other, p, state, cache),
+                             simulate_macro(park, pas, other, p, state))
+            assert simulated[:-1] == [6] * (4 - j) and simulated[-1] == self.N  # then the fresh run
+
+    def test_cache_of_another_forecast_or_start_state_rejected(self):
+        p, state, park, pas = self.start()
+        rows = np.zeros((2, 2))
+        cache = PrefixCache()
+        simulate_macro(park, pas, rows, p, state, cache)
+        other_state = state.copy()
+        other_state.o_c_hist = state.o_c_hist.copy()
+        other_state.o_c_hist[3] += 1e-12
+        for args in (
+            (park * 2.0, pas, rows, p, state),
+            (park, pas[::-1], rows, p, state),
+            (park, pas, rows, p, MacroState()),
+            (park, pas, rows, p, other_state),
+            (park, pas, rows, TestOneKernel.params(DT / 2), state),
+        ):
+            with pytest.raises(ValueError, match="^a prefix cache serves the runs of one "):
+                simulate_macro(*args, cache)
+        simulate_macro(park, pas, rows, p, state.copy(), cache)  # an equal state is the same
 
 
 class TestChecks:

@@ -461,15 +461,17 @@ def test_vehicle_at_the_end_of_a_jammed_link_arrives():
     assert sim.link_key[1] == -1
 
 
-def test_zero_speed_driver_stays_in_the_sweep():
-    # a desired speed of 0 makes every step's free-flow time 0 / 0 = NaN,
-    # on a jammed link too
-    sc = ScenarioConfig(passer_count=2, desired_speed=0.0, desired_speed_jitter=0.0)
-    sim = Simulation(jammed_shuttle(), sc, 0)
-    place_on_jammed_link(sim, sim.vehicles)
-    with np.errstate(invalid="ignore"):
-        sim.step()
-    assert np.isnan(sim.freeflow_time_s).all()
+@pytest.mark.parametrize("name", ["desired_speed", "cruise_speed"])
+@pytest.mark.parametrize(
+    "speed, jitter", [(0.0, 0.0), (-1.0, 0.0), (5.0, 5.0), (5.0, -5.0), (4.0, 5.0), (math.nan, 0.0)]
+)
+def test_speed_range_reaching_zero_rejected(name, speed, jitter):
+    # a driver drawn at 0 km/hr would take 0 / 0 = NaN free-flow time per
+    # step, and one below 0 would drive backwards
+    want = rf"^field '{name}' must exceed \|{name}_jitter\| so that every drawn speed is > 0, "
+    with pytest.raises(ValueError, match=want):
+        ScenarioConfig(**{name: speed, f"{name}_jitter": jitter})
+    ScenarioConfig(**{name: 5.0, f"{name}_jitter": -4.999})
 
 
 def test_due_cruiser_on_jammed_link_parks_when_a_spot_frees():

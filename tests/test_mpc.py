@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from parkdyn import macromodel, mpc
 from parkdyn.estimators import DistanceModel
 from parkdyn.macromodel import (
     MacroParams,
@@ -178,6 +179,48 @@ class TestSolveOpenLoop:
         b = solve_open_loop(MacroState(), park, pas, p, SMALL, (0.0, 0.0), (0.0, 0.0))
         assert a.objective == b.objective
         assert np.array_equal(a.prices, b.prices)
+
+
+class TestPrefixReuse:
+    def test_cached_solve_equals_uncached_and_simulates_fewer_steps(self, monkeypatch):
+        # A10-sized: four 0.25-hr intervals over the 1-hr horizon, four
+        # starts of 80 evaluations, from a mid-run state
+        p = make_params()
+        park, pas = pressure_demand(360)
+        state = simulate_macro(park[:90], pas[:90], [(0.0, 0.0)], p).final_state
+        cfg = replace(SMALL, n_intervals=4, n_starts=4, budget=80)
+        simulated = [0]
+        run = macromodel._run
+
+        def counting(state, inflows, params, weights):
+            acc, flows = run(state, inflows, params, weights)
+            simulated[0] += len(flows) // 4
+            return acc, flows
+
+        monkeypatch.setattr(macromodel, "_run", counting)
+
+        def solve():
+            simulated[0] = 0
+            sol = solve_open_loop(
+                state, park, pas, p, cfg, None, (0.0, 0.0), extra_starts=[np.full(4, 2.0)]
+            )
+            return sol, simulated[0]
+
+        cached, cached_steps = solve()
+        simulate = mpc.simulate_macro
+
+        def uncached(park, pas, prices, params, initial_state=None, cache=None):
+            return simulate(park, pas, prices, params, initial_state)
+
+        monkeypatch.setattr(mpc, "simulate_macro", uncached)
+        fresh, fresh_steps = solve()
+        assert cached.prices.tobytes() == fresh.prices.tobytes()
+        assert (cached.objective, cached.evaluations, cached.indifferent) == (
+            fresh.objective, fresh.evaluations, fresh.indifferent
+        )
+        assert np.array(cached.best_history).tobytes() == np.array(fresh.best_history).tobytes()
+        assert not fresh.indifferent
+        assert cached_steps <= 0.8 * fresh_steps
 
 
 class TestFullHorizon:
