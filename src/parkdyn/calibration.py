@@ -88,6 +88,8 @@ _MOVING_END = {
     "ii": ("vi", "iv"),
     "iii": ("exited",),
 }
+# the calibrated mean moving distance of each moving family
+_MOVING_DISTANCE = {"i": "l_m_on", "ii": "l_m_off", "iii": "l_m_pass"}
 
 
 def replication_moving_distances(events: list[Event]) -> dict[str, float]:
@@ -95,7 +97,7 @@ def replication_moving_distances(events: list[Event]) -> dict[str, float]:
     vehicle's travel distance is segmented by family; the cruising segment
     (family iv) is excluded here. A family with no completed segment is
     left out."""
-    sums = {"i": [], "ii": [], "iii": []}
+    sums = {fam: [] for fam in _MOVING_DISTANCE}
     for ev in events:
         ends = _MOVING_END.get(ev.from_family)
         if ends and ev.to_family in ends:
@@ -107,26 +109,17 @@ def moving_distance_stats(replication_means: Iterable[dict[str, float]]) -> dict
     """Mean and standard deviation across replications of the
     ``replication_moving_distances`` of each; a family absent from every
     replication is reported as None."""
-    per_rep = {"i": [], "ii": [], "iii": []}
+    per_rep = {fam: [] for fam in _MOVING_DISTANCE}
     for means in replication_means:
         for fam, mean in means.items():
             per_rep[fam].append(mean)
-
-    def agg(fam):
+    stats, std = {}, {}
+    for fam, name in _MOVING_DISTANCE.items():
         vals = per_rep[fam]
-        if not vals:
-            return None, None
-        return float(np.mean(vals)), float(np.std(vals))
-
-    l_on, s_on = agg("i")
-    l_off, s_off = agg("ii")
-    l_pass, s_pass = agg("iii")
-    return {
-        "l_m_on": l_on,
-        "l_m_off": l_off,
-        "l_m_pass": l_pass,
-        "std": {"l_m_on": s_on, "l_m_off": s_off, "l_m_pass": s_pass},
-    }
+        stats[name] = float(np.mean(vals)) if vals else None
+        std[name] = float(np.std(vals)) if vals else None
+    stats["std"] = std
+    return stats
 
 
 def extract_occupancy_distance(
@@ -239,16 +232,14 @@ def calibrate(
         raise ValueError("no runs to calibrate from")
     nfd, nfd_diag = fit_nfd(samples)
     dists = moving_distance_stats(moving)
-    missing = [k for k in ("l_m_on", "l_m_off", "l_m_pass") if dists[k] is None]
+    missing = [name for name in _MOVING_DISTANCE.values() if dists[name] is None]
     if missing:
         raise FitDegenerateError(f"no moving-distance observations for {missing}")
     dmodel, ddiag = fit_distance_curve(obs)
     return CalibrationReport(
         nfd=nfd,
         nfd_diag=nfd_diag,
-        l_m_on=dists["l_m_on"],
-        l_m_off=dists["l_m_off"],
-        l_m_pass=dists["l_m_pass"],
+        **{name: dists[name] for name in _MOVING_DISTANCE.values()},
         distance_model=dmodel,
         distance_diag=ddiag,
         moving_distance_std=dists["std"],

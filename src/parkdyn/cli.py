@@ -448,20 +448,20 @@ MODES = ("no-price", "mpc", "full-dynamic", "full-static")
 def run_mode(mode, net, sc, params, cfg, seed, prices=None):
     """One plant replication under one pricing mode. Returns the four
     time-related metrics of the comparison and, in "mpc" mode, the loop's
-    iterations (else None). The full-horizon modes apply the (tau_on,
-    tau_off) rows of ``prices`` in turn, each for an equal share of the horizon."""
+    iterations (else None). The other modes apply the (tau_on, tau_off) rows
+    of ``prices`` in turn, each for an equal share of the horizon; "no-price"
+    applies the scenario's own prices as its one row."""
     sim = microsim.Simulation(net, sc, seed)
+    plant = mpc.MicroPlant(sim, params)
     iterations = None
-    if mode == "no-price":
-        sim.run()
+    if mode == "mpc":
+        park, pas = scenarios.macro_demand(sc, params.dt)
+        iterations = mpc.mpc_loop(plant, params, cfg, park, pas, (sc.tau_on, sc.tau_off))
     else:
-        plant = mpc.MicroPlant(sim, params)
-        if mode == "mpc":
-            park, pas = scenarios.macro_demand(sc, params.dt)
-            iterations = mpc.mpc_loop(plant, params, cfg, park, pas, (sc.tau_on, sc.tau_off))
-        else:
-            for row in prices:
-                plant.advance(row, sc.horizon / len(prices))
+        if mode == "no-price":
+            prices = [(sc.tau_on, sc.tau_off)]
+        for row in prices:
+            plant.advance(row, sc.horizon / len(prices))
     return microsim.time_metrics(sim.series(), sim.dt, sim.l_off, sim.v_off_f), iterations
 
 

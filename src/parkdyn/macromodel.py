@@ -448,10 +448,12 @@ def simulate_macro(
     (i+1)*n/m - 1. The parking inflow is split on/off-street by the choice
     model at each row's prices.
 
-    With a ``cache``, the run starts from the state at the end of the
-    longest proper prefix ``prices[:j]`` the cache holds, simulates only
-    rows j..m-1, and returns the same full-length trajectories, bit for
-    bit, as a run without it.
+    The run advances a copy of the start state through rows j..m-1, one
+    ``_run`` per row, each restarting from the floats the last wrote back.
+    Without a ``cache`` j is 0. With one, it resumes from the state at the
+    end of the longest proper prefix ``prices[:j]`` the cache holds and
+    takes the first j rows' trajectories from it, so it returns the same
+    full-length trajectories, bit for bit, as a run without it.
     """
     park_inflow = np.asarray(park_inflow, dtype=float)
     pass_inflow = np.asarray(pass_inflow, dtype=float)
@@ -461,31 +463,42 @@ def simulate_macro(
     prices = np.asarray(prices, dtype=float)
     if prices.ndim != 2 or prices.shape[1] != 2:
         raise ValueError(f"prices must have shape (m, 2), got {prices.shape}")
-    if len(prices) == 0 or n_steps % len(prices):
-        raise ValueError(f"{len(prices)} price rows do not divide the {n_steps} steps")
+    m = len(prices)
+    if m == 0 or n_steps % m:
+        raise ValueError(f"{m} price rows do not divide the {n_steps} steps")
+    per_row = n_steps // m
     state = initial_state if initial_state is not None else MacroState()
-    if cache is None:
-        state = state.copy()
-        _make_room(state, n_steps)
-        weights = params.redeparture_weights(state.k + n_steps)
-        rows = _split_rows(park_inflow, pass_inflow, prices, params)
-        acc, flows = _tables(*_run(state, rows, params, weights))
-    else:
-        acc, flows, state = cache.run(park_inflow, pass_inflow, prices, params, state)
+    j, head = 0, None
+    if cache is not None:
+        j, state, head = cache.lookup(park_inflow, pass_inflow, prices, params, state)
+    state = state.copy()
+    remaining = (m - j) * per_row
+    _make_room(state, remaining)
+    weights = params.redeparture_weights(state.k + remaining)
+    park, pas = park_inflow.tolist(), pass_inflow.tolist()
+    acc, flows, boundaries = [], [], []
+    for i, (tau_on, tau_off) in enumerate(prices.tolist()[j:], j):
+        share = _share_on(tau_on, tau_off, params)
+        lo, hi = i * per_row, (i + 1) * per_row
+        # split step by step, so that a bad inflow raises at its own step
+        inflows = ((*_split(q, share), q_pass) for q, q_pass in zip(park[lo:hi], pas[lo:hi]))
+        row_acc, row_flows = _run(state, inflows, params, weights)
+        # a row after the first repeats the boundary state it starts from
+        acc += row_acc if i == 0 else row_acc[len(_ACC_FIELDS) :]
+        flows += row_flows
+        if cache is not None and i < m - 1:
+            boundaries.append(_own_histories(state))
+    acc, flows = _tables(acc, flows)
+    if j:
+        acc_head, flow_head = head
+        acc, flows = np.concatenate([acc_head, acc]), np.concatenate([flow_head, flows])
+    if cache is not None:
+        cache.store(prices, j, boundaries, acc, flows)
 
     t = params.dt * np.arange(n_steps + 1)
     return MacroTrajectories(
         t=t, **_columns(_ACC_FIELDS, acc), **_columns(StepFlows._fields, flows), final_state=state
     )
-
-
-def _split_rows(park_inflow, pass_inflow, prices, params: MacroParams):
-    """Each step's (q_in_on, q_in_off, q_in_pass), one step at a time, with
-    the logit share computed once per price row."""
-    per_row = len(park_inflow) // len(prices)
-    shares = [_share_on(tau_on, tau_off, params) for tau_on, tau_off in prices.tolist()]
-    for k, (q_park, q_pass) in enumerate(zip(park_inflow.tolist(), pass_inflow.tolist())):
-        yield (*_split(q_park, shares[k // per_row]), q_pass)
 
 
 _ACC_FIELDS = ("n_m_on", "n_m_off", "n_m_pass", "n_c", "n_on", "n_off", "n", "v", "O_on")
@@ -517,14 +530,9 @@ class PrefixCache:
     the end of row j - 1 and the run's trajectory tables, whose first rows
     are the prefix's. The cache binds to the forecast, start state and
     params of its first run and raises ValueError for a run with others.
-    It keeps the PREFIX_CACHE_SIZE most recently used prefixes. Each run
-    copies the bytes of all its m - 1 proper prefixes for their keys,
-    which is O(m^2) bytes; only schedules of a few rows were measured.
-
-    A run resumes from a copy of a cached state, which ``_make_room`` gives
-    fresh history buffers, with the re-departure table of the same length
-    as a fresh run's, and ``_run`` restarts from the floats it wrote back.
-    So a resumed run computes every float a fresh run does.
+    It keeps the PREFIX_CACHE_SIZE most recently used prefixes. A run
+    through it copies the bytes of up to m - 1 proper prefixes for their
+    keys, which is O(m^2) bytes; only schedules of a few rows were measured.
     """
 
     def __init__(self):
@@ -534,9 +542,10 @@ class PrefixCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def run(self, park_inflow, pass_inflow, prices, params, start: MacroState):
-        """``simulate_macro``'s run with this cache: the 9-column state
-        table, the 4-column flow table and the final state."""
+    def lookup(self, park_inflow, pass_inflow, prices, params, start: MacroState):
+        """j, the state at the end and the (state, flow) tables of the
+        longest cached proper prefix ``prices[:j]``, or 0, ``start`` and
+        None; binds the cache on its first run and checks every later one."""
         inputs = _run_inputs(park_inflow, pass_inflow, start, params)
         if self._inputs is None:
             self._inputs = inputs
@@ -544,38 +553,23 @@ class PrefixCache:
             raise ValueError(
                 "a prefix cache serves the runs of one forecast, start state and params"
             )
-        m = len(prices)
-        per_row = len(park_inflow) // m
-        keys = [(per_row, prices[:j].tobytes()) for j in range(1, m)]  # prefix j at j - 1
-        j = next((j for j in range(m - 1, 0, -1) if keys[j - 1] in self._entries), 0)
-        if j:
-            self._entries.move_to_end(keys[j - 1])
-            boundary, acc_head, flow_head = self._entries[keys[j - 1]]
-            state = boundary.copy()
-        else:
-            state = start.copy()
-        remaining = (m - j) * per_row
-        _make_room(state, remaining)
-        weights = params.redeparture_weights(state.k + remaining)
-        acc, flows, boundaries = [], [], []
-        for i in range(j, m):
-            lo, hi = i * per_row, (i + 1) * per_row
-            rows = _split_rows(park_inflow[lo:hi], pass_inflow[lo:hi], prices[i : i + 1], params)
-            row_acc, row_flows = _run(state, rows, params, weights)
-            # a row after the first repeats the boundary state it starts from
-            acc += row_acc if i == 0 else row_acc[len(_ACC_FIELDS) :]
-            flows += row_flows
-            if i < m - 1:
-                boundaries.append(_own_histories(state))
-        acc, flows = _tables(acc, flows)
-        if j:
-            acc = np.concatenate([acc_head[: j * per_row + 1], acc])
-            flows = np.concatenate([flow_head[: j * per_row], flows])
-        for key, boundary in zip(keys[j:], boundaries):
-            self._entries[key] = (boundary, acc, flows)
+        per_row = len(park_inflow) // len(prices)
+        for j in range(len(prices) - 1, 0, -1):
+            key = per_row, prices[:j].tobytes()
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                boundary, acc, flows = self._entries[key]
+                return j, boundary, (acc[: j * per_row + 1], flows[: j * per_row])
+        return 0, start, None
+
+    def store(self, prices, j: int, boundaries, acc: np.ndarray, flows: np.ndarray) -> None:
+        """Enter the states at the ends of prefixes j+1..m-1 of a run that
+        resumed at prefix j, with the run's full state and flow tables."""
+        per_row = len(flows) // len(prices)
+        for i, boundary in enumerate(boundaries, j + 1):
+            self._entries[per_row, prices[:i].tobytes()] = (boundary, acc, flows)
             if len(self._entries) > PREFIX_CACHE_SIZE:
                 self._entries.popitem(last=False)
-        return acc, flows, state
 
 
 def _run_inputs(park_inflow, pass_inflow, state: MacroState, params: MacroParams) -> tuple:

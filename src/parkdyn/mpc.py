@@ -10,6 +10,7 @@ price).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -317,7 +318,11 @@ class MicroPlant:
     def __init__(self, sim: Simulation, params: MacroParams):
         self.sim = sim
         self.params = params
-        self._bin = whole_steps(params.dt * 3600.0, sim.dt, "macro step", "micro step")
+
+    @functools.cached_property
+    def _bin(self) -> int:
+        # checked at the first pull, so that a plant that is only advanced takes any macro step
+        return whole_steps(self.params.dt * 3600.0, self.sim.dt, "macro step", "micro step")
 
     def read_state(self) -> MacroState:
         sim = self.sim

@@ -1220,6 +1220,16 @@ def test_unpriced_compare_ignores_the_price_box(workdir, tmp_path):
     assert len((tmp_path / "out" / "comparison.csv").read_text().splitlines()) == 2
 
 
+def test_unpriced_compare_ignores_the_macro_step_grid(workdir, tmp_path):
+    # no macro step is read in the no-price mode, so it need not be whole micro steps
+    argv = _priced_argv(workdir, tmp_path, "compare --modes no-price")
+    assert main(argv) == 0
+    want = (tmp_path / "out" / "comparison.csv").read_bytes()
+    argv[argv.index("--out") + 1] = str(tmp_path / "odd")
+    assert main(argv + ["--dt-macro", "0.4"]) == 0
+    assert (tmp_path / "odd" / "comparison.csv").read_bytes() == want
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--k-step", "0"), ("--k-step", "-1"), ("--k-step", "nan"), ("--vc", "10,abc"),

@@ -473,8 +473,8 @@ class TestPrefixCache:
     N = 24
 
     @staticmethod
-    def start():
-        p = TestOneKernel.params(DT)
+    def start(dt=DT):
+        p = TestOneKernel.params(dt)
         state = simulate_macro(*TestOneKernel.demand(TestOneKernel.N, 1), p).final_state
         park, pas, _ = TestOneKernel.demand(TestPrefixCache.N, 2)
         return p, state, park, pas
@@ -507,14 +507,23 @@ class TestPrefixCache:
         for x, y in zip(self.bits(a), self.bits(b), strict=True):
             assert x.shape == y.shape and np.array_equal(x, y)
 
-    @pytest.mark.parametrize("order", ["forward", "backward", "shuffled"])
+    # over TestOneKernel's two steps: the overflow re-enters after 7 steps,
+    # or in its own step
+    @pytest.mark.parametrize(
+        "order, dt_s, k_off",
+        [pytest.param(order, dt_s, k_off, id=order + suffix)
+         for dt_s, k_off, suffix in [(10.0, 7, ""), (200.0, 0, "-k_off0")]
+         for order in ("forward", "backward", "shuffled")],
+    )
     @pytest.mark.parametrize("capacity", [1, PREFIX_CACHE_SIZE, 10**6])
-    def test_cached_runs_equal_fresh_runs(self, capacity, order, monkeypatch):
+    def test_cached_runs_equal_fresh_runs(self, capacity, order, dt_s, k_off, monkeypatch):
         monkeypatch.setattr(macromodel, "PREFIX_CACHE_SIZE", capacity)
-        p, state, park, pas = self.start()
-        assert p.k_off >= 1 and state.in_circuit(p.k_off) > 0.0  # overflow in the circuit
+        p, state, park, pas = self.start(dt_s / 3600.0)
+        assert p.k_off == k_off
+        assert k_off == 0 or state.in_circuit(k_off) > 0.0  # overflow in the circuit
         schedules = self.schedules()
         fresh = [simulate_macro(park, pas, rows, p, state) for rows in schedules]
+        assert max(traj.q_off_on.max() for traj in fresh) > 0.0  # the lot overflows
         index = list(range(len(schedules)))
         if order == "backward":
             index.reverse()
@@ -549,7 +558,7 @@ class TestPrefixCache:
             simulated.clear()
             self.assert_same(simulate_macro(park, pas, other, p, state, cache),
                              simulate_macro(park, pas, other, p, state))
-            assert simulated[:-1] == [6] * (4 - j) and simulated[-1] == self.N  # then the fresh run
+            assert simulated == [6] * (4 - j) + [6] * 4  # then the uncached run, row by row
 
     def test_cache_of_another_forecast_or_start_state_rejected(self):
         p, state, park, pas = self.start()
@@ -569,6 +578,11 @@ class TestPrefixCache:
             with pytest.raises(ValueError, match="^a prefix cache serves the runs of one "):
                 simulate_macro(*args, cache)
         simulate_macro(park, pas, rows, p, state.copy(), cache)  # an equal state is the same
+        # a 1-row run has no prefix to look up, but is checked all the same
+        one_row = PrefixCache()
+        simulate_macro(park, pas, rows[:1], p, state, one_row)
+        with pytest.raises(ValueError, match="^a prefix cache serves the runs of one "):
+            simulate_macro(park * 2.0, pas, rows[:1], p, state, one_row)
 
 
 class TestChecks:
