@@ -99,6 +99,9 @@ def redeparture_table(duration: DurationDistribution, dt: float, n_steps: int) -
     return table
 
 
+_HISTORIES = ("o_c_hist", "o_off_hist", "q_off_on_hist")
+
+
 @dataclass
 class MacroState:
     """Accumulations at the end of step k plus the three flow histories the
@@ -113,10 +116,10 @@ class MacroState:
     History arrays are step-indexed from 1; index 0 is padding so that
     ``o_c_hist[i]`` is the flow of step i. Every state the public API hands
     back has histories of exactly k + 1 entries. ``macro_step`` and
-    ``simulate_macro`` replace the histories of the state they advance with
-    new arrays, sized for the steps they run, and write only those. So a
-    copy of the state may share its histories with the original, and no
-    array a caller holds is ever written in place.
+    ``simulate_macro`` give the state they advance new history buffers, sized
+    for the steps they run, and fill only entries after k. So a state may
+    share its histories with another, or view their first k + 1 entries, and
+    no array a caller holds is ever written in place.
     """
 
     n_m_off: float = 0.0
@@ -134,7 +137,7 @@ class MacroState:
 
     def __post_init__(self):
         # a history given as a list becomes an array; an array is kept as is
-        for name in ("o_c_hist", "o_off_hist", "q_off_on_hist"):
+        for name in _HISTORIES:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def n_active(self) -> float:
@@ -268,10 +271,10 @@ def macro_step(
 
 
 def _make_room(state: MacroState, n_steps: int) -> None:
-    """Give the state fresh on-street and off-street cohort histories with
-    room for n_steps more steps, which ``_run`` fills in place."""
+    """Give the state new history buffers, holding entries 0..k and room for
+    n_steps more steps, which ``_run`` fills in place."""
     k0 = state.k
-    for name in ("o_c_hist", "o_off_hist"):
+    for name in _HISTORIES:
         buf = np.zeros(k0 + n_steps + 1)
         buf[: k0 + 1] = getattr(state, name)[: k0 + 1]
         setattr(state, name, buf)
@@ -282,17 +285,16 @@ def _run(state: MacroState, inflows, params: MacroParams, weights: np.ndarray):
 
     Advances the state by one step per (q_in_on, q_in_off, q_in_pass) row of
     ``inflows``, once ``_make_room`` has made room for at least that many
-    steps. The fields are read into locals once and written back once. Returns two flat lists:
-    the _ACC_FIELDS of the start state and of each step's end state, and
-    the StepFlows of each step, row after row.
+    steps. The fields are read into locals once and written back once,
+    except that step k writes entry k of each history in place. Returns two
+    flat lists: the _ACC_FIELDS of the start state and of each step's end
+    state, and the StepFlows of each step, row after row.
     """
     n_m_off, n_m_on, n_m_pass = state.n_m_off, state.n_m_on, state.n_m_pass
     n_c, n_off, n_on = state.n_c, state.n_off, state.n_on
     cum_inflow, cum_exit = state.cum_inflow, state.cum_exit
     k0 = k = state.k
-    o_c_hist, o_off_hist = state.o_c_hist, state.o_off_hist
-    # the overflow history is read back by index and summed, never dotted
-    q_off_on_hist = state.q_off_on_hist[: k0 + 1].tolist()
+    o_c_hist, o_off_hist, q_off_on_hist = state.o_c_hist, state.o_off_hist, state.q_off_on_hist
     nfd, distance_model, dt, k_off = params.nfd, params.distance_model, params.dt, params.k_off
     l_m_off, l_m_on, l_m_pass = params.l_m_off, params.l_m_on, params.l_m_pass
     v_on_f, N_on = params.v_on_f, params.N_on
@@ -352,7 +354,7 @@ def _run(state: MacroState, inflows, params: MacroParams, weights: np.ndarray):
         if k_off == 0:
             delayed = q_off_on
         else:
-            delayed = q_off_on_hist[k - k_off] if k - k_off >= 1 else 0.0
+            delayed = q_off_on_hist.item(k - k_off) if k - k_off >= 1 else 0.0
 
         l_c = evaluate_clamped(distance_model, O_on)
         o_c_raw = P_c * dt / l_c if l_c > 0 else math.inf
@@ -383,7 +385,7 @@ def _run(state: MacroState, inflows, params: MacroParams, weights: np.ndarray):
 
         o_c_hist[k] = o_c
         o_off_hist[k] = o_m_off - q_off_on
-        q_off_on_hist.append(q_off_on)
+        q_off_on_hist[k] = q_off_on
         cum_inflow += q_in_on + q_in_off + q_in_pass
         cum_exit += o_m_pass
         flows += (o_c, q_off_on, q_out_on, q_out_off)
@@ -393,7 +395,7 @@ def _run(state: MacroState, inflows, params: MacroParams, weights: np.ndarray):
         # in_circuit()
         lo = k - k_off + 1
         in_circuit = 0.0
-        for q in q_off_on_hist[lo if lo > 1 else 1 :]:
+        for q in q_off_on_hist[lo if lo > 1 else 1 : k + 1].tolist():
             in_circuit += q
         total = n_m_off + n_m_on + n_m_pass + n_c + n_off + n_on + in_circuit + cum_exit
         residual = abs(total - cum_inflow)
@@ -403,7 +405,6 @@ def _run(state: MacroState, inflows, params: MacroParams, weights: np.ndarray):
     state.n_m_off, state.n_m_on, state.n_m_pass = n_m_off, n_m_on, n_m_pass
     state.n_c, state.n_off, state.n_on = n_c, n_off, n_on
     state.cum_inflow, state.cum_exit, state.k = cum_inflow, cum_exit, k
-    state.q_off_on_hist = np.array(q_off_on_hist)
     return acc, flows
 
 
@@ -486,14 +487,14 @@ def simulate_macro(
         # a row after the first repeats the boundary state it starts from
         acc += row_acc if i == 0 else row_acc[len(_ACC_FIELDS) :]
         flows += row_flows
-        if cache is not None and i < m - 1:
-            boundaries.append(_own_histories(state))
+        if cache is not None and m - 1 - PREFIX_CACHE_SIZE <= i < m - 1:
+            boundaries.append(_prefix_state(state))
     acc, flows = _tables(acc, flows)
     if j:
         acc_head, flow_head = head
         acc, flows = np.concatenate([acc_head, acc]), np.concatenate([flow_head, flows])
     if cache is not None:
-        cache.store(prices, j, boundaries, acc, flows)
+        cache.store(prices, boundaries, acc, flows)
 
     t = params.dt * np.arange(n_steps + 1)
     return MacroTrajectories(
@@ -528,11 +529,12 @@ class PrefixCache:
     The key of an entry is a proper prefix ``prices[:j]`` (0 < j < m) of a
     run's m price rows, with the steps per row; its value is the state at
     the end of row j - 1 and the run's trajectory tables, whose first rows
-    are the prefix's. The cache binds to the forecast, start state and
-    params of its first run and raises ValueError for a run with others.
-    It keeps the PREFIX_CACHE_SIZE most recently used prefixes. A run
-    through it copies the bytes of up to m - 1 proper prefixes for their
-    keys, which is O(m^2) bytes; only schedules of a few rows were measured.
+    are the prefix's; the state's histories are views of the run's buffers.
+    The cache binds to the forecast, start state and params of its first
+    run and raises ValueError for a run with others. It keeps the
+    PREFIX_CACHE_SIZE most recently used prefixes. A run enters only its
+    last PREFIX_CACHE_SIZE, which its own eviction would keep, and since the
+    bound forecast fixes m for its steps per row, it looks up only those.
     """
 
     def __init__(self):
@@ -553,8 +555,8 @@ class PrefixCache:
             raise ValueError(
                 "a prefix cache serves the runs of one forecast, start state and params"
             )
-        per_row = len(park_inflow) // len(prices)
-        for j in range(len(prices) - 1, 0, -1):
+        m, per_row = len(prices), len(park_inflow) // len(prices)
+        for j in range(m - 1, max(1, m - PREFIX_CACHE_SIZE) - 1, -1):
             key = per_row, prices[:j].tobytes()
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -562,11 +564,11 @@ class PrefixCache:
                 return j, boundary, (acc[: j * per_row + 1], flows[: j * per_row])
         return 0, start, None
 
-    def store(self, prices, j: int, boundaries, acc: np.ndarray, flows: np.ndarray) -> None:
-        """Enter the states at the ends of prefixes j+1..m-1 of a run that
-        resumed at prefix j, with the run's full state and flow tables."""
+    def store(self, prices, boundaries, acc: np.ndarray, flows: np.ndarray) -> None:
+        """Enter the states at the ends of a run's last len(boundaries)
+        proper prefixes, with the run's full state and flow tables."""
         per_row = len(flows) // len(prices)
-        for i, boundary in enumerate(boundaries, j + 1):
+        for i, boundary in enumerate(boundaries, len(prices) - len(boundaries)):
             self._entries[per_row, prices[:i].tobytes()] = (boundary, acc, flows)
             if len(self._entries) > PREFIX_CACHE_SIZE:
                 self._entries.popitem(last=False)
@@ -577,18 +579,15 @@ def _run_inputs(park_inflow, pass_inflow, state: MacroState, params: MacroParams
     k = state.k
     scalars = (state.n_m_off, state.n_m_on, state.n_m_pass, state.n_c, state.n_off,
                state.n_on, state.cum_inflow, state.cum_exit)
-    hists = (state.o_c_hist, state.o_off_hist, state.q_off_on_hist)
     return (park_inflow.tobytes(), pass_inflow.tobytes(), np.array(scalars).tobytes(), k,
-            *(h[: k + 1].tobytes() for h in hists), params)
+            *(getattr(state, name)[: k + 1].tobytes() for name in _HISTORIES), params)
 
 
-def _own_histories(state: MacroState) -> MacroState:
-    """A copy of the state with cohort histories of its own, k + 1 entries
-    each; ``_run`` replaces the overflow history rather than writing it."""
+def _prefix_state(state: MacroState) -> MacroState:
+    """A copy of a state mid-run whose histories view entries 0..k of the
+    run's buffers, which ``_run`` never writes again."""
     k = state.k
-    return replace(
-        state, o_c_hist=state.o_c_hist[: k + 1].copy(), o_off_hist=state.o_off_hist[: k + 1].copy()
-    )
+    return replace(state, **{name: getattr(state, name)[: k + 1] for name in _HISTORIES})
 
 
 def uniform_profile(total: float, n_steps: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -559,6 +560,62 @@ class TestPrefixCache:
             self.assert_same(simulate_macro(park, pas, other, p, state, cache),
                              simulate_macro(park, pas, other, p, state))
             assert simulated == [6] * (4 - j) + [6] * 4  # then the uncached run, row by row
+
+    @pytest.mark.parametrize("dt_s, k_off", [(10.0, 7), (200.0, 0)], ids=["k_off7", "k_off0"])
+    @pytest.mark.parametrize("m", [4, 24])
+    def test_cached_prefix_states_equal_fresh_final_states(self, m, dt_s, k_off):
+        p, state, park, pas = self.start(dt_s / 3600.0)
+        assert p.k_off == k_off
+        per_row = self.N // m
+        rows = np.random.default_rng(11).uniform(0.0, 4.0, (m, 2))
+        cache = PrefixCache()
+        simulate_macro(park, pas, rows, p, state, cache)
+        cached = range(max(1, m - PREFIX_CACHE_SIZE), m)
+        assert len(cache) == len(cached)
+        for j in cached:
+            other = rows.copy()
+            other[j] += 1.0
+            got, boundary, _ = cache.lookup(park, pas, other, p, state)
+            assert got == j
+            fresh = simulate_macro(park[: j * per_row], pas[: j * per_row], rows[:j], p, state)
+            assert _state_bytes(boundary) == _state_bytes(fresh.final_state)
+            for name in ("o_c_hist", "o_off_hist", "q_off_on_hist"):
+                assert len(getattr(boundary, name)) == boundary.k + 1, name
+
+    def test_per_step_schedule_at_scale(self, monkeypatch):
+        # one price row per step over 3,600 steps: a run keeps no boundary
+        # state or history copy beyond what the cache holds. 16 MB is 5x the
+        # 3.0 MB these two runs peak at; a boundary state with copied
+        # histories for every row took 160 MB
+        p = TestOneKernel.params(DT)
+        n = 3600
+        park, pas, _ = TestOneKernel.demand(n, 2)
+        rows = np.random.default_rng(13).uniform(0.0, 4.0, (n, 2))
+        other = rows.copy()
+        other[-5:] += 1.0
+        fresh = [simulate_macro(park, pas, r, p) for r in (rows, other)]
+        assert fresh[0].q_off_on.max() > 0.0
+        simulated = []
+        run = macromodel._run
+
+        def counting(state, inflows, params, weights):
+            acc, flows = run(state, inflows, params, weights)
+            simulated.append(len(flows) // len(StepFlows._fields))
+            return acc, flows
+
+        monkeypatch.setattr(macromodel, "_run", counting)
+        cache = PrefixCache()
+        tracemalloc.start()
+        try:
+            cached = [simulate_macro(park, pas, r, p, None, cache) for r in (rows, other)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for a, b in zip(cached, fresh, strict=True):
+            self.assert_same(a, b)
+        assert len(cache) == PREFIX_CACHE_SIZE
+        assert sum(simulated) == n + 5  # the second run resumes at row n - 5
+        assert peak < 16e6, peak
 
     def test_cache_of_another_forecast_or_start_state_rejected(self):
         p, state, park, pas = self.start()
