@@ -131,14 +131,21 @@ def _run_one_seed(net, sc, seed, out_dir, nfd_window):
     write_csv(seed_dir / "events.csv", microsim.EVENTS_CSV, res.events)
     rows = microsim.measure_nfd(res.series, summary.network_length, nfd_window, res.dt_sim)
     write_csv(seed_dir / "nfd.csv", microsim.NFD_CSV, rows)
-    # Python floats format faster than numpy scalars
     write_csv(seed_dir / "series.csv", microsim.SERIES_CSV,
-              zip(*(res.series[c].tolist() for c in cols)))
+              _row_blocks([res.series[c] for c in cols]))
     metrics = microsim.performance_metrics(res)
     metrics["summary"] = asdict(summary)
     times = microsim.time_metrics(res.series, res.dt_sim, summary.l_off, summary.v_off_f)
     metrics["ineffective_cruising_veh_hr"] = times["ineffective_cruising_veh_hr"]
     write_json(seed_dir / "metrics.json", metrics)
+
+
+def _row_blocks(columns: list[np.ndarray]):
+    """The rows of equal-length ``columns``, made 256 rows at a time: Python
+    floats format faster than numpy scalars, and only one block of them
+    exists at once."""
+    for lo in range(0, len(columns[0]), 256):
+        yield from zip(*(c[lo : lo + 256].tolist() for c in columns))
 
 
 def _read_csv(path, table: microsim.Table) -> list[list]:
@@ -235,7 +242,7 @@ def load_run_dir(seed_dir, events=True) -> microsim.RunResult:
     dt = float(series["t_s"][1] - series["t_s"][0]) if len(series["t_s"]) > 1 else 1.0
     if dt <= 0:
         raise ValueError(f"{series_path}: field 't_s' must increase")
-    return microsim.RunResult(events=log, series=series, vehicles=[], dt_sim=dt, summary=summary)
+    return microsim.RunResult(events=log, series=series, vehicles={}, dt_sim=dt, summary=summary)
 
 
 def _seed_dirs(runs) -> list[Path]:

@@ -28,6 +28,14 @@ and -1 otherwise. Sorting the keys of the on-link vehicles gives the sweep
 order: links in ``link_order``, and the vehicles on a link in the order
 they entered it.
 
+A run's results hold each quantity once. ``RunResult.vehicles`` is a dict
+of numpy columns in vehicle-id order, as ``series`` is one of per-step
+columns; its float columns come from the slot arrays, and
+``performance_metrics`` takes masks over them. ``series`` is views of the
+simulation's per-step buffers. An event's occupancies ``occ_on`` and
+``occ_off`` are read from two tables of ``k / capacity``, built once per
+simulation, so every event and step at one count shares one float.
+
 One step's movement sweep is array-shaped. Link counts, Greenshields
 speeds and the single-lane cruiser cap come from a few numpy passes over
 the on-link slots, in any order. A vehicle that stands (its link's speed
@@ -233,21 +241,6 @@ class Event(NamedTuple):
 EVENTS_CSV = Table(Event._fields, ("int", "float", "str", "str", "str", "float", "float", "float"))
 
 
-class VehicleRecord(NamedTuple):
-    """Per-vehicle aggregates accumulated during the run."""
-
-    vehicle_id: int
-    purpose: str  # park-on | park-off | pass (realized choice)
-    entry_s: float
-    family_end: str
-    parked: bool
-    dist_total: float
-    dist_iv: float
-    circuits: int
-    drive_time_s: float
-    freeflow_time_s: float
-
-
 def choose_parking_alternative(fees, attractions, beta: float, rng) -> tuple[int, list[float]]:
     """Multinomial-logit draw over parking alternatives.
 
@@ -343,6 +336,19 @@ _SLOT_ARRAYS = {
 }
 _SEQ_BITS = 40
 
+# Per-vehicle aggregates of a run, the columns of ``RunResult.vehicles``.
+VEHICLE_COLUMNS = (
+    "purpose",  # park-on | park-off | pass (realized choice)
+    "entry_s",
+    "family_end",
+    "parked",  # parked at least once
+    "dist_total",  # km
+    "dist_iv",  # km in family iv
+    "circuits",  # lot circuits driven
+    "drive_time_s",
+    "freeflow_time_s",
+)
+
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -372,11 +378,18 @@ class RunSummary:
 
 @dataclass
 class RunResult:
-    """Event log, per-step series, vehicle table, and summary of one run."""
+    """Event log, per-step series, vehicle table, and summary of one run.
+
+    ``series`` maps each of SERIES_COLUMNS to one value per step.
+    ``vehicles`` maps each of VEHICLE_COLUMNS to one value per injected
+    vehicle, in id order; it is empty for a run read back from its
+    directory. An event's ``occ_on`` and ``occ_off`` are entries of the
+    simulation's occupancy tables, so events at equal counts share one
+    float."""
 
     events: list[Event]
     series: dict[str, np.ndarray]
-    vehicles: list[VehicleRecord]
+    vehicles: dict[str, np.ndarray]
     dt_sim: float
     summary: RunSummary
 
@@ -419,6 +432,12 @@ def whole_steps(span: float, step: float, name: str, step_name: str, unit: str =
     return steps
 
 
+def _shares(capacity: int) -> list[float]:
+    """``k / capacity`` for each count k in 0..capacity; [0.0] when there is
+    no capacity."""
+    return [k / capacity for k in range(capacity + 1)] if capacity else [0.0]
+
+
 def macro_blocks(x: np.ndarray, steps: int) -> np.ndarray:
     """A per-micro-step series cut into whole macro steps of ``steps`` micro
     steps, one row each; a trailing partial macro step is dropped."""
@@ -449,6 +468,9 @@ class Simulation:
         self.l_off = self.lot.circuit_length if self.lot else 0.0
         self.v_off_f = self.lot.internal_cruise_speed if self.lot else 1.0
         self.capacity = network.total_parking_capacity
+        # occupancy of each spot or lot count, shared by every event and step
+        self._occ_on = _shares(self.capacity)
+        self._occ_off = _shares(self.lot.capacity if self.lot else 0)
         self.free = {lid: ln.parking_capacity for lid, ln in network.links.items()}
         self.occupied_on = 0
         self.region_occ = {r: 0 for r in network.regions()}
@@ -505,11 +527,12 @@ class Simulation:
             times = sorted(draw(profile) for _ in range(n))
             arrivals.extend((t, purpose) for t in times)
         arrivals.sort()
+        others = {b: [x for x in boundary if x != b] for b in boundary}
         self.vehicles: list[_Vehicle] = []
         for vid, (t_s, purpose) in enumerate(arrivals):
             origin = rng.choice(boundary)
-            others = [b for b in boundary if b != origin]
-            dest = rng.choice(others) if others else origin
+            dests = others[origin]
+            dest = rng.choice(dests) if dests else origin
             duration = sc.duration.sample(rng) if purpose == "park" else 0.0
             desired = rng.uniform(
                 sc.desired_speed - sc.desired_speed_jitter,
@@ -569,11 +592,10 @@ class Simulation:
         self.region_occ[self.link_region[lid]] -= 1
 
     def occ_on(self) -> float:
-        return self.occupied_on / self.capacity if self.capacity else 0.0
+        return self._occ_on[self.occupied_on]
 
     def occ_off(self) -> float:
-        lot = self.lot
-        return self.family_count["vi"] / lot.capacity if lot and lot.capacity else 0.0
+        return self._occ_off[self.family_count["vi"]]
 
     @property
     def exited(self) -> int:
@@ -953,28 +975,30 @@ class Simulation:
         return {k: v[: self.step_i] for k, v in self._series.items()}
 
     def result(self) -> RunResult:
-        records = [
-            VehicleRecord(
-                vehicle_id=v.vid,
-                purpose=v.purpose,
-                entry_s=v.entry_s,
-                family_end=v.family,
-                parked=v.ever_parked,
-                dist_total=self.dist_total.item(v.vid),
-                dist_iv=v.dist_iv + (self.dist_family.item(v.vid) if v.family == "iv" else 0.0),
-                circuits=v.circuits,
-                drive_time_s=self.drive_time_s.item(v.vid),
-                freeflow_time_s=self.freeflow_time_s.item(v.vid),
-            )
-            for v in self.vehicles[: self.injected]
-        ]
-        trimmed = {k: v.copy() for k, v in self.series().items()}
+        n = self.injected
+        vehs = self.vehicles[:n]
+        cruising = np.array([v.family == "iv" for v in vehs], dtype=bool)
+        dist_iv = np.array([v.dist_iv for v in vehs], dtype=float)
+        # a vehicle still cruising adds the distance of its unfinished search
+        dist_iv[cruising] += self.dist_family[:n][cruising]
+        vehicles = {
+            "purpose": np.array([v.purpose for v in vehs], dtype=str),
+            "entry_s": np.array([v.entry_s for v in vehs], dtype=float),
+            "family_end": np.array([v.family for v in vehs], dtype=str),
+            "parked": np.array([v.ever_parked for v in vehs], dtype=bool),
+            "dist_total": self.dist_total[:n].copy(),
+            "dist_iv": dist_iv,
+            "circuits": np.array([v.circuits for v in vehs], dtype=np.int64),
+            "drive_time_s": self.drive_time_s[:n].copy(),
+            "freeflow_time_s": self.freeflow_time_s[:n].copy(),
+        }
+        series = self.series()  # a run's finished steps do not change
         summary = RunSummary(
             seed=self.seed,
             injected=self.injected,
             exited=self.exited,
-            parked_on_total=int(trimmed["parked_on"].sum()),
-            parked_off_total=int(trimmed["parked_off"].sum()),
+            parked_on_total=int(series["parked_on"].sum()),
+            parked_off_total=int(series["parked_off"].sum()),
             gridlock=self.gridlock,
             on_street_capacity=self.capacity,
             lot_capacity=self.lot.capacity if self.lot else 0,
@@ -983,7 +1007,7 @@ class Simulation:
             v_off_f=self.v_off_f,
         )
         return RunResult(
-            events=list(self.events), series=trimmed, vehicles=records, dt_sim=self.dt,
+            events=list(self.events), series=series, vehicles=vehicles, dt_sim=self.dt,
             summary=summary,
         )
 
@@ -1027,36 +1051,27 @@ def performance_metrics(result: RunResult) -> dict:
     distance plus lot circuits, for parked vehicles only; vehicles still
     cruising at the horizon end count against the completion rate.
     """
-    vehicles = result.vehicles
-    travel, delay, speeds, dists = [], [], [], []
-    dtp = []
-    n_parkers = 0
-    n_parked = 0
-    for rec in vehicles:
-        if rec.purpose in ("park-on", "park-off"):
-            n_parkers += 1
-            if rec.parked:
-                n_parked += 1
-                dtp.append(rec.dist_iv + rec.circuits * result.summary.l_off)
-        if rec.family_end == "exited":
-            travel.append(rec.drive_time_s)
-            delay.append(rec.drive_time_s - rec.freeflow_time_s)
-            if rec.drive_time_s > 0:
-                speeds.append(rec.dist_total / (rec.drive_time_s / 3600.0))
-            dists.append(rec.dist_total)
+    v = result.vehicles
+    parker = v["purpose"] != "pass"
+    parked = parker & v["parked"]
+    exited = v["family_end"] == "exited"
+    n_parkers = int(np.count_nonzero(parker))
+    drive, dist = v["drive_time_s"][exited], v["dist_total"][exited]
+    moved = drive > 0
+    dtp = v["dist_iv"][parked] + v["circuits"][parked] * result.summary.l_off
 
     def mean(x):
-        return float(np.mean(x)) if x else None
+        return float(np.mean(x)) if x.size else None
 
     return {
-        "n_vehicles": len(vehicles),
+        "n_vehicles": len(v["purpose"]),
         "n_parkers": n_parkers,
-        "avg_travel_time_s": mean(travel),
-        "avg_delay_s": mean(delay),
-        "avg_speed_kmh": mean(speeds),
-        "avg_distance_km": mean(dists),
-        "completion_rate": (n_parked / n_parkers) if n_parkers else None,
-        "distance_to_park": dtp,
+        "avg_travel_time_s": mean(drive),
+        "avg_delay_s": mean(drive - v["freeflow_time_s"][exited]),
+        "avg_speed_kmh": mean(dist[moved] / (drive[moved] / 3600.0)),
+        "avg_distance_km": mean(dist),
+        "completion_rate": int(np.count_nonzero(parked)) / n_parkers if n_parkers else None,
+        "distance_to_park": dtp.tolist(),
         "mean_distance_to_park": mean(dtp),
         "avg_occupancy": float(result.series["occ_on"].mean())
         if len(result.series["occ_on"])

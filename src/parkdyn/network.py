@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import math
 import sys
 import types
 import typing
@@ -165,9 +166,10 @@ class Network:
         """next_hop[dest][node] -> out-link on the free-flow shortest path."""
         if self._next_hop is None:
             table: dict[int, dict[int, str]] = {}
-            in_links: dict[int, list[Link]] = {nid: [] for nid in self.nodes}
+            # (free-flow time, from node, id) of each link, by its to node
+            in_links: dict[int, list[tuple[float, int, str]]] = {nid: [] for nid in self.nodes}
             for ln in self.links.values():
-                in_links[ln.to_node].append(ln)
+                in_links[ln.to_node].append((ln.free_flow_time, ln.from_node, ln.id))
             for dest in self.nodes:
                 # Dijkstra on the reversed graph from dest
                 dist = {dest: 0.0}
@@ -175,14 +177,13 @@ class Network:
                 pq = [(0.0, dest)]
                 while pq:
                     d, u = heapq.heappop(pq)
-                    if d > dist.get(u, float("inf")):
+                    if d > dist.get(u, math.inf):
                         continue
-                    for ln in in_links[u]:
-                        nd = d + ln.free_flow_time
-                        v = ln.from_node
-                        if nd < dist.get(v, float("inf")) - 1e-15:
+                    for t, v, lid in in_links[u]:
+                        nd = d + t
+                        if nd < dist.get(v, math.inf) - 1e-15:
                             dist[v] = nd
-                            hop[v] = ln.id
+                            hop[v] = lid
                             heapq.heappush(pq, (nd, v))
                 table[dest] = hop
             self._next_hop = table

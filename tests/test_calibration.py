@@ -203,10 +203,12 @@ class TestSegmentedDistancesAndPipeline:
         for e in res.events:
             by_vehicle.setdefault(e.vehicle_id, 0.0)
             by_vehicle[e.vehicle_id] += e.dist_km
-        for rec in res.vehicles:
-            if rec.family_end == "exited":
-                logged = by_vehicle.get(rec.vehicle_id, 0.0) + rec.circuits * res.summary.l_off
-                assert logged == pytest.approx(rec.dist_total, abs=1e-9)
+        v = res.vehicles  # columns indexed by vehicle id
+        exited = (v["family_end"] == "exited").nonzero()[0].tolist()
+        assert exited
+        for vid in exited:
+            logged = by_vehicle.get(vid, 0.0) + v["circuits"][vid] * res.summary.l_off
+            assert logged == pytest.approx(v["dist_total"][vid], abs=1e-9)
 
     def test_full_calibration_report_roundtrip(self, runs, tmp_path):
         report = calibrate(runs)
