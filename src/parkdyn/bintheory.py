@@ -32,20 +32,18 @@ def critical_density(params: BinParams) -> float:
     return (params.v_f - params.v_c) * params.k_j / params.v_f
 
 
-def two_bin_speed(k_1: float, k_2: float, params: BinParams, cruising_in_bin2: bool = False) -> float:
+def two_bin_speed(k_1: float, k_2: float, params: BinParams) -> float:
     """Space-mean speed of the two-bin system for a given density split.
 
-    With cruising, every vehicle in bin 2 moves at min(v_c, Greenshields),
-    the worst case for that bin.
+    Every vehicle in bin 2 cruises at min(v_c, Greenshields), the worst case
+    for that bin; v_c = v_f is the case without cruisers.
     """
     if not (0 <= k_1 <= params.k_j and 0 <= k_2 <= params.k_j):
         raise ValueError("bin densities must lie in [0, k_j]")
     if k_1 + k_2 == 0:
         return params.v_f
     v_1 = greenshields_speed(k_1, params.v_f, params.k_j)
-    v_2 = greenshields_speed(k_2, params.v_f, params.k_j)
-    if cruising_in_bin2:
-        v_2 = min(params.v_c, v_2)
+    v_2 = min(params.v_c, greenshields_speed(k_2, params.v_f, params.k_j))
     return (k_1 * v_1 + k_2 * v_2) / (k_1 + k_2)
 
 
@@ -54,24 +52,14 @@ def _check_K(K: float, params: BinParams) -> None:
         raise ValueError("K must lie in [0, k_j]")
 
 
-def envelope_no_cruising(K: float, params: BinParams) -> tuple[float, float]:
-    """Upper/lower space-mean speed over all feasible splits, no cruisers.
-
-    The lower envelope hits zero already at K = k_j/2: one bin can gridlock
-    while the other is empty.
-    """
-    _check_K(K, params)
-    v_f, k_j = params.v_f, params.k_j
-    v_max = v_f - v_f * K / k_j
-    if K <= k_j / 2:
-        v_min = v_f - 2 * v_f * K / k_j
-    else:
-        v_min = v_f * (3 - 2 * K / k_j - k_j / K)
-    return v_max, v_min
-
-
 def envelope_with_cruising(K: float, params: BinParams) -> tuple[float, float]:
-    """Envelopes when all bin-2 vehicles cruise at v_c (worst case for bin 2)."""
+    """Upper/lower space-mean speed over all feasible splits when all bin-2
+    vehicles cruise at v_c (worst case for bin 2).
+
+    At v_c = v_f (no cruisers, k_c = 0) every branch that can be reached is
+    the no-cruising envelope: the lower one hits zero already at K = k_j/2,
+    where one bin can gridlock while the other is empty.
+    """
     _check_K(K, params)
     v_f, v_c, k_j = params.v_f, params.v_c, params.k_j
     k_c = critical_density(params)
@@ -110,7 +98,7 @@ def branch_discontinuity(params: BinParams) -> float:
 
 
 def brute_force_envelope(
-    K: float, params: BinParams, cruising: bool, grid_step: float = 0.01
+    K: float, params: BinParams, grid_step: float = 0.01
 ) -> tuple[float, float]:
     """Independent oracle: enumerate splits k_1 + k_2 = 2K on a density grid.
 
@@ -132,20 +120,17 @@ def brute_force_envelope(
         k1 = np.append(k1, hi)
     k2 = 2 * K - k1
     if K == 0:
-        return v_f, (v_c if cruising else v_f)
-    v1 = np.maximum(0.0, v_f * (1.0 - k1 / k_j))
-    v2 = np.maximum(0.0, v_f * (1.0 - k2 / k_j))
-    if cruising:
-        v2 = np.minimum(v_c, v2)
+        return v_f, v_c
+    v1 = greenshields_speed(k1, v_f, k_j)
+    v2 = np.minimum(v_c, greenshields_speed(k2, v_f, k_j))
     V = (k1 * v1 + k2 * v2) / (2 * K)
     return float(V.max()), float(V.min())
 
 
-def unstable_area(params: BinParams, cruising: bool = True) -> float:
+def unstable_area(params: BinParams) -> float:
     """Area between the envelopes over 2001 points K in [0, k_j] (km/hr * veh/km)."""
     Ks = np.linspace(0.0, params.k_j, 2001)
-    env = envelope_with_cruising if cruising else envelope_no_cruising
-    gap = np.array([vmax - vmin for vmax, vmin in (env(K, params) for K in Ks)])
+    gap = np.array([vmax - vmin for vmax, vmin in (envelope_with_cruising(K, params) for K in Ks)])
     return float(np.trapezoid(gap, Ks))
 
 
@@ -161,5 +146,5 @@ def envelope_sweep(params: BinParams, K_grid, brute_step: float):
     bmin = np.empty_like(K_grid)
     for i, K in enumerate(K_grid):
         vmax[i], vmin[i] = envelope_with_cruising(float(K), params)
-        bmax[i], bmin[i] = brute_force_envelope(float(K), params, True, brute_step)
+        bmax[i], bmin[i] = brute_force_envelope(float(K), params, brute_step)
     return {"K": K_grid, "v_max": vmax, "v_min": vmin, "v_max_brute": bmax, "v_min_brute": bmin}

@@ -15,8 +15,8 @@ import numpy as np
 
 from .estimators import DistanceModel, FitDegenerateError, fit as fit_estimator
 from .macromodel import MacroTrajectories, NfdModel
-from .microsim import Event, RunResult, macro_blocks, measure_nfd, whole_steps
-from .network import from_json
+from .microsim import ALLOWED_TRANSITIONS, Event, RunResult, macro_blocks, measure_nfd, whole_steps
+from .network import read_json
 
 
 def nfd_samples(results: Iterable[RunResult], window_s: float = 60.0) -> list[tuple[float, float]]:
@@ -83,13 +83,10 @@ def fit_nfd(samples) -> tuple[NfdModel, dict]:
     return model, diag
 
 
-_MOVING_END = {
-    "i": ("v", "iv"),
-    "ii": ("vi", "iv"),
-    "iii": ("exited",),
-}
 # the calibrated mean moving distance of each moving family
 _MOVING_DISTANCE = {"i": "l_m_on", "ii": "l_m_off", "iii": "l_m_pass"}
+# every transition out of a moving family ends its moving segment
+_MOVING_END = frozenset(t for t in ALLOWED_TRANSITIONS if t[0] in _MOVING_DISTANCE)
 
 
 def replication_moving_distances(events: list[Event]) -> dict[str, float]:
@@ -99,8 +96,7 @@ def replication_moving_distances(events: list[Event]) -> dict[str, float]:
     left out."""
     sums = {fam: [] for fam in _MOVING_DISTANCE}
     for ev in events:
-        ends = _MOVING_END.get(ev.from_family)
-        if ends and ev.to_family in ends:
+        if (ev.from_family, ev.to_family) in _MOVING_END:
             sums[ev.from_family].append(ev.dist_km)
     return {fam: float(np.mean(vals)) for fam, vals in sums.items() if vals}
 
@@ -205,11 +201,7 @@ class CalibrationReport:
 
     @staticmethod
     def load(path) -> "CalibrationReport":
-        with open(path) as fh:
-            try:
-                return from_json(CalibrationReport, json.load(fh))
-            except ValueError as e:
-                raise ValueError(f"calibration file {path}: {e}") from None
+        return read_json(CalibrationReport, path, "calibration file")
 
 
 def calibrate(

@@ -108,7 +108,7 @@ def cmd_net_build(args):
 def cmd_net_check(args):
     try:
         net = network.load_network(args.net)
-    except network.NetworkFormatError as e:
+    except ValueError as e:
         print(f"INVALID: {e}", file=sys.stderr)
         return 1
     ok = net.is_strongly_connected()
@@ -231,14 +231,13 @@ def load_run_dir(seed_dir, events=True) -> microsim.RunResult:
     data = np.array(_read_csv(series_path, microsim.SERIES_CSV), dtype=float)
     series = dict(zip(microsim.SERIES_COLUMNS, data))
     path = seed_dir / "metrics.json"
-    with open(path) as fh:
-        try:
-            metrics = json.load(fh)
-            if isinstance(metrics, dict):  # the other keys are a report, not read back
-                metrics = {k: v for k, v in metrics.items() if k == "summary"}
-            summary = network.from_json(_RunMetrics, metrics).summary
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+    metrics = network.read_json(dict, path, "")
+    # the keys other than summary are a report, not read back
+    metrics = {k: v for k, v in metrics.items() if k == "summary"}
+    try:
+        summary = network.from_json(_RunMetrics, metrics).summary
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     dt = float(series["t_s"][1] - series["t_s"][0]) if len(series["t_s"]) > 1 else 1.0
     if dt <= 0:
         raise ValueError(f"{series_path}: field 't_s' must increase")
@@ -306,7 +305,7 @@ def cmd_theory_sweep(args):
             "critical_density": bintheory.critical_density(p),
             "max_abs_dev_vs_brute": dev,
             "max_branch_discontinuity": bintheory.branch_discontinuity(p),
-            "unstable_area": bintheory.unstable_area(p, True),
+            "unstable_area": bintheory.unstable_area(p),
         }
     write_csv(out / "envelopes.csv", ENVELOPES_CSV, rows)
     write_json(out / "brute_check.json", report)
@@ -526,16 +525,7 @@ def cmd_compare(args):
             ).prices
         for seed in seeds:
             m, _ = run_mode(mode, net, sc, params, cfg, seed, prices)
-            rows.append(
-                (
-                    mode,
-                    seed,
-                    m["deadweight_veh_hr"],
-                    m["on_street_cruising_veh_hr"],
-                    m["ineffective_cruising_veh_hr"],
-                    m["total_travel_time_veh_hr"],
-                )
-            )
+            rows.append((mode, seed, *(m[c] for c in COMPARISON_CSV.columns[2:])))
     out = Path(args.out)
     write_csv(out / "comparison.csv", COMPARISON_CSV, rows)
     write_meta(out, args.argv)

@@ -58,7 +58,6 @@ order; the standing vehicles' +0.0 terms would not change it.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -66,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import DurationDistribution, Network, from_json
+from .network import DurationDistribution, Network, greenshields_speed, read_json
 
 FAMILIES = ("i", "ii", "iii", "iv", "v", "vi")
 ALLOWED_TRANSITIONS = frozenset(
@@ -219,11 +218,7 @@ class ScenarioConfig:
 
     @staticmethod
     def load(path) -> "ScenarioConfig":
-        with open(path) as fh:
-            try:
-                return from_json(ScenarioConfig, json.load(fh))
-            except ValueError as e:
-                raise ValueError(f"scenario file {path}: {e}") from None
+        return read_json(ScenarioConfig, path, "scenario file")
 
 
 class Event(NamedTuple):
@@ -838,9 +833,10 @@ class Simulation:
         keys = self.link_key[on]
         lk = keys >> _SEQ_BITS  # link rank of each vehicle
         # Greenshields speed from the density of the other vehicles on the
-        # link, in the operation order of network.greenshields_speed
+        # link; an empty link gets density -1/lane_km, and no vehicle reads
+        # its speed
         k = (np.bincount(lk, minlength=len(self._length)) - 1) / self._lane_km
-        eff = np.maximum(self._vf * (1.0 - k / self._kj), 0.0)
+        eff = greenshields_speed(k, self._vf, self._kj)
         np.minimum.at(eff, lk, self.cruiser_cap[on])  # single-lane links: the slowest cruiser
         if np.count_nonzero(eff) < eff.size:
             # A vehicle on a link at speed 0, short of its end and with no

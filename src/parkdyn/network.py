@@ -1,4 +1,6 @@
-"""Road network, parking supply, and parking-duration data model.
+"""Road network, parking supply, and parking-duration data model, the
+Greenshields link speed law that the micro model and the two-bin theory
+share, and the one JSON reader of every input file.
 
 Networks are directed: a two-way street is two links. All quantities carry
 the units used throughout the package: km, km/hr, veh/km/lane.
@@ -16,9 +18,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-
-class NetworkFormatError(ValueError):
-    """Malformed network file; message carries the offending field."""
+import numpy as np
 
 
 def _check_id(what: str, id_: str) -> None:
@@ -308,11 +308,10 @@ class DurationDistribution:
         return [self.cdf((j + 1) * dt) - self.cdf(j * dt) for j in range(n_steps)]
 
 
-def greenshields_speed(k: float, v_f: float, k_j: float) -> float:
-    """Linear speed-density relation, clamped at zero beyond jam density."""
-    if k < 0:
-        raise ValueError("density must be >= 0")
-    return max(0.0, v_f * (1.0 - k / k_j))
+def greenshields_speed(k, v_f, k_j):
+    """Linear speed-density relation, clamped at zero beyond jam density;
+    elementwise over numpy arrays."""
+    return np.maximum(v_f * (1.0 - k / k_j), 0.0)
 
 
 def build_grid(
@@ -450,15 +449,23 @@ class _NetworkFile:
 
 
 def load_network(path) -> Network:
+    f = read_json(_NetworkFile, path, "")
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise NetworkFormatError(f"{path}: not valid JSON ({e})") from e
-    try:
-        f = from_json(_NetworkFile, raw)
         return Network(f.nodes, f.links, lot=f.lot, region_assignment=f.regions)
     except ValueError as e:
-        raise NetworkFormatError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from None
+
+
+def read_json(cls, path, what: str):
+    """``from_json(cls, ·)`` of the JSON file at ``path``. Undecodable bytes,
+    malformed or over-deep JSON and a bad field each raise one ValueError
+    that starts with ``what`` (if any) and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return from_json(cls, json.load(fh))
+    except (ValueError, RecursionError) as e:
+        where = f"{what} {path}" if what else path
+        raise ValueError(f"{where}: {e}") from None
 
 
 def from_json(cls, obj):

@@ -16,7 +16,6 @@ from parkdyn.bintheory import (
     BinParams,
     branch_discontinuity,
     brute_force_envelope,
-    envelope_no_cruising,
     envelope_with_cruising,
     unstable_area,
 )
@@ -92,7 +91,7 @@ def test_a1_envelopes_match_brute_force(report):
         p = BinParams(50.0, v_c, 100.0)
         for K in np.round(np.arange(0.0, 100.0001, 0.1), 10):
             fmax, fmin = envelope_with_cruising(float(K), p)
-            bmax, bmin = brute_force_envelope(float(K), p, cruising=True, grid_step=0.01)
+            bmax, bmin = brute_force_envelope(float(K), p, grid_step=0.01)
             worst = max(worst, abs(fmax - bmax), abs(fmin - bmin))
         worst_cont = max(worst_cont, branch_discontinuity(p))
     elapsed = time.time() - t0
@@ -111,11 +110,11 @@ def test_a1_envelopes_match_brute_force(report):
 
 
 def test_a2_unstable_area_monotone_and_half_jam_gridlock(report):
-    areas = [unstable_area(BinParams(50.0, v_c, 100.0), True) for v_c in (10, 20, 30, 40)]
+    areas = [unstable_area(BinParams(50.0, v_c, 100.0)) for v_c in (10, 20, 30, 40)]
     monotone = all(a > b for a, b in zip(areas, areas[1:]))
-    p = BinParams(50.0, 10.0, 100.0)
+    no_cruising = BinParams(50.0, 50.0, 100.0)  # v_c = v_f
     Ks = np.round(np.arange(0.0, 100.0001, 0.1), 10)
-    first_zero = next(K for K in Ks if envelope_no_cruising(float(K), p)[1] <= 1e-12)
+    first_zero = next(K for K in Ks if envelope_with_cruising(float(K), no_cruising)[1] <= 1e-12)
     at_half_jam = abs(first_zero - 50.0) <= 0.1
     ok = monotone and at_half_jam
     report(

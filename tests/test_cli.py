@@ -289,6 +289,32 @@ def test_integer_beyond_float_range_names_field(workdir, tmp_path, capsys, no_si
     ]
 
 
+@pytest.mark.parametrize(
+    "command, name, data, line",
+    [
+        ("net check", "net.json", b"\xff{}",
+         "INVALID: {bad}: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("micro run", "scenario.json", b"[" * 100_000 + b"]" * 100_000,
+         "error: scenario file {bad}: maximum recursion depth exceeded"),
+    ],
+)
+def test_undecodable_or_too_deep_file_gives_one_line(
+    workdir, tmp_path, capsys, no_simulation, command, name, data, line
+):
+    files = {n: workdir / n for n in ("net.json", "scenario.json")}
+    bad = files[name] = tmp_path / name
+    bad.write_bytes(data)
+    argv = command.split() + ["--net", str(files["net.json"])]
+    if command == "micro run":
+        argv += ["--config", str(files["scenario.json"]), "--seeds", "0",
+                 "--out", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    [got] = err.splitlines()
+    assert got.startswith(line.format(bad=bad))
+
+
 @pytest.mark.parametrize("name", ["desired_speed", "cruise_speed"])
 def test_micro_run_rejects_speed_range_reaching_zero(workdir, tmp_path, capsys, no_simulation, name):
     bad = tmp_path / "scenario.json"

@@ -1,7 +1,7 @@
-"""Fuzz the file loaders: any JSON document, and any run directory, either
-loads or raises ValueError naming the file (which the CLI prints as one
-``error:`` line), never another exception type. What loads holds values of
-the annotated types only."""
+"""Fuzz the file loaders: any JSON document, any bytes, a document nested
+too deep to parse, and any run directory, either loads or raises ValueError
+naming the file (which the CLI prints as one ``error:`` line), never another
+exception type. What loads holds values of the annotated types only."""
 
 import json
 from dataclasses import fields, is_dataclass
@@ -9,7 +9,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkdyn.calibration import CalibrationReport
@@ -80,9 +80,14 @@ def _check_type(value, tp):
         assert type(value) is tp, (value, tp)
 
 
+# a document nested deeper than the JSON parser recurses
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
 def _loads_or_value_error(load, path, doc):
-    """The loaded object, or None after a ValueError naming the file."""
-    path.write_text(json.dumps(doc))
+    """The loaded object, or None after a ValueError naming the file. A
+    ``bytes`` document is written as it is, any other as JSON."""
+    path.write_bytes(doc if type(doc) is bytes else json.dumps(doc).encode())
     try:
         return load(path)
     except ValueError as e:
@@ -90,7 +95,8 @@ def _loads_or_value_error(load, path, doc):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_json | _scenario)
+@given(_json | _scenario | st.binary(max_size=24))
+@example(_DEEP)
 def test_scenario_loader(path, doc):
     sc = _loads_or_value_error(ScenarioConfig.load, path, doc)
     if sc is not None:
@@ -98,7 +104,8 @@ def test_scenario_loader(path, doc):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_json | _calibration)
+@given(_json | _calibration | st.binary(max_size=24))
+@example(_DEEP)
 def test_calibration_loader(path, doc):
     report = _loads_or_value_error(CalibrationReport.load, path, doc)
     if report is not None:
@@ -122,7 +129,8 @@ _network = _some_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_json | _network)
+@given(_json | _network | st.binary(max_size=24))
+@example(_DEEP)
 def test_network_loader(path, doc):
     net = _loads_or_value_error(load_network, path, doc)
     if net is not None:
@@ -199,6 +207,7 @@ def seed_dir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(_RUN_FILES)).flatmap(lambda n: st.tuples(st.just(n), _RUN_FILES[n][1])))
+@example(("metrics.json", _DEEP))
 def test_run_dir_loader(seed_dir, fuzzed):
     """One file of the run directory fuzzed, the other two well formed."""
     seed_dir.mkdir(exist_ok=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,6 @@ from parkdyn.network import (
     DurationDistribution,
     Link,
     Network,
-    NetworkFormatError,
     Node,
     OffStreetLot,
     add_lot,
@@ -114,7 +114,7 @@ def test_load_rejects_dangling_node(tmp_path):
     d["links"][0]["from_node"] = 99
     path = tmp_path / "bad.json"
     path.write_text(__import__("json").dumps(d))
-    with pytest.raises(NetworkFormatError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: link 0-1: endpoint not in network")):
         load_network(path)
 
 
@@ -124,14 +124,15 @@ def test_load_rejects_zero_length(tmp_path):
     d["links"][0]["length"] = 0.0
     path = tmp_path / "bad.json"
     path.write_text(__import__("json").dumps(d))
-    with pytest.raises(NetworkFormatError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: link 0-1: length must be > 0")):
         load_network(path)
 
 
 def test_load_rejects_regions_list(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"nodes": [], "links": [], "regions": []}')
-    with pytest.raises(NetworkFormatError, match="'regions'"):
+    message = f"{path}: field 'regions' must be a JSON object"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_network(path)
 
 
