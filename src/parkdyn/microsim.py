@@ -188,6 +188,16 @@ class ScenarioConfig:
         self.n_steps  # raises unless dt_sim divides the horizon
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+        for name, least in (
+            ("captive_spots", 0),
+            ("preoccupied_spots", 0),
+            ("vacate_per_minute", 0),
+            ("reeval_period", 0),
+            ("gridlock_steps", 1),  # still steps that flag gridlock; 0 would act as 1
+        ):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(f"field {name!r} must be >= {least}, got {value:g}")
         # drivers draw their speeds from [speed - |jitter|, speed + |jitter|]
         for name in ("desired_speed", "cruise_speed"):
             speed, jitter = getattr(self, name), getattr(self, f"{name}_jitter")
@@ -212,6 +222,12 @@ class ScenarioConfig:
                 f"captive + preoccupied spots exceed on-street capacity ({need} > {capacity})"
             )
         return need
+
+    def check_supply(self, network: Network) -> None:
+        """Raises ValueError when parkers are scheduled but ``network`` has
+        neither an on-street spot nor a lot."""
+        if self.parker_count and not network.total_parking_capacity and network.lot is None:
+            raise ValueError("parkers scheduled but the network has no parking supply")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -269,51 +285,29 @@ def apply_regional_guidance(
     return regional_occupancy > config.regional_threshold and compliant
 
 
+@dataclass(slots=True, eq=False)
 class _Vehicle:
     """A vehicle's trip, route and family; its kinematic state is in the
-    simulation's slot arrays at index ``vid``."""
+    simulation's slot arrays at index ``vid``. Vehicles compare and hash
+    by identity."""
 
-    __slots__ = (
-        "vid",
-        "entry_s",
-        "origin",
-        "destination",
-        "parking_duration",
-        "desired_speed",
-        "cruise_speed",
-        "purpose",
-        "family",
-        "route",
-        "route_i",
-        "target_link",
-        "dist_iv",
-        "circuits",
-        "compliant",
-        "parked_link",
-        "ever_parked",
-    )
-
-    def __init__(
-        self, vid, entry_s, origin, destination, purpose, parking_duration,
-        desired_speed, cruise_speed, compliant,
-    ):
-        self.vid = vid
-        self.entry_s = entry_s
-        self.origin = origin
-        self.destination = destination
-        self.purpose = purpose  # park-on | park-off | pass; park-on until a parker chooses
-        self.parking_duration = parking_duration  # hr
-        self.desired_speed = desired_speed  # km/hr
-        self.cruise_speed = cruise_speed  # km/hr, while family iv
-        self.family = "new"
-        self.route = ()
-        self.route_i = 0
-        self.target_link = None
-        self.dist_iv = 0.0
-        self.circuits = 0
-        self.compliant = compliant
-        self.parked_link = None
-        self.ever_parked = False
+    vid: int
+    entry_s: float
+    origin: int
+    destination: int
+    purpose: str  # park-on | park-off | pass; park-on until a parker chooses
+    parking_duration: float  # hr
+    desired_speed: float  # km/hr
+    cruise_speed: float  # km/hr, while family iv
+    compliant: bool
+    family: str = "new"
+    route: tuple[str, ...] = ()
+    route_i: int = 0
+    target_link: str | None = None
+    dist_iv: float = 0.0
+    circuits: int = 0
+    parked_link: str | None = None
+    ever_parked: bool = False
 
 
 # Per-vehicle state arrays, indexed by vehicle id, with their initial values.
@@ -474,8 +468,7 @@ class Simulation:
         self.supply_links = sorted(
             lid for lid, ln in network.links.items() if ln.parking_capacity > 0
         )
-        if scenario.parker_count and not self.supply_links and self.lot is None:
-            raise ValueError("parkers scheduled but the network has no parking supply")
+        scenario.check_supply(network)
 
         self._build_demand(rng, list(network.boundary_nodes()))
         self._block_spots(rng)

@@ -3,7 +3,9 @@ Greenshields link speed law that the micro model and the two-bin theory
 share, and the one JSON reader of every input file.
 
 Networks are directed: a two-way street is two links. All quantities carry
-the units used throughout the package: km, km/hr, veh/km/lane.
+the units used throughout the package: km, km/hr, veh/km/lane. A
+``Network`` is built once from its nodes, links, lot and region map; the
+grid networks come from ``scenarios.desk_network``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import sys
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -312,123 +314,6 @@ def greenshields_speed(k, v_f, k_j):
     """Linear speed-density relation, clamped at zero beyond jam density;
     elementwise over numpy arrays."""
     return np.maximum(v_f * (1.0 - k / k_j), 0.0)
-
-
-def build_grid(
-    rows: int,
-    cols: int,
-    link_length: float,
-    v_f: float,
-    k_j: float,
-    parking_capacity_per_link: int,
-) -> Network:
-    """Bidirectional square-grid network; rows split into two guidance regions.
-
-    Region 1 covers links whose midpoint lies in the upper half of the rows.
-    """
-    if rows < 2 or cols < 2:
-        raise ValueError("grid needs rows >= 2 and cols >= 2")
-    if link_length <= 0 or v_f <= 0 or k_j <= 0:
-        raise ValueError("grid parameters must be positive")
-    if parking_capacity_per_link < 0:
-        raise ValueError("parking parameters must be non-negative")
-
-    def nid(r, c):
-        return r * cols + c
-
-    nodes = [Node(nid(r, c)) for r in range(rows) for c in range(cols)]
-    links = []
-    regions = {}
-
-    def add(u, v, row_mid):
-        lid = f"{u}-{v}"
-        links.append(
-            Link(
-                id=lid,
-                from_node=u,
-                to_node=v,
-                length=link_length,
-                free_flow_speed=v_f,
-                jam_density=k_j,
-                parking_capacity=parking_capacity_per_link,
-            )
-        )
-        regions[lid] = 1 if row_mid >= rows / 2.0 else 0
-
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                add(nid(r, c), nid(r, c + 1), r)
-                add(nid(r, c + 1), nid(r, c), r)
-            if r + 1 < rows:
-                add(nid(r, c), nid(r + 1, c), r + 0.5)
-                add(nid(r + 1, c), nid(r, c), r + 0.5)
-    return Network(nodes, links, region_assignment=regions)
-
-
-def redistribute_parking(
-    network: Network,
-    total_spots: int,
-    region_shares: dict[int, float] | None = None,
-    supply_fraction: float = 1.0,
-) -> Network:
-    """Spread an exact total of on-street spots evenly over the links.
-
-    With ``region_shares`` (region id -> fraction of the total, summing to 1)
-    each region receives its share spread evenly over its own links, which
-    gives the upper/lower supply imbalance the regional-guidance experiments
-    rely on. ``supply_fraction`` < 1 concentrates each region's spots on an
-    evenly spaced subset of its links. Remainders go to the first links in
-    sorted-id order.
-    """
-    if total_spots < 0:
-        raise ValueError("total_spots must be >= 0")
-    if not (0 < supply_fraction <= 1):
-        raise ValueError("supply_fraction must lie in (0, 1]")
-    lids = sorted(network.links)
-    caps = {lid: 0 for lid in lids}
-    if region_shares is None:
-        groups = [(lids, total_spots)]
-    else:
-        if abs(sum(region_shares.values()) - 1.0) > 1e-9:
-            raise ValueError("region shares must sum to 1")
-        groups = []
-        assigned = 0
-        items = sorted(region_shares.items())
-        for i, (region, share) in enumerate(items):
-            in_region = [lid for lid in lids if network.region_assignment[lid] == region]
-            if not in_region:
-                raise ValueError(f"no links in region {region}")
-            spots = total_spots - assigned if i == len(items) - 1 else int(round(total_spots * share))
-            assigned += spots
-            groups.append((in_region, spots))
-    for group, spots in groups:
-        if supply_fraction < 1.0:
-            keep = max(1, int(round(len(group) * supply_fraction)))
-            stride = len(group) / keep
-            group = [group[int(i * stride)] for i in range(keep)]
-        base, extra = divmod(spots, len(group))
-        for i, lid in enumerate(group):
-            caps[lid] = base + (1 if i < extra else 0)
-    new_links = [replace(network.links[lid], parking_capacity=caps[lid]) for lid in lids]
-    return Network(
-        list(network.nodes.values()),
-        new_links,
-        lot=network.lot,
-        region_assignment=network.region_assignment,
-    )
-
-
-def add_lot(network: Network, lot: OffStreetLot) -> Network:
-    """``network`` with ``lot``; a network has at most one lot."""
-    if network.lot is not None:
-        raise ValueError(f"lot {lot.id}: the network already has lot {network.lot.id}")
-    return Network(
-        list(network.nodes.values()),
-        list(network.links.values()),
-        lot=lot,
-        region_assignment=network.region_assignment,
-    )
 
 
 def save_network(network: Network, path) -> None:

@@ -1,4 +1,7 @@
-"""Desk-scale scenario builders shared by the experiment scripts and tests."""
+"""Desk-scale scenario builders shared by the experiment scripts and tests:
+``desk_network``, the one grid builder, lays out a grid, its on-street spots
+and its lot in one pass; the others build scenarios and the macro model's
+inputs from them."""
 
 from __future__ import annotations
 
@@ -10,14 +13,7 @@ from . import macromodel
 from .calibration import CalibrationReport
 from .macromodel import MacroParams, MacroState, MacroTrajectories, uniform_profile
 from .microsim import GuidanceConfig, ScenarioConfig, whole_steps
-from .network import (
-    DurationDistribution,
-    Network,
-    OffStreetLot,
-    add_lot,
-    build_grid,
-    redistribute_parking,
-)
+from .network import DurationDistribution, Link, Network, Node, OffStreetLot
 
 
 def desk_network(
@@ -34,33 +30,72 @@ def desk_network(
     supply_fraction: float = 1.0,
     lot_entry: str | None = None,
 ) -> Network:
-    """Square grid with an exact on-street spot total and, unless
-    ``lot_capacity`` is 0, one off-street lot on an upper-region link (the
-    region the guidance experiments saturate); the network of
-    ``parkdyn net build``, whose flags default to these parameters.
+    """Bidirectional grid with an exact on-street spot total and,
+    unless ``lot_capacity`` is 0, one off-street lot on an upper-region link
+    (the region the guidance experiments saturate); the network of
+    ``parkdyn net build``, whose flags default to these parameters, and the
+    one grid builder of the package.
 
-    ``upper_share`` skews the spot supply toward the lower region (region 0),
-    mirroring the capacity imbalance the regional guidance exploits;
-    ``supply_fraction`` concentrates the spots on a subset of links so that
-    uninformed search has to hunt for the supplied streets. ``lot_entry``
-    overrides the lot's middle upper-region entry link."""
-    net = build_grid(rows, cols, link_length, v_f, k_j, 0)
-    shares = None if upper_share is None else {0: 1.0 - upper_share, 1: upper_share}
-    net = redistribute_parking(net, total_spots, shares, supply_fraction)
+    Node ``r * cols + c`` is at row ``r``, column ``c``. A link is in region 1
+    when its row midpoint lies in the upper half of the rows, else in
+    region 0. ``upper_share`` gives region 1 that share of the spots and
+    region 0 the rest, the capacity imbalance the regional guidance
+    exploits; without it the spots spread over all links as one group.
+    ``supply_fraction`` < 1 concentrates each group's spots on an evenly
+    spaced subset of its links, so that uninformed search has to hunt for
+    the supplied streets. Each supplied link gets an equal share, and the
+    remainder goes one spot each to the first in sorted-id order. The lot
+    is on ``lot_entry``, or else on the middle of the sorted region-1 links.
+    """
+    if rows < 2 or cols < 2:
+        raise ValueError("grid needs rows >= 2 and cols >= 2")
+    if total_spots < 0:
+        raise ValueError("total_spots must be >= 0")
+    if not (0 < supply_fraction <= 1):
+        raise ValueError("supply_fraction must lie in (0, 1]")
+    ends: dict[str, tuple[int, int]] = {}  # link id -> (from node, to node)
+    regions: dict[str, int] = {}
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            streets = [(u + 1, r)] if c + 1 < cols else []
+            if r + 1 < rows:
+                streets.append((u + cols, r + 0.5))
+            for v, row_mid in streets:
+                for a, b in ((u, v), (v, u)):
+                    ends[f"{a}-{b}"] = (a, b)
+                    regions[f"{a}-{b}"] = 1 if row_mid >= rows / 2.0 else 0
+    lids = sorted(ends)
+    upper = [lid for lid in lids if regions[lid] == 1]  # never empty: it holds the top row
+    if upper_share is None:
+        groups = [(lids, total_spots)]
+    else:
+        lower_spots = round(total_spots * (1.0 - upper_share))
+        lower = [lid for lid in lids if regions[lid] == 0]
+        groups = [(lower, lower_spots), (upper, total_spots - lower_spots)]
+    spots = dict.fromkeys(lids, 0)
+    for group, group_spots in groups:
+        keep = max(1, round(len(group) * supply_fraction))
+        stride = len(group) / keep
+        supplied = [group[int(i * stride)] for i in range(keep)]
+        base, extra = divmod(group_spots, keep)
+        for i, lid in enumerate(supplied):
+            spots[lid] = base + (1 if i < extra else 0)
+    links = [
+        Link(lid, *ends[lid], link_length, v_f, k_j, parking_capacity=spots[lid])
+        for lid in lids
+    ]
+    lot = None
     if lot_capacity:  # a negative capacity reaches the lot's own check
-        upper = sorted(lid for lid, r in net.region_assignment.items() if r == 1)
-        entry = lot_entry or (upper[len(upper) // 2] if upper else sorted(net.links)[0])
-        net = add_lot(
-            net,
-            OffStreetLot(
-                "lot",
-                entry_link=entry,
-                capacity=lot_capacity,
-                circuit_length=lot_circuit,
-                internal_cruise_speed=lot_speed,
-            ),
+        lot = OffStreetLot(
+            "lot",
+            entry_link=lot_entry or upper[len(upper) // 2],
+            capacity=lot_capacity,
+            circuit_length=lot_circuit,
+            internal_cruise_speed=lot_speed,
         )
-    return net
+    nodes = [Node(nid) for nid in range(rows * cols)]
+    return Network(nodes, links, lot=lot, region_assignment=regions)
 
 
 def validation_scenario(
@@ -100,8 +135,7 @@ def macro_params_from_calibration(
     micro simulation: a missing one gets utility -inf, so no demand."""
     lot = network.lot  # without one, placeholders: MacroParams needs l_off, v_off_f > 0
     on_street = network.total_parking_capacity > 0
-    if scenario.parker_count and not on_street and lot is None:
-        raise ValueError("parkers scheduled but the network has no parking supply")
+    scenario.check_supply(network)
     return MacroParams(
         nfd=report.nfd,
         distance_model=report.distance_model,

@@ -315,20 +315,34 @@ def test_undecodable_or_too_deep_file_gives_one_line(
     assert got.startswith(line.format(bad=bad))
 
 
-@pytest.mark.parametrize("name", ["desired_speed", "cruise_speed"])
+_SPEED_RANGE = "must exceed |{}_jitter| so that every drawn speed is > 0, got 5 and 5"
+# scenario field -> (the values that put it out of range, the error after the field's name)
+_OUT_OF_RANGE = {
+    "desired_speed": ({"desired_speed": 5.0, "desired_speed_jitter": 5.0},
+                      _SPEED_RANGE.format("desired_speed")),
+    "cruise_speed": ({"cruise_speed": 5.0, "cruise_speed_jitter": 5.0},
+                     _SPEED_RANGE.format("cruise_speed")),
+    "captive_spots": ({"captive_spots": -1}, "must be >= 0, got -1"),
+    "preoccupied_spots": ({"preoccupied_spots": -3}, "must be >= 0, got -3"),
+    "vacate_per_minute": ({"vacate_per_minute": -0.5}, "must be >= 0, got -0.5"),
+    "reeval_period": ({"reeval_period": -30.0}, "must be >= 0, got -30"),
+    "gridlock_steps": ({"gridlock_steps": 0}, "must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(_OUT_OF_RANGE))
 def test_micro_run_rejects_speed_range_reaching_zero(workdir, tmp_path, capsys, no_simulation, name):
+    """A scenario field out of its range (a speed range that reaches 0 is
+    one) is one line naming the file and the field, before anything runs."""
+    values, error = _OUT_OF_RANGE[name]
     bad = tmp_path / "scenario.json"
-    bad.write_text(_json_with(lambda d: d.update({name: 5.0, f"{name}_jitter": 5.0}))(
-        (workdir / "scenario.json").read_text()))
+    bad.write_text(_json_with(lambda d: d.update(values))((workdir / "scenario.json").read_text()))
     rc = main(["micro", "run", "--net", str(workdir / "net.json"), "--config", str(bad),
                "--seeds", "0", "--out", str(tmp_path / "runs")])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == [
-        f"error: scenario file {bad}: field {name!r} must exceed |{name}_jitter| so that every "
-        "drawn speed is > 0, got 5 and 5"
-    ]
+    assert err.splitlines() == [f"error: scenario file {bad}: field {name!r} {error}"]
     assert not (tmp_path / "runs").exists()
 
 

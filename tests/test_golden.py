@@ -1,5 +1,6 @@
 """Golden SHA-256 digests of the micro plant's ``events.csv``,
-``series.csv`` and ``metrics.json`` for fixed networks, scenarios and seeds.
+``series.csv``, ``metrics.json`` and ``nfd.csv`` for fixed networks,
+scenarios and seeds, each run once.
 
 The digests pin the plant's behaviour byte for byte. A change that moves
 them is a behaviour change and must say so; do not regenerate them to make
@@ -52,6 +53,15 @@ GOLDEN_METRICS = {
     ("dense", 0): "8a928fe41f6a347720900e9e45a402ed88607a54ca49381b3a7c130dd79b8d95",
 }
 
+# nfd.csv, the run's windowed network fundamental diagram
+GOLDEN_NFD = {
+    ("desk", 0): "703d39445de44fd4060d19ecff23fd688fd55a8814512010f56678513479f36f",
+    ("desk", 1): "714cc59e2e8777b34ac231b8ad0613e390f4cab8ae207e8a135338fca28caa8c",
+    ("desk", 2): "fecdeb623c55388c819b5b027689a6729ad9c43e422cc1f381a6d0ad304c9890",
+    ("a9", 0): "0a119f8e674075d822a08b27dc897c0dd2005a5926a6989ba681067081199fc2",
+    ("dense", 0): "93717b88bffd56f522479c137daccc543f374cb1b57d88aef94f4b4cb94f9702",
+}
+
 
 def _case(name):
     if name == "desk":
@@ -72,17 +82,18 @@ def _case(name):
 
 
 def digests(name, seed, out_dir):
-    """(events.csv, series.csv, metrics.json) SHA-256 hex digests of one run,
-    written as ``parkdyn micro run`` writes them."""
+    """(events.csv, series.csv, metrics.json, nfd.csv) SHA-256 hex digests of
+    one run, written as ``parkdyn micro run`` writes them."""
     net, sc = _case(name)
     _run_one_seed(net, sc, seed, out_dir, 60.0)
     seed_dir = out_dir / f"seed_{seed}"
     return tuple(
         hashlib.sha256((seed_dir / f).read_bytes()).hexdigest()
-        for f in ("events.csv", "series.csv", "metrics.json")
+        for f in ("events.csv", "series.csv", "metrics.json", "nfd.csv")
     )
 
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_outputs_match_golden_digests(name, seed, tmp_path):
-    assert digests(name, seed, tmp_path) == (*GOLDEN[(name, seed)], GOLDEN_METRICS[(name, seed)])
+    key = (name, seed)
+    assert digests(name, seed, tmp_path) == (*GOLDEN[key], GOLDEN_METRICS[key], GOLDEN_NFD[key])

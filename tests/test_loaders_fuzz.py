@@ -97,10 +97,18 @@ def _loads_or_value_error(load, path, doc):
 @settings(max_examples=300, deadline=None)
 @given(_json | _scenario | st.binary(max_size=24))
 @example(_DEEP)
+# each field below its range, which the fuzzer seldom draws with every other field valid
+@example({"captive_spots": -1})
+@example({"preoccupied_spots": -1})
+@example({"vacate_per_minute": -0.5})
+@example({"reeval_period": -1.0})
+@example({"gridlock_steps": 0})
 def test_scenario_loader(path, doc):
     sc = _loads_or_value_error(ScenarioConfig.load, path, doc)
     if sc is not None:
         _check_type(sc, ScenarioConfig)
+        assert min(sc.captive_spots, sc.preoccupied_spots, sc.vacate_per_minute) >= 0
+        assert sc.reeval_period >= 0 and sc.gridlock_steps >= 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -18,24 +18,14 @@ from parkdyn.microsim import (
     measure_nfd,
     performance_metrics,
 )
-from parkdyn.network import (
-    DurationDistribution,
-    Link,
-    Network,
-    Node,
-    OffStreetLot,
-    add_lot,
-    build_grid,
-)
+from parkdyn.network import DurationDistribution, Link, Network, Node
 from parkdyn.scenarios import desk_network, macro_demand, validation_scenario
 
 
 def small_net(lot_capacity=5, spots=2):
-    net = build_grid(3, 3, 0.1, 50, 100, spots)
-    if lot_capacity:
-        upper = sorted(lid for lid, r in net.region_assignment.items() if r == 1)
-        net = add_lot(net, OffStreetLot("lot", entry_link=upper[0], capacity=lot_capacity))
-    return net
+    """The 3 x 3 grid with ``spots`` spots on each of its 24 links and,
+    unless ``lot_capacity`` is 0, a lot on the first upper-region link."""
+    return desk_network(3, 3, total_spots=24 * spots, lot_capacity=lot_capacity, lot_entry="3-6")
 
 
 def small_scenario(**kw):
@@ -132,7 +122,7 @@ class TestLocalSearch:
         assert len(picks) > 1
 
     def test_defers_when_no_supplies_downstream(self):
-        net = build_grid(3, 3, 0.1, 50, 100, 0)  # nowhere to park
+        net = desk_network(3, 3, total_spots=0, lot_capacity=0)  # nowhere to park
         sc = small_scenario(parker_count=0, passer_count=0, captive_spots=0)
         sim = Simulation(net, sc, 0)
         picks = {sim.local_search_step("1-4", False) for _ in range(100)}

@@ -10,17 +10,15 @@ from parkdyn.network import (
     Network,
     Node,
     OffStreetLot,
-    add_lot,
-    build_grid,
     greenshields_speed,
     load_network,
-    redistribute_parking,
     save_network,
 )
+from parkdyn.scenarios import desk_network
 
 
 def test_grid_2x2_counts():
-    net = build_grid(2, 2, 0.1, 50, 100, 10)
+    net = desk_network(2, 2)
     assert len(net.nodes) == 4
     assert len(net.links) == 8
     assert math.isclose(net.total_length, 0.8)
@@ -28,7 +26,7 @@ def test_grid_2x2_counts():
 
 def test_grid_4x4_counts():
     # 2 * (2 * rows * (cols-1)) directed links for a square grid
-    net = build_grid(4, 4, 0.1, 50, 100, 2)
+    net = desk_network(4, 4)
     assert len(net.nodes) == 16
     assert len(net.links) == 48
 
@@ -36,22 +34,22 @@ def test_grid_4x4_counts():
 @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (0, 5)])
 def test_grid_rejects_degenerate_dimensions(rows, cols):
     with pytest.raises(ValueError):
-        build_grid(rows, cols, 0.1, 50, 100, 2)
+        desk_network(rows, cols)
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 4), (6, 6)])
 def test_grid_strongly_connected(rows, cols):
-    assert build_grid(rows, cols, 0.1, 50, 100, 1).is_strongly_connected()
+    assert desk_network(rows, cols).is_strongly_connected()
 
 
 def test_grid_interior_degree_four():
-    net = build_grid(4, 4, 0.1, 50, 100, 0)
+    net = desk_network(4, 4)
     interior = 1 * 4 + 1  # node (1,1) has id 5
     assert len(net.out_links[5]) == 4
 
 
 def test_path_links_shortest_and_found_once():
-    net = build_grid(3, 3, 0.1, 50, 100, 0)
+    net = desk_network(3, 3)
     path = net.path_links(0, 8)
     assert isinstance(path, tuple) and len(path) == 4  # corner to corner
     assert net.links[path[0]].from_node == 0 and net.links[path[-1]].to_node == 8
@@ -68,13 +66,13 @@ def test_path_links_without_a_path_raises_every_time():
 
 
 def test_region_split_into_two_halves():
-    net = build_grid(6, 6, 0.1, 50, 100, 1)
+    net = desk_network(6, 6)
     assert net.regions() == (0, 1)
     assert net.region_capacity(0) + net.region_capacity(1) == net.total_parking_capacity
 
 
 def test_roundtrip_identity(tmp_path):
-    net = build_grid(2, 2, 0.1, 50, 100, 10)
+    net = desk_network(2, 2)
     path = tmp_path / "net.json"
     save_network(net, path)
     assert load_network(path) == net
@@ -83,7 +81,7 @@ def test_roundtrip_identity(tmp_path):
 def test_roundtrip_covers_all_fields(tmp_path):
     from parkdyn.network import Network
 
-    base = build_grid(4, 4, 0.12, 48.0, 110.0, 3)
+    base = desk_network(4, 4, 0.12, 48.0, 110.0, total_spots=3 * 48, lot_capacity=0)
     nodes = [
         Node(n.id, allows_u_turn=(n.id % 3 == 0)) for n in base.nodes.values()
     ]
@@ -91,9 +89,9 @@ def test_roundtrip_covers_all_fields(tmp_path):
         replace_link(ln, lanes=2 if i % 5 == 0 else 1)
         for i, ln in enumerate(sorted(base.links.values(), key=lambda ln: ln.id))
     ]
-    net = Network(nodes, links, region_assignment=base.region_assignment)
-    net = add_lot(net, OffStreetLot("garage", entry_link=links[0].id, capacity=42,
-                                    circuit_length=0.45, internal_cruise_speed=12.0))
+    lot = OffStreetLot("garage", entry_link=links[0].id, capacity=42, circuit_length=0.45,
+                       internal_cruise_speed=12.0)
+    net = Network(nodes, links, lot=lot, region_assignment=base.region_assignment)
     path = tmp_path / "full.json"
     save_network(net, path)
     again = load_network(path)
@@ -109,7 +107,7 @@ def replace_link(ln, **kw):
 
 
 def test_load_rejects_dangling_node(tmp_path):
-    net = build_grid(2, 2, 0.1, 50, 100, 1)
+    net = desk_network(2, 2)
     d = net.to_dict()
     d["links"][0]["from_node"] = 99
     path = tmp_path / "bad.json"
@@ -119,7 +117,7 @@ def test_load_rejects_dangling_node(tmp_path):
 
 
 def test_load_rejects_zero_length(tmp_path):
-    net = build_grid(2, 2, 0.1, 50, 100, 1)
+    net = desk_network(2, 2)
     d = net.to_dict()
     d["links"][0]["length"] = 0.0
     path = tmp_path / "bad.json"
@@ -134,13 +132,6 @@ def test_load_rejects_regions_list(tmp_path):
     message = f"{path}: field 'regions' must be a JSON object"
     with pytest.raises(ValueError, match=re.escape(message)):
         load_network(path)
-
-
-def test_add_lot_keeps_one_lot():
-    net = add_lot(build_grid(2, 2, 0.1, 50, 100, 1), OffStreetLot("first", "0-1", 5))
-    with pytest.raises(ValueError, match="lot second: the network already has lot first"):
-        add_lot(net, OffStreetLot("second", "1-0", 7))
-    assert net.lot.id == "first"
 
 
 def test_greenshields_examples():
@@ -162,16 +153,14 @@ def test_greenshields_bounded_and_monotone(k, v_f, k_j):
 
 
 def test_redistribute_exact_total_and_shares():
-    net = build_grid(6, 6, 0.1, 50, 100, 0)
-    net = redistribute_parking(net, 301, {0: 0.7, 1: 0.3})
+    net = desk_network(6, 6, total_spots=301, upper_share=0.3)
     assert net.total_parking_capacity == 301
     upper = net.region_capacity(1)
     assert abs(upper - 0.3 * 301) <= 1
 
 
 def test_redistribute_sparse_supply():
-    net = build_grid(6, 6, 0.1, 50, 100, 0)
-    net = redistribute_parking(net, 300, None, supply_fraction=0.25)
+    net = desk_network(6, 6, total_spots=300, supply_fraction=0.25)
     supplied = sum(1 for ln in net.links.values() if ln.parking_capacity > 0)
     assert supplied == round(0.25 * len(net.links))
     assert net.total_parking_capacity == 300
