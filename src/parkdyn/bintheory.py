@@ -11,20 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import greenshields_speed
+from .network import POSITIVE, check_fields, greenshields_speed, within
 
 
 @dataclass(frozen=True)
 class BinParams:
-    v_f: float  # free-flow speed, km/hr
-    v_c: float  # desired cruising speed, km/hr
-    k_j: float  # jam density, veh/km
+    v_f: float = within(POSITIVE)  # free-flow speed, km/hr
+    v_c: float = within(POSITIVE)  # desired cruising speed, km/hr
+    k_j: float = within(POSITIVE)  # jam density, veh/km
 
     def __post_init__(self):
-        if not (0 < self.v_c <= self.v_f):
-            raise ValueError("need 0 < v_c <= v_f")
-        if self.k_j <= 0:
-            raise ValueError("need k_j > 0")
+        check_fields(self)
+        if self.v_c > self.v_f:
+            raise ValueError("need v_c <= v_f")
 
 
 def critical_density(params: BinParams) -> float:

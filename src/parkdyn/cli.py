@@ -23,11 +23,10 @@ import argparse
 import csv
 import inspect
 import json
-import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,19 +76,6 @@ def _check_choices(values: list, flag: str, what: str, choices) -> None:
     bad = [v for v in values if v not in choices]
     if bad:
         raise ValueError(f"{flag}: unknown {what} {bad[0]!r}, expected one of {', '.join(choices)}")
-
-
-class _Domain(NamedTuple):
-    rule: str
-    holds: Callable[[float], bool]
-
-
-def _at_least(low: int) -> _Domain:
-    return _Domain(f"must be >= {low}", lambda x: x >= low)
-
-
-_FINITE = _Domain("must be finite", math.isfinite)
-_POSITIVE = _Domain("must be > 0 and finite", lambda x: 0 < x < math.inf)
 
 
 # ------------------------------------------------------------------ net
@@ -200,8 +186,8 @@ def _utf8(text: str) -> str:
 
 def _finite(text: str) -> float:
     value = float(text)
-    if not _FINITE.holds(value):
-        raise _Rule(_FINITE.rule)
+    if not network.FINITE.holds(value):
+        raise _Rule(network.FINITE.rule)
     return value
 
 
@@ -538,53 +524,58 @@ def cmd_compare(args):
 
 class _Flag(NamedTuple):
     kwargs: dict  # argparse's keywords
-    domain: _Domain | None = None
+    domain: network.Domain | None = None
     option: str | None = None  # when it is not --<dest> with - for _
 
 
+_GRID, _POSITIVE, _field = scenarios.GRID_DOMAINS, network.POSITIVE, network.domain_of
+
 # Every flag of every command, keyed by argparse dest. main checks each given
 # value against its domain before the command reads or writes anything; rules
-# between flags, or between a flag and a file, stay in the commands.
+# between flags, or between a flag and a file, stay in the commands. A flag
+# that feeds a field (or a desk_network parameter) takes the domain declared
+# there; the others declare their own here.
 FLAGS = {
     **dict.fromkeys(("net", "config", "calibration", "out"), _Flag({"required": True})),
     "runs": _Flag({"required": True, "help": "directory with seed_* runs"}),
-    "rows": _Flag({"type": int}, _at_least(2)),
-    "cols": _Flag({"type": int}, _at_least(2)),
-    "link_length": _Flag({"type": float, "help": "km"}, _POSITIVE),
-    "v_f": _Flag({"type": float, "metavar": "VF"}, _POSITIVE, "--vf"),
-    "k_j": _Flag({"type": float, "metavar": "KJ"}, _POSITIVE, "--kj"),
-    "total_spots": _Flag({"type": int}, _at_least(0)),
-    "upper_share": _Flag({"type": float}, _Domain("must lie in [0, 1]", lambda x: 0 <= x <= 1)),
-    "supply_fraction": _Flag({"type": float},
-                             _Domain("must lie in (0, 1]", lambda x: 0 < x <= 1)),
+    "rows": _Flag({"type": int}, _GRID["rows"]),
+    "cols": _Flag({"type": int}, _GRID["cols"]),
+    "link_length": _Flag({"type": float, "help": "km"}, _field(network.Link, "length")),
+    "v_f": _Flag({"type": float, "metavar": "VF"}, _field(network.Link, "free_flow_speed"), "--vf"),
+    "k_j": _Flag({"type": float, "metavar": "KJ"}, _field(network.Link, "jam_density"), "--kj"),
+    "total_spots": _Flag({"type": int}, _GRID["total_spots"]),
+    "upper_share": _Flag({"type": float}, _GRID["upper_share"]),
+    "supply_fraction": _Flag({"type": float}, _GRID["supply_fraction"]),
     "lot_entry": _Flag({}),
-    "lot_capacity": _Flag({"type": int}, _at_least(0)),
-    "lot_circuit": _Flag({"type": float}, _POSITIVE),
-    "lot_speed": _Flag({"type": float}, _POSITIVE),
+    "lot_capacity": _Flag({"type": int}, _field(network.OffStreetLot, "capacity")),
+    "lot_circuit": _Flag({"type": float}, _field(network.OffStreetLot, "circuit_length")),
+    "lot_speed": _Flag({"type": float}, _field(network.OffStreetLot, "internal_cruise_speed")),
     "seeds": _Flag({"default": "0,1,2,3,4,5,6,7,8,9"}),
-    "jobs": _Flag({"type": int, "default": 1}, _at_least(1)),
+    "jobs": _Flag({"type": int, "default": 1}, network.at_least(1)),
     "nfd_window": _Flag({"type": float, "default": 60.0, "help": "s"}, _POSITIVE),
-    "vf": _Flag({"type": float, "default": 50.0}, _POSITIVE),
-    "kj": _Flag({"type": float, "default": 100.0}, _POSITIVE),
+    "vf": _Flag({"type": float, "default": 50.0}, _field(bintheory.BinParams, "v_f")),
+    "kj": _Flag({"type": float, "default": 100.0}, _field(bintheory.BinParams, "k_j")),
     "vc": _Flag({"default": "10,20,30,40"}),
     "k_step": _Flag({"type": float, "default": 0.1}, _POSITIVE),
     "brute_step": _Flag({"type": float, "default": 0.01}, _POSITIVE),
     "kind": _Flag({"default": "exp-distance", "choices": list(estimators.KINDS)}),
     "trend": _Flag({"default": "increasing", "choices": ["increasing", "decreasing", "both"]}),
     "ref": _Flag({"default": "init", "choices": ["init", "avg"]}),
-    "dt_macro": _Flag({"type": float, "default": 10.0, "help": "s"}, _POSITIVE),
+    "dt_macro": _Flag({"type": float, "default": 10.0, "help": "s"},
+                      _field(macromodel.MacroParams, "dt")),
     "modes": _Flag({"default": ",".join(MODES)}),
-    "control_interval": _Flag({"type": float, "default": 0.25, "help": "hr"}, _POSITIVE),
-    "intervals": _Flag({"type": int, "default": 2}, _at_least(1)),
+    "control_interval": _Flag({"type": float, "default": 0.25, "help": "hr"},
+                              _field(mpc.MpcConfig, "control_interval")),
+    "intervals": _Flag({"type": int, "default": 2}, _field(mpc.MpcConfig, "n_intervals")),
     "starts": _Flag({"type": int, "default": 8,
                      "help": "starts per solve: the prices in force, every price at "
                              "--tau-min, every price at --tau-max, then random ones up to "
-                             "this count"}, _at_least(3)),
-    "budget": _Flag({"type": int, "default": 400}, _at_least(1)),
+                             "this count"}, _field(mpc.MpcConfig, "n_starts")),
+    "budget": _Flag({"type": int, "default": 400}, _field(mpc.MpcConfig, "budget")),
     "controlled": _Flag({"default": "on"}),
-    "tau_min": _Flag({"type": float, "default": 0.0}, _FINITE),
-    "tau_max": _Flag({"type": float, "default": 10.0}, _FINITE),
-    "tau_gap": _Flag({"type": float, "default": 3.0}, _FINITE),
+    "tau_min": _Flag({"type": float, "default": 0.0}, _field(mpc.MpcConfig, "tau_min")),
+    "tau_max": _Flag({"type": float, "default": 10.0}, _field(mpc.MpcConfig, "tau_max")),
+    "tau_gap": _Flag({"type": float, "default": 3.0}, _field(mpc.MpcConfig, "tau_gap")),
 }
 
 

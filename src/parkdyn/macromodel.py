@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import DistanceModel, evaluate_clamped
-from .network import DurationDistribution
+from .network import FINITE, POSITIVE, UTILITY, DurationDistribution, at_least, check_fields, within
 
 
 class ConservationError(RuntimeError):
@@ -30,13 +30,11 @@ class ConservationError(RuntimeError):
 class NfdModel:
     """Three-parameter logistic speed-accumulation curve."""
 
-    v0: float  # km/hr
-    n0: float  # veh
-    w: float  # veh
+    v0: float = within(POSITIVE)  # km/hr
+    n0: float = within(FINITE)  # veh
+    w: float = within(POSITIVE)  # veh
 
-    def __post_init__(self):
-        if self.v0 <= 0 or self.w <= 0:
-            raise ValueError("need v0 > 0 and w > 0")
+    __post_init__ = check_fields
 
 
 def nfd_speed(model: NfdModel, n: float) -> float:
@@ -53,28 +51,20 @@ class MacroParams:
     nfd: NfdModel
     distance_model: DistanceModel  # occupancy -> expected cruise distance, km
     duration: DurationDistribution
-    N_on: int
-    N_off: int
-    l_m_on: float  # km, mean moving distance of to-on-street vehicles
-    l_m_off: float
-    l_m_pass: float
-    l_off: float  # km, one circuit of the lot
-    v_on_f: float  # km/hr, desired on-street cruising speed
-    v_off_f: float  # km/hr, in-lot cruising speed
-    dt: float  # hr
-    alpha_on: float = 0.0
-    alpha_off: float = 0.0
-    beta: float = 0.0  # 1/$, fee coefficient of the binary choice model
+    N_on: int = within(at_least(0))
+    N_off: int = within(at_least(0))
+    l_m_on: float = within(POSITIVE)  # km, mean moving distance of to-on-street vehicles
+    l_m_off: float = within(POSITIVE)
+    l_m_pass: float = within(POSITIVE)
+    l_off: float = within(POSITIVE)  # km, one circuit of the lot
+    v_on_f: float = within(POSITIVE)  # km/hr, desired on-street cruising speed
+    v_off_f: float = within(POSITIVE)  # km/hr, in-lot cruising speed
+    dt: float = within(POSITIVE)  # hr
+    alpha_on: float = within(UTILITY, 0.0)  # -inf for a facility the network lacks
+    alpha_off: float = within(UTILITY, 0.0)
+    beta: float = within(at_least(0), 0.0)  # 1/$, fee coefficient of the binary choice model
 
-    def __post_init__(self):
-        if min(self.N_on, self.N_off) < 0:
-            raise ValueError("capacities must be >= 0")
-        if min(self.l_m_on, self.l_m_off, self.l_m_pass, self.l_off) <= 0:
-            raise ValueError("distances must be > 0")
-        if min(self.v_on_f, self.v_off_f) <= 0 or self.dt <= 0:
-            raise ValueError("speeds and dt must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+    __post_init__ = check_fields
 
     @functools.cached_property
     def k_off(self) -> int:

@@ -65,7 +65,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import DurationDistribution, Network, greenshields_speed, read_json
+from .network import (FINITE, POSITIVE, UNIT, DurationDistribution, FieldError, Network,
+                      at_least, check_fields, greenshields_speed, read_json, within)
 
 FAMILIES = ("i", "ii", "iii", "iv", "v", "vi")
 ALLOWED_TRANSITIONS = frozenset(
@@ -140,12 +141,10 @@ class TopologyError(ValueError):
 class GuidanceConfig:
     local_guidance: bool = False
     regional_guidance: bool = False
-    regional_threshold: float = 0.95
-    compliance: float = 1.0
+    regional_threshold: float = within(FINITE, 0.95)
+    compliance: float = within(UNIT, 1.0)
 
-    def __post_init__(self):
-        if not (0.0 <= self.compliance <= 1.0):
-            raise ValueError("compliance must lie in [0, 1]")
+    __post_init__ = check_fields
 
 
 DEMAND_PROFILES = ("uniform", "ramp-up", "ramp-down")
@@ -155,57 +154,40 @@ DEMAND_PROFILES = ("uniform", "ramp-up", "ramp-down")
 class ScenarioConfig:
     """Demand, choice, and run-control parameters of one micro scenario."""
 
-    parker_count: int = 0
-    passer_count: int = 0
+    parker_count: int = within(at_least(0), 0)
+    passer_count: int = within(at_least(0), 0)
     parker_profile: str = "uniform"
     passer_profile: str = "uniform"
-    tau_on: float = 0.0  # $ per parking event
-    tau_off: float = 0.0
-    alpha_on: float = 0.0  # location attractions (utility units)
-    alpha_off: float = 0.0
-    beta: float = 0.0  # 1/$
+    tau_on: float = within(FINITE, 0.0)  # $ per parking event
+    tau_off: float = within(FINITE, 0.0)
+    alpha_on: float = within(FINITE, 0.0)  # location attractions (utility units)
+    alpha_off: float = within(FINITE, 0.0)
+    beta: float = within(at_least(0), 0.0)  # 1/$
     duration: DurationDistribution = field(default_factory=DurationDistribution)
-    cruise_speed: float = 30.0  # km/hr set value; drawn +- jitter per driver
+    cruise_speed: float = within(FINITE, 30.0)  # km/hr set value; drawn +- jitter per driver
     cruise_speed_jitter: float = 5.0
-    desired_speed: float = 50.0
+    desired_speed: float = within(FINITE, 50.0)
     desired_speed_jitter: float = 5.0
-    captive_spots: int = 0
-    preoccupied_spots: int = 0
-    vacate_per_minute: float = 0.0
-    dt_sim: float = 1.0  # s
-    horizon: float = 1.0  # hr
+    captive_spots: int = within(at_least(0), 0)
+    preoccupied_spots: int = within(at_least(0), 0)
+    vacate_per_minute: float = within(at_least(0), 0.0)
+    dt_sim: float = within(POSITIVE, 1.0)  # s
+    horizon: float = within(POSITIVE, 1.0)  # hr
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    reeval_period: float = 30.0  # s between mid-link search re-evaluations
-    gridlock_steps: int = 600
+    reeval_period: float = within(at_least(0), 30.0)  # s between mid-link search re-evaluations
+    gridlock_steps: int = within(at_least(1), 600)  # still steps that flag gridlock
 
     def __post_init__(self):
-        if self.parker_count < 0 or self.passer_count < 0:
-            raise ValueError("demand counts must be >= 0")
         if self.parker_profile not in DEMAND_PROFILES or self.passer_profile not in DEMAND_PROFILES:
             raise ValueError(f"demand profiles must be one of {DEMAND_PROFILES}")
-        if self.dt_sim <= 0 or self.horizon <= 0:
-            raise ValueError("dt_sim and horizon must be > 0")
-        self.n_steps  # raises unless dt_sim divides the horizon
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        for name, least in (
-            ("captive_spots", 0),
-            ("preoccupied_spots", 0),
-            ("vacate_per_minute", 0),
-            ("reeval_period", 0),
-            ("gridlock_steps", 1),  # still steps that flag gridlock; 0 would act as 1
-        ):
-            value = getattr(self, name)
-            if not value >= least:
-                raise ValueError(f"field {name!r} must be >= {least}, got {value:g}")
-        # drivers draw their speeds from [speed - |jitter|, speed + |jitter|]
+        # drivers draw speeds from [speed - |jitter|, speed + |jitter|]; nan or inf jitter fails
         for name in ("desired_speed", "cruise_speed"):
             speed, jitter = getattr(self, name), getattr(self, f"{name}_jitter")
             if not speed - abs(jitter) > 0.0:
-                raise ValueError(
-                    f"field {name!r} must exceed |{name}_jitter| so that every drawn speed "
-                    f"is > 0, got {speed:g} and {jitter:g}"
-                )
+                raise FieldError(name, f"must exceed |{name}_jitter| so that every drawn speed "
+                                       f"is > 0, got {speed:g} and {jitter:g}")
+        check_fields(self)
+        self.n_steps  # raises unless dt_sim divides the horizon
 
     @property
     def n_steps(self) -> int:
@@ -351,18 +333,13 @@ class RunSummary:
     parked_on_total: int  # parking events over the run
     parked_off_total: int
     gridlock: bool
-    on_street_capacity: int
+    on_street_capacity: int = within(at_least(0))
     lot_capacity: int
-    network_length: float  # km
-    l_off: float  # km of one lot circuit
-    v_off_f: float  # km/hr in the lot
+    network_length: float = within(POSITIVE)  # km
+    l_off: float = within(FINITE)  # km of one lot circuit
+    v_off_f: float = within(POSITIVE)  # km/hr in the lot
 
-    def __post_init__(self):
-        for name in ("network_length", "v_off_f"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"field 'summary.{name}' must be > 0 and finite")
-        if self.on_street_capacity < 0:
-            raise ValueError("field 'summary.on_street_capacity' must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .macromodel import (
     simulate_macro,
 )
 from .microsim import Simulation, cruising_veh_hr, macro_blocks, whole_steps
+from .network import FINITE, POSITIVE, at_least, check_fields, within
 
 FACILITIES = ("on", "off")
 
@@ -33,25 +34,20 @@ class MpcConfig:
     """Pricing-loop settings. The prediction horizon is ``n_intervals``
     control intervals, each a whole number of macro steps (``MacroParams.dt``)."""
 
-    control_interval: float  # hr
-    n_intervals: int  # pricing intervals optimized simultaneously
+    control_interval: float = within(POSITIVE)  # hr
+    n_intervals: int = within(at_least(1))  # pricing intervals optimized simultaneously
     # Multi-starts per solve. The anchor (last applied prices), tau_min and
     # tau_max starts always run, plus any extra starts the caller passes;
-    # random starts (seeded 0 in every solve) fill up to n_starts. So
-    # n_starts < 3 still runs three.
-    n_starts: int
-    budget: int  # objective evaluations per start
+    # random starts (seeded 0 in every solve) fill up to n_starts.
+    n_starts: int = within(at_least(3))
+    budget: int = within(at_least(1))  # objective evaluations per start
     controlled: tuple[str, ...]
-    tau_min: float
-    tau_max: float
-    tau_gap: float
+    tau_min: float = within(FINITE)
+    tau_max: float = within(FINITE)
+    tau_gap: float = within(FINITE)
 
     def __post_init__(self):
-        if self.n_intervals < 1:
-            raise ValueError(f"prediction intervals must be >= 1, got {self.n_intervals}")
-        box = (self.tau_min, self.tau_max, self.tau_gap)
-        if not all(map(math.isfinite, box)):
-            raise ValueError(f"price box bounds must be finite, got {box}")
+        check_fields(self)
         if self.tau_gap < 0 or self.tau_max < self.tau_min:
             raise ValueError("infeasible price constraint box")
         if not self.controlled or any(f not in FACILITIES for f in self.controlled):

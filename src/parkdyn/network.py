@@ -1,6 +1,7 @@
 """Road network, parking supply, and parking-duration data model, the
 Greenshields link speed law that the micro model and the two-bin theory
-share, and the one JSON reader of every input file.
+share, the one JSON reader of every input file, and ``within``, by which a
+dataclass field declares its numeric range once.
 
 Networks are directed: a two-way street is two links. All quantities carry
 the units used throughout the package: km, km/hr, veh/km/lane. A
@@ -19,8 +20,56 @@ import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+
+class Domain(NamedTuple):
+    """A number's allowed values (never nan): ``holds`` tests one, ``rule`` states them."""
+
+    rule: str
+    holds: Callable[[float], bool]
+
+
+def at_least(low: int) -> Domain:
+    return Domain(f"must be >= {low}", lambda x: low <= x < math.inf)
+
+
+FINITE = Domain("must be finite", math.isfinite)
+POSITIVE = Domain("must be > 0 and finite", lambda x: 0 < x < math.inf)
+UNIT = Domain("must lie in [0, 1]", lambda x: 0 <= x <= 1)
+UTILITY = Domain("must be finite or -inf", lambda x: x < math.inf)  # -inf: never chosen
+
+
+def within(domain: Domain, default=MISSING):
+    """A dataclass field whose value must lie in ``domain``: its range's one
+    declaration, read by ``check_fields`` and by the CLI flag it feeds."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def domain_of(cls, name: str) -> Domain:
+    return cls.__dataclass_fields__[name].metadata["domain"]
+
+
+class FieldError(ValueError):
+    """A field's value breaks its rule; ``from_json`` names it by its dotted path."""
+
+    def __init__(self, name: str, text: str):
+        super().__init__(f"field {name!r} {text}")
+        self.name, self.text = name, text
+
+
+def check(name: str, value, domain: Domain) -> None:
+    if not domain.holds(value):
+        raise FieldError(name, f"{domain.rule}, got {value:g}")
+
+
+def check_fields(obj) -> None:
+    """Raises a FieldError for the first field of ``obj`` outside its domain."""
+    for f in fields(obj):
+        if "domain" in f.metadata:
+            check(f.name, getattr(obj, f.name), f.metadata["domain"])
 
 
 def _check_id(what: str, id_: str) -> None:
@@ -43,22 +92,15 @@ class Link:
     id: str
     from_node: int
     to_node: int
-    length: float  # km
-    free_flow_speed: float = 50.0  # km/hr
-    jam_density: float = 100.0  # veh/km/lane
-    lanes: int = 1
-    parking_capacity: int = 0
+    length: float = within(POSITIVE)  # km
+    free_flow_speed: float = within(POSITIVE, 50.0)  # km/hr
+    jam_density: float = within(POSITIVE, 100.0)  # veh/km/lane
+    lanes: int = within(at_least(1), 1)
+    parking_capacity: int = within(at_least(0), 0)
 
     def __post_init__(self):
         _check_id("link", self.id)
-        if self.length <= 0:
-            raise ValueError(f"link {self.id}: length must be > 0")
-        if self.free_flow_speed <= 0 or self.jam_density <= 0:
-            raise ValueError(f"link {self.id}: speeds and densities must be > 0")
-        if self.lanes < 1:
-            raise ValueError(f"link {self.id}: lanes must be >= 1")
-        if self.parking_capacity < 0:
-            raise ValueError(f"link {self.id}: parking fields must be non-negative")
+        check_fields(self)
 
     @property
     def free_flow_time(self) -> float:
@@ -76,16 +118,13 @@ class OffStreetLot:
 
     id: str
     entry_link: str
-    capacity: int
-    circuit_length: float = 0.3  # km
-    internal_cruise_speed: float = 15.0  # km/hr
+    capacity: int = within(at_least(0))
+    circuit_length: float = within(POSITIVE, 0.3)  # km
+    internal_cruise_speed: float = within(POSITIVE, 15.0)  # km/hr
 
     def __post_init__(self):
         _check_id("lot", self.id)
-        if self.capacity < 0:
-            raise ValueError(f"lot {self.id}: capacity must be >= 0")
-        if self.circuit_length <= 0 or self.internal_cruise_speed <= 0:
-            raise ValueError(f"lot {self.id}: circuit fields must be > 0")
+        check_fields(self)
 
     @property
     def circuit_time(self) -> float:
@@ -102,8 +141,9 @@ class Network:
     """
 
     def __init__(self, nodes, links, lot=None, region_assignment=None):
+        nodes = list(nodes)  # an iterable is read once
         self.nodes: dict[int, Node] = {n.id: n for n in nodes}
-        if len(self.nodes) != len(list(nodes)):
+        if len(self.nodes) != len(nodes):
             raise ValueError("duplicate node ids")
         self.links: dict[str, Link] = {}
         for ln in links:
@@ -128,8 +168,6 @@ class Network:
         for nid, lids in grouped.items():
             self.out_links[nid] = tuple(sorted(lids))
         self.total_length = sum(ln.length for ln in self.links.values())
-        if self.links and self.total_length <= 0:
-            raise ValueError("total network length must be > 0")
         self._reverse: dict[str, str | None] = {}
         by_pair = {(ln.from_node, ln.to_node): ln.id for ln in self.links.values()}
         for ln in self.links.values():
@@ -251,8 +289,8 @@ class DurationDistribution:
     """
 
     kind: str = "uniform"
-    lo: float = 0.0
-    hi: float = 1.0
+    lo: float = within(FINITE, 0.0)
+    hi: float = within(FINITE, 1.0)
     xs: tuple[float, ...] = ()
     cdf_values: tuple[float, ...] = ()
 
@@ -260,6 +298,7 @@ class DurationDistribution:
         # tuples, so that the distribution hashes (the macro weight cache keys on it)
         object.__setattr__(self, "xs", tuple(self.xs))
         object.__setattr__(self, "cdf_values", tuple(self.cdf_values))
+        check_fields(self)
         if self.kind == "uniform":
             if not (0 <= self.lo < self.hi):
                 raise ValueError("uniform duration needs 0 <= lo < hi")
@@ -363,7 +402,7 @@ def from_json(cls, obj):
     an X, ``tuple[X, ...]`` an array of X, ``dict[str, X]`` an object of X, a
     bare ``dict`` any object, and a dataclass an object read by these rules. A
     ValueError names the field by its dotted path, as in
-    ``unknown field 'links[3].lane'``.
+    ``unknown field 'links[3].lane'`` or ``field 'links[3].length' must be > 0 …``.
     """
     return _reader(cls)(obj, "", None)
 
@@ -472,6 +511,9 @@ def _reader(tp):
         for name in required:
             if name not in kwargs:
                 raise ValueError(f"missing field {_path(path, name)!r}")
-        return tp(**kwargs)
+        try:
+            return tp(**kwargs)
+        except FieldError as e:
+            raise ValueError(f"field {_path(path, e.name)!r} {e.text}") from None
 
     return read_dataclass

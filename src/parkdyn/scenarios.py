@@ -13,7 +13,13 @@ from . import macromodel
 from .calibration import CalibrationReport
 from .macromodel import MacroParams, MacroState, MacroTrajectories, uniform_profile
 from .microsim import GuidanceConfig, ScenarioConfig, whole_steps
-from .network import DurationDistribution, Link, Network, Node, OffStreetLot
+from .network import (UNIT, Domain, DurationDistribution, Link, Network, Node, OffStreetLot,
+                      at_least, check)
+
+# the domains of desk_network's own parameters, which net build's flags take
+GRID_DOMAINS = {"rows": at_least(2), "cols": at_least(2), "total_spots": at_least(0),
+                "upper_share": UNIT,
+                "supply_fraction": Domain("must lie in (0, 1]", lambda x: 0 < x <= 1)}
 
 
 def desk_network(
@@ -47,12 +53,10 @@ def desk_network(
     remainder goes one spot each to the first in sorted-id order. The lot
     is on ``lot_entry``, or else on the middle of the sorted region-1 links.
     """
-    if rows < 2 or cols < 2:
-        raise ValueError("grid needs rows >= 2 and cols >= 2")
-    if total_spots < 0:
-        raise ValueError("total_spots must be >= 0")
-    if not (0 < supply_fraction <= 1):
-        raise ValueError("supply_fraction must lie in (0, 1]")
+    given = locals()  # the parameters: no other name is bound yet
+    for name, domain in GRID_DOMAINS.items():
+        if given[name] is not None:  # upper_share None: one group
+            check(name, given[name], domain)
     ends: dict[str, tuple[int, int]] = {}  # link id -> (from node, to node)
     regions: dict[str, int] = {}
     for r in range(rows):

@@ -19,12 +19,13 @@ import pytest
 
 import parkdyn
 from parkdyn import cli, macromodel, mpc, scenarios
+from parkdyn.bintheory import BinParams
 from parkdyn.calibration import CalibrationReport
 from parkdyn.cli import _run_one_seed, load_events_csv, load_run_dir, main
 from parkdyn.estimators import DistanceModel
 from parkdyn.macromodel import NfdModel
 from parkdyn.microsim import FLOAT, SERIES_COLUMNS, Event, ScenarioConfig, Simulation
-from parkdyn.network import DurationDistribution, load_network, save_network
+from parkdyn.network import DurationDistribution, Link, OffStreetLot, load_network, save_network
 
 
 def _micro_run_argv(root):
@@ -327,6 +328,11 @@ _OUT_OF_RANGE = {
     "vacate_per_minute": ({"vacate_per_minute": -0.5}, "must be >= 0, got -0.5"),
     "reeval_period": ({"reeval_period": -30.0}, "must be >= 0, got -30"),
     "gridlock_steps": ({"gridlock_steps": 0}, "must be >= 1, got 0"),
+    "parker_count": ({"parker_count": -1}, "must be >= 0, got -1"),
+    "passer_count": ({"passer_count": -1}, "must be >= 0, got -1"),
+    "beta": ({"beta": -0.5}, "must be >= 0, got -0.5"),
+    "dt_sim": ({"dt_sim": 0.0}, "must be > 0 and finite, got 0"),
+    "horizon": ({"horizon": -1.0}, "must be > 0 and finite, got -1"),
 }
 
 
@@ -997,13 +1003,41 @@ _DOMAINS = {
 }
 
 
+# the dataclass field that each flag feeds, whose declared domain is the flag's
+_FIELD_OF_FLAG = {
+    "link_length": (Link, "length"),
+    "v_f": (Link, "free_flow_speed"),
+    "k_j": (Link, "jam_density"),
+    "lot_capacity": (OffStreetLot, "capacity"),
+    "lot_circuit": (OffStreetLot, "circuit_length"),
+    "lot_speed": (OffStreetLot, "internal_cruise_speed"),
+    "vf": (BinParams, "v_f"),
+    "kj": (BinParams, "k_j"),
+    "intervals": (mpc.MpcConfig, "n_intervals"),
+    "starts": (mpc.MpcConfig, "n_starts"),
+    "budget": (mpc.MpcConfig, "budget"),
+    "control_interval": (mpc.MpcConfig, "control_interval"),
+    **{f"tau_{x}": (mpc.MpcConfig, f"tau_{x}") for x in ("min", "max", "gap")},
+    "dt_macro": (macromodel.MacroParams, "dt"),
+}
+
+
 def test_every_float_flag_and_jobs_has_one_domain():
-    """Every float and every integer flag, --jobs included, has one domain."""
+    """Every float and every integer flag, --jobs included, has one domain:
+    a flag that feeds a dataclass field or a desk_network parameter takes the
+    domain declared there, and the others declare their own."""
     dests = {a.dest for _, parser in _COMMANDS for a in parser._actions if a.type in (int, float)}
     domains = {dest: flag.domain for dest, flag in cli.FLAGS.items() if flag.domain}
     assert sorted(dests) == sorted(domains) == sorted(_DOMAINS)
     assert {dest: domain.rule for dest, domain in domains.items()} == {
         dest: rule for dest, (rule, _) in _DOMAINS.items()}
+    for dest, (cls, name) in _FIELD_OF_FLAG.items():
+        [declared] = [f.metadata["domain"] for f in dataclasses.fields(cls) if f.name == name]
+        assert domains[dest] is declared, dest
+    for dest, declared in scenarios.GRID_DOMAINS.items():
+        assert domains[dest] is declared, dest
+    own = set(domains) - set(_FIELD_OF_FLAG) - set(scenarios.GRID_DOMAINS)
+    assert own == {"jobs", "nfd_window", "k_step", "brute_step"}
 
 
 @pytest.mark.parametrize(

@@ -81,7 +81,7 @@ class TestPricingSchedule:
         [("tau_gap", math.nan), ("tau_max", math.inf), ("tau_max", math.nan), ("tau_min", -math.inf)],
     )
     def test_non_finite_box_rejected(self, field, value):
-        with pytest.raises(ValueError, match="price box bounds must be finite"):
+        with pytest.raises(ValueError, match=rf"^field '{field}' must be finite, got {value}$"):
             replace(SMALL, **{field: value})
 
 

@@ -1,9 +1,16 @@
 import math
 import re
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from parkdyn import bintheory, calibration, estimators, macromodel, microsim, mpc, network
+from parkdyn.bintheory import BinParams
+from parkdyn.estimators import DistanceModel
+from parkdyn.macromodel import MacroParams, NfdModel
+from parkdyn.microsim import GuidanceConfig, RunSummary, ScenarioConfig
+from parkdyn.mpc import MpcConfig
 from parkdyn.network import (
     DurationDistribution,
     Link,
@@ -14,7 +21,7 @@ from parkdyn.network import (
     load_network,
     save_network,
 )
-from parkdyn.scenarios import desk_network
+from parkdyn.scenarios import GRID_DOMAINS, desk_network
 
 
 def test_grid_2x2_counts():
@@ -122,8 +129,76 @@ def test_load_rejects_zero_length(tmp_path):
     d["links"][0]["length"] = 0.0
     path = tmp_path / "bad.json"
     path.write_text(__import__("json").dumps(d))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: link 0-1: length must be > 0")):
+    message = f"{path}: field 'links[0].length' must be > 0 and finite, got 0"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_network(path)
+
+
+def test_network_from_generators():
+    links = (Link(f"{a}-{b}", a, b, 0.1) for a, b in ((0, 1), (1, 0)))
+    net = Network((Node(i) for i in range(2)), links)
+    assert sorted(net.nodes) == [0, 1] and sorted(net.links) == ["0-1", "1-0"]
+
+
+# a valid instance of every dataclass that declares a field domain
+_VALID = (
+    Link("a", 0, 1, 0.1),
+    OffStreetLot("lot", "a", 10),
+    DurationDistribution(),
+    GuidanceConfig(),
+    ScenarioConfig(),
+    RunSummary(0, 0, 0, 0, 0, False, 0, 0, 1.0, 0.3, 15.0),
+    NfdModel(50.0, 100.0, 20.0),
+    MacroParams(NfdModel(50.0, 100.0, 20.0), DistanceModel("geometric", {"d_p": 0.1}),
+                DurationDistribution(), 10, 5, 0.5, 0.5, 0.5, 0.3, 30.0, 15.0, 0.01),
+    MpcConfig(0.25, 2, 3, 10, ("on",), 0.0, 10.0, 3.0),
+    BinParams(50.0, 30.0, 100.0),
+)
+
+
+def _declaring_classes():
+    modules = (bintheory, calibration, estimators, macromodel, microsim, mpc, network)
+    return {c for m in modules for c in vars(m).values()
+            if is_dataclass(c) and isinstance(c, type) and any(
+                "domain" in f.metadata for f in fields(c))}
+
+
+def test_every_declaring_class_has_a_valid_instance():
+    assert _declaring_classes() == {type(v) for v in _VALID}
+
+
+def _outside(domain):
+    """nan, inf and, where there is one, another value outside ``domain``."""
+    if domain.rule.startswith("must be >= "):
+        return [math.nan, math.inf, int(domain.rule.removeprefix("must be >= ")) - 1]
+    other = {"must be finite": [-math.inf], "must be > 0 and finite": [0.0],
+             "must lie in [0, 1]": [1.5], "must lie in (0, 1]": [0.0],
+             "must be finite or -inf": []}
+    return [math.nan, math.inf, *other[domain.rule]]
+
+
+# (what builds an object from one changed value, field name, value) of
+# every declared field, found through its metadata, and of every declared
+# desk_network parameter
+_DECLARED = [
+    pytest.param(lambda name, v, base=base: replace(base, **{name: v}), name, value,
+                 id=f"{type(base).__name__}.{name}={value}")
+    for base in _VALID
+    for name, domain in ((f.name, f.metadata["domain"]) for f in fields(base)
+                         if "domain" in f.metadata)
+    for value in _outside(domain)
+] + [
+    pytest.param(lambda name, v: desk_network(**{name: v}), name, value,
+                 id=f"desk_network.{name}={value}")
+    for name, domain in GRID_DOMAINS.items()
+    for value in _outside(domain)
+]
+
+
+@pytest.mark.parametrize("build, name, value", _DECLARED)
+def test_declared_field_rejects_values_outside_its_domain(build, name, value):
+    with pytest.raises(ValueError, match=rf"^field '{name}' must "):
+        build(name, value)
 
 
 def test_load_rejects_regions_list(tmp_path):
